@@ -3,7 +3,8 @@
 Submodules:
 
 - ``fpcore``     finite p-groups as multiplication tables
-- ``fplinalg``   dense exact linear algebra over GF(p)
+- ``fplinalg``   dense exact linear algebra over GF(p): one in-place numpy
+                 elimination kernel on uint8 residues, p <= 16
 - ``gmodules``   modules over the group algebra, Nakayama counts
 - ``cohomology`` H^0/H^1 via explicit cochains, lemma checks
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
@@ -11,6 +12,9 @@ Submodules:
 - ``ends``       level-wise module of ends, Fox-calculus oracle
 - ``cli``        subcommands and canonical JSON reports
 - ``corpus``     built-in fixtures
+
+``KERNEL`` names the row-reduction kernel for report provenance; it is
+always ``"python"``.
 """
 
 from .fplinalg import (

@@ -42,16 +42,8 @@ class WorkbenchConfig:
         if self.prime not in (2, 3):
             raise InputError("prime must be 2 or 3")
         for bound in self.levels:
-            if not _is_power(bound, self.prime):
+            if not fpcore.is_power_of(bound, self.prime):
                 raise InputError(f"level {bound} is not a power of {self.prime}")
-
-
-def _is_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # -- graph-of-groups JSON ------------------------------------------------

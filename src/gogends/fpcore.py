@@ -26,7 +26,10 @@ class ImagesInconsistent(GroupError):
     """Generator images do not extend to a homomorphism."""
 
 
-def _is_prime_power(n: int, p: int) -> bool:
+def is_power_of(n: int, p: int) -> bool:
+    """Whether n = p**k for some k >= 0; False for n < 1 or p < 2."""
+    if n < 1 or p < 2:
+        return False
     while n % p == 0:
         n //= p
     return n == 1
@@ -65,7 +68,7 @@ class FiniteGroup:
         n, table, p = self.order, self.mult, self.prime
         if table.size and int(table.max()) >= n:
             raise GroupError("table entry out of range")
-        if not _is_prime_power(n, p):
+        if not is_power_of(n, p):
             raise GroupError(f"order {n} is not a power of {p}")
         if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
             raise GroupError("index 0 must be the identity")

@@ -2,32 +2,18 @@
 
 All quantities downstream (cohomology dimensions, module generator
 counts, Mayer-Vietoris ranks) are exact integers computed from the rank
-machinery here.  Matrices hold uint8 residues in [0, p); the row
-reduction kernel is the compiled extension when available, with a
-pure-numpy fallback selected at import (set ``GOGENDS_PURE=1`` to force
-the fallback).
+machinery here.  Matrices hold uint8 residues in [0, p) for a prime
+p <= 16.  One kernel does every row reduction: ``_rref_in_place``, a
+numpy Gauss-Jordan elimination that rewrites a uint8 array in place.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-if os.environ.get("GOGENDS_PURE"):
-    from . import _rowred_np as _kernel
-
-    KERNEL = "python"
-else:
-    try:
-        from . import _rowred as _kernel  # type: ignore[no-redef]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _rowred_np as _kernel  # type: ignore[no-redef]
-
-        KERNEL = "python"
+KERNEL = "python"
 
 
 class NotASubspace(ValueError):
@@ -121,11 +107,48 @@ class FpMatrix:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.prime})"
 
 
+def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
+    """Reduce the uint8 array ``a`` to reduced row echelon form in place;
+    return its pivot columns.
+
+    Row updates are vectorised; entries stay below 256 because
+    (p-1)**2 + (p-1) < 256 for p <= 16.
+    """
+    if p < 2 or p > 16:
+        raise ValueError("prime out of supported range")
+    rows, cols = a.shape
+    inv = [0] * p
+    for x in range(1, p):
+        inv[x] = pow(x, -1, p)
+    pivots: list[int] = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv], col:] = a[[piv, r], col:]
+        f = inv[int(a[r, col])]
+        if f != 1:
+            a[r, col:] = (a[r, col:] * f) % p
+        other = np.nonzero(a[:, col])[0]
+        other = other[other != r]
+        if other.size:
+            factors = (p - a[other, col]).astype(np.uint8)
+            a[other, col:] = (a[other, col:] + factors[:, None] * a[r, col:]) % p
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
 def rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
     """Reduced row echelon form plus pivot columns (input untouched)."""
     work = m.copy_data()
-    pivots = _kernel.rref_mod_p(work, m.prime)
-    return FpMatrix(work, m.prime), list(pivots)
+    pivots = _rref_in_place(work, m.prime)
+    return FpMatrix(work, m.prime), pivots
 
 
 @dataclass(frozen=True)
@@ -202,11 +225,10 @@ def rank_profile(m: FpMatrix) -> RankProfile:
     row_space = Subspace(m.prime, m.cols, FpMatrix(reduced.data[:rank], m.prime), tuple(pivots))
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    null_vectors = np.zeros((len(free_cols), m.cols), dtype=np.uint8)
-    for k, fc in enumerate(free_cols):
-        null_vectors[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            null_vectors[k, pc] = (m.prime - int(reduced.data[i, fc])) % m.prime
+    k = len(free_cols)
+    null_vectors = np.zeros((k, m.cols), dtype=np.uint8)
+    null_vectors[np.arange(k), free_cols] = 1
+    null_vectors[:, pivots] = (m.prime - reduced.data[:rank, free_cols].T) % m.prime
     nullspace = Subspace.from_vectors(null_vectors, m.cols, m.prime)
     assert rank + nullspace.dim == m.cols
     return RankProfile(rank, nullspace, row_space)
@@ -214,7 +236,7 @@ def rank_profile(m: FpMatrix) -> RankProfile:
 
 def rank(m: FpMatrix) -> int:
     work = m.copy_data()
-    return len(_kernel.rref_mod_p(work, m.prime))
+    return len(_rref_in_place(work, m.prime))
 
 
 def solve(m: FpMatrix, rhs) -> np.ndarray:
@@ -223,7 +245,7 @@ def solve(m: FpMatrix, rhs) -> np.ndarray:
     if b.shape != (m.rows,):
         raise ValueError("rhs length mismatch")
     aug = np.concatenate([m.data, b[:, None]], axis=1)
-    pivots = _kernel.rref_mod_p(np.ascontiguousarray(aug), m.prime)
+    pivots = _rref_in_place(aug, m.prime)
     if m.cols in pivots:
         raise NoSolution("inconsistent system")
     x = np.zeros(m.cols, dtype=np.uint8)

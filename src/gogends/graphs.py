@@ -14,6 +14,7 @@ an exhaustive search provides the independent oracle.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -71,14 +72,10 @@ class GraphStats:
     connected: bool
 
 
-def graph_stats(g: Graph) -> GraphStats:
-    """Valences (loops count twice), leaf count, Euler characteristic,
-    connectivity ignoring orientation."""
-    val = {v: 0 for v in g.vertices}
-    for _, u, v in g.edges:
-        val[u] += 1
-        val[v] += 1
-    parent = {v: v for v in g.vertices}
+def _component_roots(vertices, pairs) -> dict:
+    """Map each vertex to the root of its component in the graph on
+    ``vertices`` with the edges ``pairs`` (union-find, path halving)."""
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -86,14 +83,24 @@ def graph_stats(g: Graph) -> GraphStats:
             x = parent[x]
         return x
 
-    for _, u, v in g.edges:
+    for u, v in pairs:
         parent[find(u)] = find(v)
-    roots = {find(v) for v in g.vertices}
+    return {v: find(v) for v in parent}
+
+
+def graph_stats(g: Graph) -> GraphStats:
+    """Valences (loops count twice), leaf count, Euler characteristic,
+    connectivity ignoring orientation."""
+    val = {v: 0 for v in g.vertices}
+    for _, u, v in g.edges:
+        val[u] += 1
+        val[v] += 1
+    roots = _component_roots(g.vertices, ((u, v) for _, u, v in g.edges))
     return GraphStats(
         valences=val,
         leaves=sum(1 for v in g.vertices if val[v] == 1),
         euler_char=len(g.vertices) - len(g.edges),
-        connected=len(roots) == 1,
+        connected=len(set(roots.values())) == 1,
     )
 
 
@@ -204,20 +211,9 @@ def valence_two_segment_bound(g: Graph) -> int:
     non-exceptional family)."""
     stats = graph_stats(g)
     two = {v for v in g.vertices if stats.valences[v] == 2}
-    parent = {v: v for v in two}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp_edges: dict = {}
-    inner = [(e, u, v) for e, u, v in g.edges if u in two and v in two]
-    for _, u, v in inner:
-        parent[find(u)] = find(v)
-    for _, u, v in inner:
-        comp_edges[find(u)] = comp_edges.get(find(u), 0) + 1
+    inner = [(u, v) for _, u, v in g.edges if u in two and v in two]
+    roots = _component_roots(two, inner)
+    comp_edges = Counter(roots[u] for u, _ in inner)
     return sum(k // 2 for k in comp_edges.values())
 
 

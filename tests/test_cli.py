@@ -1,9 +1,14 @@
 """CLI parsing, serialisation round-trips, subcommands, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gogends
 from gogends import cli
 from gogends.cli import (
     InputError,
@@ -186,3 +191,22 @@ def test_main_byte_determinism(tmp_path):
     for out in (out1, out2):
         assert cli.main(["counting", "--max-edges", "4", "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_main_group_with_prime_one_exits_2_promptly(tmp_path):
+    # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
+    doc = tmp_path / "prime_one.json"
+    doc.write_text(json.dumps({
+        "prime": 2,
+        "vertices": [{"id": "v0", "group": {"type": "cyclic", "params": [1, 2]}}],
+        "edges": [],
+    }))
+    src = str(Path(gogends.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gogends.cli import main; sys.exit(main())", "ends", str(doc)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,13 +1,13 @@
-"""Exact linear algebra: examples, rank-nullity, kernel parity."""
+"""Exact linear algebra: examples, rank-nullity, RREF against a reference."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogends import _rowred_np
 from gogends.fplinalg import (
     FpMatrix,
     NoSolution,
@@ -18,13 +18,6 @@ from gogends.fplinalg import (
     rref,
     solve,
 )
-
-try:
-    from gogends import _rowred
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
 
 
 def test_zero_matrix_profile():
@@ -146,21 +139,34 @@ def test_rref_is_canonical():
     assert ra == rb
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-def test_kernel_parity_compiled_vs_numpy():
-    import random
+def _reference_rref(rows, p):
+    """Textbook Gauss-Jordan on lists of ints: (reduced rows, pivots)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
 
+
+def test_rref_matches_reference():
     rnd = random.Random(20240817)
     for _ in range(150):
         p = rnd.choice([2, 3])
         rows = rnd.randint(1, 12)
         cols = rnd.randint(1, 12)
-        data = np.array(
-            [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.uint8
-        )
-        a = np.ascontiguousarray(data.copy())
-        b = np.ascontiguousarray(data.copy())
-        piv_a = _rowred.rref_mod_p(a, p)
-        piv_b = _rowred_np.rref_mod_p(b, p)
-        assert list(piv_a) == list(piv_b)
-        assert np.array_equal(a, b)
+        data = [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        reduced, pivots = rref(FpMatrix(data, p))
+        want, want_pivots = _reference_rref(data, p)
+        assert pivots == want_pivots
+        assert reduced.data.tolist() == want
