@@ -74,6 +74,9 @@ def gog_from_json(data) -> gogmod.GraphOfGroups:
     prime = data["prime"]
     if prime not in (2, 3):
         raise InputError("prime must be 2 or 3")
+    for key in ("vertices", "edges"):
+        if not isinstance(data[key], list) or not all(isinstance(x, dict) for x in data[key]):
+            raise InputError(f"{key!r} must be a list of objects")
     vertex_groups = {}
     vertex_ids = []
     for i, ventry in enumerate(data["vertices"]):

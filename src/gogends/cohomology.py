@@ -1,11 +1,22 @@
 """Degree-0 and degree-1 cohomology of finite groups, plus lemma checks.
 
-Cochain spaces are indexed by all group elements; the degree-1 kernel is
-cut out by the coboundary rows at pairs (s, h) with s ranging over the
-generators only, which pins the same kernel as the full pair set (the
-cocycle identity propagates along positive generator words) while
-keeping matrices at catalog sizes.  The full d1 is still materialised on
-demand for the d1 . d0 = 0 invariant and brute-force cross-checks.
+Cochains are indexed by all group elements: coordinate h*d + i of a
+1-cochain f is the i-th entry of f(h).  The cocycle space Z^1 is not cut
+out of all n*d cochain coordinates; it is solved over the generator
+values x = (f(s_1), ..., f(s_r)) in M^r (Brown, Cohomology of Groups,
+IV.2).  A BFS tree of the left Cayley graph from the identity sets
+f(e) = 0 and f(s h) = A_s f(h) + f(s) along its edges, so f(h) = F_h x
+for every h.  Each non-tree edge (s, h) adds the d rows
+F_{sh} - A_s F_h - E_s of a constraint matrix C, and Z^1 = {F x : x in
+ker C}.  Every cocycle satisfies these equations, so it lies in the
+image.  Conversely, for x in ker C the function f = F x satisfies
+f(s h) = A_s f(h) + f(s) for every generator s and every h, tree edge or
+not.  The elements g with f(g h) = A_g f(h) + f(g) for all h form a
+submonoid that contains the generators, and in a finite group that is
+all of K.  So f is a cocycle, and x -> F x is injective on ker C because
+f(s_i) = x_i.  The eliminated system has r*d columns instead of n*d.
+The full d1 over all pairs (g, h) is still built on demand as the
+reference for the d1 . d0 = 0 invariant and for tests.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .fpcore import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
-from .fplinalg import FpMatrix, Subspace, rank, rank_profile
+from .fplinalg import FpMatrix, Subspace, rank_profile
 from .gmodules import GModule, norm_element, regular_bimodule, submodule_generated
 
 
@@ -49,13 +60,12 @@ class CohomologyResult:
 
 @dataclass
 class CochainComplexSlice:
-    """d0: M -> Map(K, M) and d1: Map(K, M) -> Map(K^2, M) (kernel rows)."""
+    """d0: M -> Map(K, M), the cocycle space Z^1, and the full d1 as reference."""
 
     group: FiniteGroup
     module: GModule
     hom: Optional[GroupHom]
     d0: FpMatrix = field(init=False)
-    d1: FpMatrix = field(init=False)
 
     def __post_init__(self):
         K, M = self.group, self.module
@@ -68,20 +78,41 @@ class CochainComplexSlice:
             d0[g * d : (g + 1) * d] = act(g).data.astype(np.int64) - eye
         self.d0 = FpMatrix(d0 % p, p)
 
-        rows_at = [K.generators[i] for i in range(len(K.generators))] or [0]
-        d1 = np.zeros((len(rows_at) * n * d, n * d), dtype=np.int64)
-        for si, s in enumerate(rows_at):
-            a_s = act(s).data.astype(np.int64)
-            for h in K.elements():
-                r = (si * n + h) * d
+    def cocycles(self) -> Subspace:
+        """Z^1 in canonical form, solved over the generator values x as
+        the module docstring describes; ``values[h]`` is F_h."""
+        K, M = self.group, self.module
+        act = _left_matrices(K, M, self.hom)
+        n, d, p = K.order, M.dim, M.prime
+        r = len(K.generators)
+        if r == 0:  # K is trivial and f(e) = 0
+            return Subspace.zero(n * d, p)
+        acts = [act(s).data.astype(np.int64) for s in K.generators]
+        unit = np.eye(r * d, dtype=np.int64).reshape(r, d, r * d)  # unit[i] = E_i
+        values = np.zeros((n, d, r * d), dtype=np.int64)
+        tree = np.zeros((r, n), dtype=bool)  # tree[i, h]: edge (s_i, h) is in the tree
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        queue = [0]
+        for h in queue:
+            for i, s in enumerate(K.generators):
                 sh = int(K.mult[s, h])
-                d1[r : r + d, h * d : (h + 1) * d] += a_s
-                d1[r : r + d, sh * d : (sh + 1) * d] -= eye
-                d1[r : r + d, s * d : (s + 1) * d] += eye
-        self.d1 = FpMatrix(d1 % p, p)
+                if not seen[sh]:
+                    seen[sh] = tree[i, h] = True
+                    values[sh] = (acts[i] @ values[h] + unit[i]) % p
+                    queue.append(sh)
+        rows = []
+        for i, s in enumerate(K.generators):
+            off = ~tree[i]
+            lhs = values[K.mult[s][off]]
+            rows.append((lhs - acts[i] @ values[off] - unit[i]).reshape(-1, r * d))
+        constraints = FpMatrix(np.concatenate(rows) % p, p)
+        kernel = rank_profile(constraints).nullspace.basis.data.astype(np.int64)
+        cocycles = values.reshape(n * d, r * d) @ kernel.T
+        return Subspace.from_vectors(cocycles.T % p, n * d, p)
 
     def d1_full(self) -> FpMatrix:
-        """d1 over all pairs (g, h); only for small sanity checks."""
+        """d1 over all pairs (g, h): the reference for ``cocycles``."""
         K, M = self.group, self.module
         act = _left_matrices(K, M, self.hom)
         n, d, p = K.order, M.dim, M.prime
@@ -114,11 +145,10 @@ def h0(K: FiniteGroup, module: GModule, hom: Optional[GroupHom] = None) -> Cohom
 def h1(K: FiniteGroup, module: GModule, hom: Optional[GroupHom] = None) -> CohomologyResult:
     """Crossed homomorphisms modulo principal ones."""
     slice_ = CochainComplexSlice(K, module, hom)
-    cocycles = rank_profile(slice_.d1).nullspace
-    boundary_rank = rank(slice_.d0)
-    dim = cocycles.dim - boundary_rank
-    # representatives: cocycle basis rows independent modulo the coboundaries
+    cocycles = slice_.cocycles()
     bound = Subspace.from_vectors(slice_.d0.transpose().data, slice_.d0.rows, module.prime)
+    dim = cocycles.dim - bound.dim
+    # representatives: cocycle basis rows independent modulo the coboundaries
     reps: list[np.ndarray] = []
     span = bound
     for row in cocycles.basis.data:

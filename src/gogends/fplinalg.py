@@ -15,6 +15,9 @@ import numpy as np
 
 KERNEL = "python"
 
+# the kernel keeps residues in uint8: (p-1)**2 + (p-1) < 256 needs p <= 16
+_PRIMES = frozenset({2, 3, 5, 7, 11, 13})
+
 
 class NotASubspace(ValueError):
     """Raised when a claimed subspace containment fails."""
@@ -42,8 +45,8 @@ class FpMatrix:
     __slots__ = ("data", "prime")
 
     def __init__(self, data, prime: int):
-        if prime < 2:
-            raise ValueError("prime must be at least 2")
+        if prime not in _PRIMES:
+            raise ValueError(f"modulus must be a prime <= 16, got {prime}")
         self.prime = prime
         self.data = _as_residues(data, prime)
 
@@ -114,8 +117,6 @@ def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
     Row updates are vectorised; entries stay below 256 because
     (p-1)**2 + (p-1) < 256 for p <= 16.
     """
-    if p < 2 or p > 16:
-        raise ValueError("prime out of supported range")
     rows, cols = a.shape
     inv = [0] * p
     for x in range(1, p):

@@ -25,6 +25,12 @@ class ModuleError(ValueError):
     """Malformed module data."""
 
 
+def _is_permutation(a: np.ndarray) -> bool:
+    """0/1 entries with exactly one 1 in every row and column: an exact
+    certificate that the matrix is invertible."""
+    return bool((a <= 1).all() and (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all())
+
+
 class GModule:
     """Module given by invertible generator action matrices.
 
@@ -49,7 +55,7 @@ class GModule:
             for a in acts:
                 if a.rows != dim or a.cols != dim or a.prime != self.prime:
                     raise ModuleError(f"{side} action has wrong shape or prime")
-                if rank(a) != dim:
+                if not _is_permutation(a.data) and rank(a) != dim:
                     raise ModuleError(f"{side} action matrix is singular")
         self.left = left
         self.right = right
@@ -118,13 +124,13 @@ class NormVector:
 def regular_bimodule(P: FiniteGroup) -> GModule:
     """F_p[P] with both translation actions (permutation matrices)."""
     n, p = P.order, P.prime
+    z = np.arange(n)
     left, right = [], []
     for g in P.generators:
         lm = np.zeros((n, n), dtype=np.uint8)
         rm = np.zeros((n, n), dtype=np.uint8)
-        for z in range(n):
-            lm[int(P.mult[g, z]), z] = 1
-            rm[int(P.mult[z, g]), z] = 1
+        lm[P.mult[g, :], z] = 1
+        rm[P.mult[:, g], z] = 1
         left.append(FpMatrix(lm, p))
         right.append(FpMatrix(rm, p))
     return GModule(P, n, left=left, right=right)

@@ -58,6 +58,8 @@ class GraphOfGroups:
         vset = set(self.graph.vertices)
         if set(self.vertex_groups) != vset:
             raise GogError("vertex groups must cover exactly the vertex set")
+        if not graph_stats(self.graph).connected:
+            raise GogError("graph is not connected")
         eset = {e for e, _, _ in self.graph.edges}
         for name, mapping in (("edge_groups", self.edge_groups), ("inj0", self.inj0), ("inj1", self.inj1)):
             if set(mapping) != eset:
@@ -288,8 +290,6 @@ def b1(gog: GraphOfGroups) -> int:
 def leaf_bound(gog: GraphOfGroups) -> int:
     """#leaves + 1 - Euler characteristic; a lower bound for b1."""
     stats = graph_stats(gog.graph)
-    if not stats.connected:
-        raise GogError("graph is not connected")
     return stats.leaves + 1 - stats.euler_char
 
 

@@ -210,3 +210,32 @@ def test_main_group_with_prime_one_exits_2_promptly(tmp_path):
     assert proc.returncode == 2
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"prime": 2, "vertices": [{"id": "a", "group": {"type": "trivial", "params": [2]}}], "edges": 5},
+    {"prime": 2, "vertices": "a", "edges": []},
+    {"prime": 2, "vertices": [5], "edges": []},
+    {"prime": 2, "vertices": [{"id": "a", "group": {"type": "trivial", "params": [2]}}], "edges": ["e"]},
+])
+def test_main_malformed_vertices_or_edges_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["ends", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "must be a list of objects" in err
+    assert "Traceback" not in err
+
+
+def test_main_disconnected_graph_exits_2(tmp_path, capsys):
+    trivial = {"type": "trivial", "params": [2]}
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({
+        "prime": 2,
+        "vertices": [{"id": "a", "group": trivial}, {"id": "b", "group": trivial}],
+        "edges": [],
+    }), encoding="utf-8")
+    assert cli.main(["ends", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: graph is not connected" in err
+    assert "Traceback" not in err

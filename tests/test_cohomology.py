@@ -15,6 +15,7 @@ from gogends.cohomology import (
     h1,
 )
 from gogends.fpcore import (
+    FiniteGroup,
     all_subgroups,
     catalog_groups,
     cyclic,
@@ -25,7 +26,7 @@ from gogends.fpcore import (
     subgroup_generated,
     trivial,
 )
-from gogends.fplinalg import rank
+from gogends.fplinalg import Subspace, rank, rank_profile
 from gogends.gmodules import GModule, regular_bimodule, trivial_module
 
 
@@ -87,20 +88,44 @@ def test_d1_after_d0_is_zero():
         (cyclic(2, 1), trivial_module(cyclic(2, 1), 2)),
     ):
         slc = CochainComplexSlice(grp, module, None)
-        assert not slc.d1.matmul(slc.d0).data.any()
         assert not slc.d1_full().matmul(slc.d0).data.any()
+        coboundaries = Subspace.from_vectors(slc.d0.transpose().data, slc.d0.rows, module.prime)
+        assert slc.cocycles().contains_subspace(coboundaries)
 
 
 def test_restricted_d1_kernel_equals_full_kernel():
-    from gogends.fplinalg import rank_profile
-
     for grp, module in (
         (cyclic(2, 2), regular_bimodule(cyclic(2, 2))),
         (dihedral8(), trivial_module(dihedral8(), 1)),
         (cyclic(3, 1), regular_bimodule(cyclic(3, 1))),
     ):
         slc = CochainComplexSlice(grp, module, None)
-        assert rank_profile(slc.d1).nullspace == rank_profile(slc.d1_full()).nullspace
+        assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace
+
+
+def test_generator_value_cocycles_match_full_d1_over_catalog():
+    for p, bound in ((2, 8), (3, 9)):
+        for G in catalog_groups(p, bound):
+            for module in (regular_bimodule(G), trivial_module(G, 2)):
+                for K in all_subgroups(G):
+                    grp, incl = subgroup_as_group(K)
+                    slc = CochainComplexSlice(grp, module, incl)
+                    assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace, (G.name, K.elements)
+
+
+def test_generator_value_cocycles_with_identity_or_repeated_generator():
+    # BFS edge cases: the identity as a generator puts a loop at every
+    # vertex and a repeated generator a parallel edge, all of them non-tree
+    c4, d8 = cyclic(2, 2), dihedral8()
+    for base, gens in ((c4, [0, 1]), (c4, [1, 1]), (d8, d8.generators + d8.generators[:1])):
+        grp = FiniteGroup(f"{base.name}{gens}", base.mult, gens, 2)
+        for module, plain in (
+            (regular_bimodule(grp), regular_bimodule(base)),
+            (trivial_module(grp, 2), trivial_module(base, 2)),
+        ):
+            slc = CochainComplexSlice(grp, module, None)
+            assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace
+            assert slc.cocycles() == CochainComplexSlice(base, plain, None).cocycles()
 
 
 def _h1_dim_bruteforce(K, module, hom=None):
@@ -161,7 +186,7 @@ def test_h1_representatives_are_independent_cocycles():
     res = h1(c2, module)
     slc = CochainComplexSlice(c2, module, None)
     for row in res.representatives.data:
-        assert not slc.d1.mul_vec(row).any()
+        assert not slc.d1_full().mul_vec(row).any()
     assert res.dimension == res.representatives.rows
     assert rank(res.representatives) == res.dimension
 

@@ -20,6 +20,13 @@ from gogends.fplinalg import (
 )
 
 
+def test_modulus_must_be_a_supported_prime():
+    for modulus in (0, 1, 4, 9, 17):
+        with pytest.raises(ValueError, match="prime"):
+            FpMatrix([[2, 1]], modulus)
+    assert FpMatrix([[2, 1]], 13).prime == 13
+
+
 def test_zero_matrix_profile():
     prof = rank_profile(FpMatrix.zeros(3, 3, 2))
     assert prof.rank == 0
@@ -159,13 +166,44 @@ def _reference_rref(rows, p):
     return a, pivots
 
 
-def test_rref_matches_reference():
-    rnd = random.Random(20240817)
+def _random_matrices(rnd):
     for _ in range(150):
         p = rnd.choice([2, 3])
         rows = rnd.randint(1, 12)
         cols = rnd.randint(1, 12)
-        data = [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        yield [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)], p
+
+
+def _structured_matrices(rnd):
+    """Block-diagonal, banded, zero, permutation, rank-deficient products,
+    wide and tall matrices."""
+    for p in (2, 3, 5):
+        def rand(rows, cols):
+            return np.array([[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)])
+
+        block = np.zeros((9, 9), dtype=int)
+        for lo, hi in ((0, 2), (2, 5), (5, 9)):
+            block[lo:hi, lo:hi] = rand(hi - lo, hi - lo)
+        yield block, p
+        i, j = np.indices((10, 10))
+        yield np.where(abs(i - j) <= 1, rand(10, 10), 0), p
+        i, j = np.indices((8, 11))
+        yield np.where((j >= i) & (j - i <= 2), rand(8, 11), 0), p
+        yield np.zeros((4, 7), dtype=int), p
+        yield np.eye(7, dtype=int)[rnd.sample(range(7), 7)], p
+        for inner in (1, 2, 3):
+            yield rand(8, inner) @ rand(inner, 10) % p, p
+        yield rand(3, 40), p
+        yield rand(40, 3), p
+
+
+def test_rref_matches_reference():
+    rnd = random.Random(20240817)
+    cases = itertools.chain(
+        _random_matrices(rnd),
+        ((np.asarray(m).tolist(), p) for m, p in _structured_matrices(rnd)),
+    )
+    for data, p in cases:
         reduced, pivots = rref(FpMatrix(data, p))
         want, want_pivots = _reference_rref(data, p)
         assert pivots == want_pivots

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gogends.fpcore import cyclic, dihedral8, elementary_abelian, subgroup_generated, trivial
-from gogends.fplinalg import Subspace
+from gogends.fplinalg import FpMatrix, Subspace
 from gogends.gmodules import (
     GModule,
     ModuleError,
@@ -42,6 +42,16 @@ def test_regular_d8_is_permutation_representation():
         assert np.array_equal(act.sum(axis=0), np.ones(8, dtype=np.uint8))
         assert np.array_equal(act.sum(axis=1), np.ones(8, dtype=np.uint8))
     m.check_action_consistency()
+
+
+def test_singular_zero_one_action_is_rejected():
+    c2 = cyclic(2, 1)
+    # two equal columns; one 1 per row but not per column; one 1 per column but not per row
+    for rows in ([[1, 1], [1, 1]], [[1, 0], [1, 0]], [[1, 1], [0, 0]]):
+        with pytest.raises(ModuleError, match="singular"):
+            GModule(c2, 2, left=[FpMatrix(rows, 2)])
+    # an invertible action that is not a permutation still passes the rank check
+    assert GModule(c2, 2, left=[FpMatrix([[1, 1], [0, 1]], 2)]).dim == 2
 
 
 def test_norm_element_examples():
