@@ -10,8 +10,9 @@ Submodules:
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
 - ``gog``        graphs of groups, presentations, witness search
 - ``ends``       level-wise module of ends, Fox-calculus oracle
-- ``cli``        subcommands and canonical JSON reports
+- ``schema``     the graph-of-groups JSON document: reader and writer
 - ``corpus``     built-in fixtures
+- ``cli``        subcommands and canonical JSON reports
 
 ``KERNEL`` names the row-reduction kernel for report provenance; it is
 always ``"python"``.

@@ -1,4 +1,4 @@
-"""Command line front end: input parsing, suite orchestration, reports.
+"""Command line front end: arguments, input files, suites, reports.
 
 Subcommands: verify-lemmas, counting, enumerate, analyze, ends.  All
 report quantities are exact integers and reports are emitted as
@@ -16,12 +16,9 @@ import sys
 from dataclasses import dataclass
 
 from . import cohomology, ends, fpcore, gog as gogmod, graphs
+from .schema import InputError, gog_from_json
 
 DEFAULT_LEMMA_ORDER = {2: 16, 3: 27}
-
-
-class InputError(ValueError):
-    """Parse or validation failure, with a location message."""
 
 
 @dataclass
@@ -46,106 +43,7 @@ class WorkbenchConfig:
                 raise InputError(f"level {bound} is not a power of {self.prime}")
 
 
-# -- graph-of-groups JSON ------------------------------------------------
-
-
-def _group_from_json(spec, prime: int, where: str) -> fpcore.FiniteGroup:
-    if not isinstance(spec, dict):
-        raise InputError(f"{where}: group spec must be an object")
-    try:
-        if "table" in spec:
-            return fpcore.group_from_table(
-                spec.get("name", "table-group"), spec["table"], spec.get("generators", []), prime
-            )
-        grp = fpcore.make_group(spec)
-    except (fpcore.GroupError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    if grp.prime != prime:
-        raise InputError(f"{where}: group prime {grp.prime} differs from file prime {prime}")
-    return grp
-
-
-def gog_from_json(data) -> gogmod.GraphOfGroups:
-    if not isinstance(data, dict):
-        raise InputError("top level must be an object")
-    for key in ("prime", "vertices", "edges"):
-        if key not in data:
-            raise InputError(f"missing top-level key {key!r}")
-    prime = data["prime"]
-    if prime not in (2, 3):
-        raise InputError("prime must be 2 or 3")
-    for key in ("vertices", "edges"):
-        if not isinstance(data[key], list) or not all(isinstance(x, dict) for x in data[key]):
-            raise InputError(f"{key!r} must be a list of objects")
-    vertex_groups = {}
-    vertex_ids = []
-    for i, ventry in enumerate(data["vertices"]):
-        where = f"vertices[{i}]"
-        if "id" not in ventry or "group" not in ventry:
-            raise InputError(f"{where}: need 'id' and 'group'")
-        vid = ventry["id"]
-        vertex_ids.append(vid)
-        vertex_groups[vid] = _group_from_json(ventry["group"], prime, f"{where}.group")
-    edges = []
-    edge_groups, inj0, inj1 = {}, {}, {}
-    for i, eentry in enumerate(data["edges"]):
-        where = f"edges[{i}]"
-        for key in ("id", "from", "to", "group", "inj0", "inj1"):
-            if key not in eentry:
-                raise InputError(f"{where}: missing key {key!r}")
-        eid = eentry["id"]
-        u, v = eentry["from"], eentry["to"]
-        if u not in vertex_groups or v not in vertex_groups:
-            raise InputError(f"{where}: endpoint references unknown vertex (edge {eid!r})")
-        ge = _group_from_json(eentry["group"], prime, f"{where}.group")
-        edge_groups[eid] = ge
-        for key, target in (("inj0", u), ("inj1", v)):
-            try:
-                hom = fpcore.hom_from_images(ge, vertex_groups[target], eentry[key])
-            except fpcore.GroupError as exc:
-                raise InputError(f"{where}.{key}: {exc} (edge {eid!r})") from exc
-            if not fpcore.is_injective(hom):
-                raise InputError(f"{where}.{key}: edge map is not injective (edge {eid!r})")
-            (inj0 if key == "inj0" else inj1)[eid] = hom
-        edges.append((eid, u, v))
-    try:
-        return gogmod.GraphOfGroups(
-            graph=graphs.Graph(tuple(vertex_ids), tuple(edges)),
-            prime=prime,
-            vertex_groups=vertex_groups,
-            edge_groups=edge_groups,
-            inj0=inj0,
-            inj1=inj1,
-        )
-    except (graphs.GraphError, gogmod.GogError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def gog_to_json(g: gogmod.GraphOfGroups) -> dict:
-    def spec_of(grp):
-        if grp.spec is not None:
-            return grp.spec
-        return {
-            "name": grp.name,
-            "table": [list(map(int, row)) for row in grp.mult],
-            "generators": list(grp.generators),
-        }
-
-    return {
-        "prime": g.prime,
-        "vertices": [{"id": v, "group": spec_of(g.vertex_groups[v])} for v in g.graph.vertices],
-        "edges": [
-            {
-                "id": e,
-                "from": u,
-                "to": v,
-                "group": spec_of(g.edge_groups[e]),
-                "inj0": [g.inj0[e].image[x] for x in g.edge_groups[e].generators],
-                "inj1": [g.inj1[e].image[x] for x in g.edge_groups[e].generators],
-            }
-            for e, u, v in g.graph.edges
-        ],
-    }
+# -- input ---------------------------------------------------------------
 
 
 def parse_input(path: str) -> gogmod.GraphOfGroups:
@@ -154,8 +52,10 @@ def parse_input(path: str) -> gogmod.GraphOfGroups:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     return gog_from_json(data)
 
 
@@ -252,15 +152,6 @@ def run_analyze(cfg: WorkbenchConfig) -> tuple[int, dict | list]:
     return (1 if bad else 0), payload
 
 
-def run_ends(cfg: WorkbenchConfig) -> tuple[int, dict | list]:
-    g = parse_input(cfg.input_path)
-    witness = gogmod.proper_quotient_search(g, cfg.order_bound)
-    report = ends.ends_level(g, witness)
-    _maybe_emit_witnesses(cfg, g, [witness])
-    bad = not (report.bound_holds and report.matching_le_gen)
-    return (1 if bad else 0), [report.to_json()]
-
-
 def _maybe_emit_witnesses(cfg: WorkbenchConfig, g, witnesses):
     if cfg.witness_out is None:
         return
@@ -275,10 +166,8 @@ def run_suite(cfg: WorkbenchConfig) -> tuple[int, object]:
         return run_counting(cfg)
     if cfg.subcommand == "enumerate":
         return run_enumerate(cfg)
-    if cfg.subcommand == "analyze":
+    if cfg.subcommand in ("analyze", "ends"):
         return run_analyze(cfg)
-    if cfg.subcommand == "ends":
-        return run_ends(cfg)
     raise InputError(f"unknown subcommand {cfg.subcommand!r}")
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .cli import gog_from_json
 from .gog import GraphOfGroups
+from .schema import gog_from_json
 
 # name -> order bound for the minimal witness search
 FIXTURES = {

@@ -21,7 +21,7 @@ import numpy as np
 from .fplinalg import FpMatrix, Subspace, rank, rank_profile
 from .gmodules import GModule, QuotientMap, min_generators, quotient_module
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
-from .gog import presentation, proper_quotient_search, validate
+from .gog import presentation, validate
 from .graphs import maximum_matching
 
 
@@ -316,13 +316,3 @@ def prop_more_check(gog: GraphOfGroups, witness: ProperWitness) -> PropMoreRepor
         raise GogError("need at least one edge")
     mv = mv_h0_map(gog, witness)
     return PropMoreReport(ok=mv.coker.dim > 0, h1_dim=mv.coker.dim, level=witness.quotient.order)
-
-
-def theorem_bound_report(gog: GraphOfGroups, levels) -> list[EndsLevelReport]:
-    """One EndsLevelReport per order bound, each at the minimal witness
-    found under that bound."""
-    reports = []
-    for bound in levels:
-        witness = proper_quotient_search(gog, bound)
-        reports.append(ends_level(gog, witness))
-    return reports

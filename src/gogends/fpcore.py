@@ -11,7 +11,6 @@ capped at 256.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -127,17 +126,11 @@ class FiniteGroup:
             self._orders = orders
         return self._orders[x]
 
-    def exponent(self) -> int:
-        return reduce(np.lcm, [self.element_order(x) for x in self.elements()], 1)
-
     def evaluate_word(self, word) -> int:
         x = 0
         for gi in word:
             x = int(self.mult[x, self.generators[gi]])
         return x
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
 
     def center(self) -> tuple[int, ...]:
         eq = self.mult == self.mult.T
@@ -211,12 +204,20 @@ def trivial(prime: int) -> FiniteGroup:
     return g
 
 
+def _catalog_order(prime: int, k: int) -> int:
+    """prime**k, if it is at most MAX_ORDER.  k is bounded before the
+    power is taken, so a huge exponent fails at once."""
+    if prime < 2:
+        raise GroupError(f"prime must be at least 2, got {prime}")
+    if k >= MAX_ORDER.bit_length() or prime**k > MAX_ORDER:
+        raise GroupError("order exceeds catalog cap")
+    return prime**k
+
+
 def cyclic(prime: int, k: int) -> FiniteGroup:
     if k < 0:
         raise GroupError("cyclic exponent must be nonnegative")
-    n = prime**k
-    if n > MAX_ORDER:
-        raise GroupError("order exceeds catalog cap")
+    n = _catalog_order(prime, k)
     if n == 1:
         g = trivial(prime)
     else:
@@ -228,9 +229,7 @@ def cyclic(prime: int, k: int) -> FiniteGroup:
 def elementary_abelian(prime: int, k: int) -> FiniteGroup:
     if k < 1:
         raise GroupError("need at least one factor")
-    n = prime**k
-    if n > MAX_ORDER:
-        raise GroupError("order exceeds catalog cap")
+    n = _catalog_order(prime, k)
     idx = np.arange(n)
     digits = np.stack([(idx // prime**i) % prime for i in range(k)], axis=1)
     summed = (digits[:, None, :] + digits[None, :, :]) % prime
@@ -282,9 +281,7 @@ def quaternion8() -> FiniteGroup:
 
 def heisenberg(prime: int) -> FiniteGroup:
     """Unitriangular 3x3 group over GF(p); order p^3, exponent p for odd p."""
-    n = prime**3
-    if n > MAX_ORDER:
-        raise GroupError("order exceeds catalog cap")
+    n = _catalog_order(prime, 3)
     table = np.zeros((n, n), dtype=np.uint16)
     p = prime
     for x in range(n):
@@ -373,35 +370,6 @@ def catalog_groups(prime: int, max_order: int) -> list[FiniteGroup]:
                 groups.append(base if ab.order == 1 else direct_product(base, ab))
     groups.sort(key=lambda g: (g.order, g.name))
     return groups
-
-
-def make_group(spec) -> FiniteGroup:
-    """Build a catalog group from a ("name", params...) tuple or dict."""
-    if isinstance(spec, dict):
-        if "table" in spec:
-            return group_from_table(
-                spec.get("name", "table-group"),
-                spec["table"],
-                spec.get("generators", []),
-                spec["prime"],
-            )
-        spec = (spec["type"], *spec.get("params", []))
-    kind, *params = spec
-    if kind == "trivial":
-        return trivial(*params)
-    if kind == "cyclic":
-        return cyclic(*params)
-    if kind == "elementary_abelian":
-        return elementary_abelian(*params)
-    if kind == "dihedral8":
-        return dihedral8()
-    if kind == "quaternion8":
-        return quaternion8()
-    if kind == "heisenberg":
-        return heisenberg(*params)
-    if kind == "direct_product":
-        return direct_product(make_group(params[0]), make_group(params[1]))
-    raise GroupError(f"unknown group spec {kind!r}")
 
 
 # -- subgroups and homomorphisms ------------------------------------------

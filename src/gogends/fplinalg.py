@@ -262,16 +262,3 @@ def quotient_dim(space: Subspace, sub: Subspace) -> int:
     if not space.contains_subspace(sub):
         raise NotASubspace("claimed subspace is not contained in the space")
     return space.dim - sub.dim
-
-
-def vstack(mats: list[FpMatrix], prime: int, cols: int | None = None) -> FpMatrix:
-    blocks = [m.data for m in mats if m.rows]
-    if not blocks:
-        if cols is None:
-            raise ValueError("cols required when all blocks are empty")
-        return FpMatrix.zeros(0, cols, prime)
-    return FpMatrix(np.concatenate(blocks, axis=0), prime)
-
-
-def hstack(mats: list[FpMatrix], prime: int) -> FpMatrix:
-    return FpMatrix(np.concatenate([m.data for m in mats], axis=1), prime)

@@ -216,9 +216,6 @@ class Presentation:
     relators: tuple
     tree: tuple
 
-    def generator_count(self) -> int:
-        return len(self.symbols)
-
 
 def vertex_symbol(vid, gen_idx) -> str:
     return f"g:{vid}:{gen_idx}"

@@ -48,12 +48,6 @@ class Graph:
             if u not in vset or v not in vset:
                 raise GraphError(f"edge {e!r} references a missing vertex")
 
-    def is_loop(self, eid) -> bool:
-        for e, u, v in self.edges:
-            if e == eid:
-                return u == v
-        raise GraphError(f"no edge {eid!r}")
-
     def edge_count(self) -> int:
         return len(self.edges)
 

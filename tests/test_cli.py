@@ -10,16 +10,12 @@ import pytest
 
 import gogends
 from gogends import cli
-from gogends.cli import (
-    InputError,
-    WorkbenchConfig,
-    canonical_json,
-    gog_from_json,
-    gog_to_json,
-    parse_input,
-    run_suite,
-)
-from gogends.corpus import fixture_json, fixture_names, load_fixture
+from gogends.cli import WorkbenchConfig, canonical_json, parse_input, run_suite
+from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
+from gogends.fpcore import cyclic, direct_product, group_from_table
+from gogends.gog import GraphOfGroups
+from gogends.graphs import Graph
+from gogends.schema import InputError, gog_from_json, gog_to_json
 
 
 MINIMAL = {
@@ -104,6 +100,18 @@ def test_table_form_group_roundtrip(tmp_path):
     assert again["vertices"][0]["group"]["table"] == [[0, 1], [1, 0]]
 
 
+def test_nested_table_group_roundtrip():
+    # the writer emits a table factor inside direct_product without a "prime" key
+    c2 = group_from_table("C2-table", [[0, 1], [1, 0]], [1], 2)
+    grp = direct_product(c2, cyclic(2, 1))
+    g = GraphOfGroups(Graph(("v0",), ()), 2, {"v0": grp}, {}, {}, {})
+    data = gog_to_json(g)
+    assert data["vertices"][0]["group"]["params"][0] == c2.spec
+    again = gog_from_json(data)
+    assert again.vertex_groups["v0"] == grp
+    assert canonical_json(gog_to_json(again)) == canonical_json(data)
+
+
 def test_parse_input_file_errors(tmp_path):
     with pytest.raises(InputError):
         parse_input(str(tmp_path / "missing.json"))
@@ -111,6 +119,14 @@ def test_parse_input_file_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(InputError):
         parse_input(str(bad))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xe9"}')
+    with pytest.raises(InputError, match="invalid JSON"):
+        parse_input(str(latin1))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(InputError, match="nested too deeply"):
+        parse_input(str(deep))
 
 
 def test_config_validation():
@@ -193,19 +209,23 @@ def test_main_byte_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_main_group_with_prime_one_exits_2_promptly(tmp_path):
+@pytest.mark.parametrize("params", [
+    pytest.param([1, 2], id="prime_one"),
+    pytest.param([2, 1_000_000_000], id="huge_exponent"),
+])
+def test_main_bad_cyclic_params_exit_2_promptly(tmp_path, params):
     # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
-    doc = tmp_path / "prime_one.json"
+    doc = tmp_path / "cyclic.json"
     doc.write_text(json.dumps({
         "prime": 2,
-        "vertices": [{"id": "v0", "group": {"type": "cyclic", "params": [1, 2]}}],
+        "vertices": [{"id": "v0", "group": {"type": "cyclic", "params": params}}],
         "edges": [],
     }))
     src = str(Path(gogends.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from gogends.cli import main; sys.exit(main())", "ends", str(doc)],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=5, env=env,
     )
     assert proc.returncode == 2
     assert "input error" in proc.stderr
@@ -239,3 +259,53 @@ def test_main_disconnected_graph_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error: graph is not connected" in err
     assert "Traceback" not in err
+
+
+C2 = {"type": "cyclic", "params": [2, 1]}
+
+
+def _c2_loop(**edge):
+    """A C2 vertex with a C2 loop mapped identically at both ends; keyword
+    arguments replace keys of the edge."""
+    loop = {"id": "e", "from": "a", "to": "a", "group": C2, "inj0": [1], "inj1": [1]}
+    return {"prime": 2, "vertices": [{"id": "a", "group": C2}], "edges": [dict(loop, **edge)]}
+
+
+def _one_vertex(group, prime=2, vid="a"):
+    return {"prime": prime, "vertices": [{"id": vid, "group": group}], "edges": []}
+
+
+@pytest.mark.parametrize("doc, where", [
+    pytest.param(_one_vertex(C2, vid=[1]), "vertices[0].id", id="vertex_id_list"),
+    pytest.param(_c2_loop(id=["e"]), "edges[0].id", id="edge_id_list"),
+    pytest.param(_c2_loop(inj0="x"), "edges[0].inj0", id="inj0_string"),
+    pytest.param(_c2_loop(inj0=[1.9]), "edges[0].inj0", id="inj0_float"),
+    pytest.param(_c2_loop(inj0=[True]), "edges[0].inj0", id="inj0_bool"),
+    pytest.param(_one_vertex(C2, prime=2.0), "prime", id="prime_float"),
+    pytest.param(_one_vertex({"table": [[0, 1], [1, -1]], "generators": [1]}),
+                 "vertices[0].group.table[1]", id="table_entry_negative"),
+    pytest.param(_one_vertex({"table": [[0, 1], [1, 0]], "generators": "1"}),
+                 "vertices[0].group.generators", id="generators_string"),
+])
+def test_main_mistyped_values_exit_2(tmp_path, capsys, doc, where):
+    assert gog_from_json(_c2_loop()).graph.edges  # the unmutated loop document is valid
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["ends", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and where in err
+    assert "Traceback" not in err
+
+
+def test_ends_bound_holds_on_corpus(tmp_path):
+    # the ends subcommand at each fixture's witness bound
+    for name in fixture_names():
+        data = fixture_json(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        cfg = WorkbenchConfig(prime=data["prime"], subcommand="ends", input_path=str(path),
+                              order_bound=witness_bound(name))
+        _, reports = run_suite(cfg)
+        for rep in reports:
+            assert rep["bound_holds"], name
+            assert rep["matching_le_gen"], name

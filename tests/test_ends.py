@@ -9,7 +9,6 @@ from gogends.ends import (
     h1_via_fox,
     mv_h0_map,
     prop_more_check,
-    theorem_bound_report,
 )
 from gogends.fpcore import (
     cyclic,
@@ -192,13 +191,6 @@ def test_prop_more_rejects_non_reduced():
     w = ProperWitness(c2, {"u": h, "w": h}, {"e": 0})
     with pytest.raises(GogError):
         prop_more_check(g, w)
-
-
-def test_theorem_bound_report_on_corpus():
-    for name, g in corpus().items():
-        for rep in theorem_bound_report(g, [witness_bound(name)]):
-            assert rep.bound_holds, name
-            assert rep.matching_le_gen, name
 
 
 def test_collapse_invariance_at_common_witness():

@@ -17,7 +17,6 @@ from gogends.fpcore import (
     hom_from_images,
     is_injective,
     kernel_elements,
-    make_group,
     quaternion8,
     subgroup_as_group,
     subgroup_generated,
@@ -48,14 +47,15 @@ def test_heisenberg3_exponent_and_noncommutativity():
     assert g.mul(a, b) != g.mul(b, a)
 
 
-def test_make_group_dispatch_and_errors():
-    assert make_group({"type": "cyclic", "params": [2, 3]}).order == 8
-    assert make_group(("quaternion8",)).name == "Q8"
-    assert make_group(("direct_product", ("cyclic", 2, 1), ("cyclic", 2, 1))).order == 4
-    with pytest.raises(GroupError):
-        make_group(("unknown",))
+def test_catalog_order_cap_checked_before_the_power():
     with pytest.raises(GroupError):
         cyclic(2, 9)  # exceeds the order cap
+    # an exponent this large must fail without computing prime**k
+    for build in (lambda: cyclic(2, 2**70), lambda: elementary_abelian(3, 10**12), lambda: heisenberg(2**70)):
+        with pytest.raises(GroupError, match="cap"):
+            build()
+    with pytest.raises(GroupError, match="prime"):
+        cyclic(-2, 10**12)
 
 
 def test_non_p_group_rejected():
