@@ -38,9 +38,6 @@ class WorkbenchConfig:
     def __post_init__(self):
         if self.prime not in (2, 3):
             raise InputError("prime must be 2 or 3")
-        for bound in self.levels:
-            if not fpcore.is_power_of(bound, self.prime):
-                raise InputError(f"level {bound} is not a power of {self.prime}")
 
 
 # -- input ---------------------------------------------------------------
@@ -139,6 +136,11 @@ def run_enumerate(cfg: WorkbenchConfig) -> tuple[int, dict]:
 
 def run_analyze(cfg: WorkbenchConfig) -> tuple[int, dict | list]:
     g = parse_input(cfg.input_path)
+    if not g.graph.edges:
+        raise InputError("the graph of groups needs at least one edge")
+    for bound in cfg.levels:
+        if not fpcore.is_power_of(bound, g.prime):
+            raise InputError(f"level {bound} is not a power of {g.prime}")
     levels = cfg.levels or (cfg.order_bound,)
     reports = []
     witnesses = []
@@ -179,14 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, with_input=False):
-        p.add_argument("--prime", type=int, default=2, choices=(2, 3))
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         if with_input:
             p.add_argument("input", type=str)
 
     p = sub.add_parser("verify-lemmas", help="cohomology lemma suite over the group catalog")
     common(p)
+    p.add_argument("--prime", type=int, default=2, choices=(2, 3))
     p.add_argument("--max-order", type=int, default=None)
 
     p = sub.add_parser(
@@ -197,6 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-edges", type=int, default=7)
     p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("enumerate", help="list connected multigraphs up to isomorphism")
     common(p)
@@ -222,7 +224,7 @@ def main(argv=None) -> int:
     try:
         levels = tuple(int(x) for x in args.levels.split(",") if x) if getattr(args, "levels", "") else ()
         cfg = WorkbenchConfig(
-            prime=args.prime,
+            prime=getattr(args, "prime", 2),
             subcommand=args.subcommand,
             input_path=getattr(args, "input", None),
             max_edges=getattr(args, "max_edges", 7),
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
             levels=levels,
             order_bound=getattr(args, "order_bound", 64),
             max_order=getattr(args, "max_order", None),
-            seed=args.seed,
+            seed=getattr(args, "seed", 0),
             out=args.out,
             witness_out=getattr(args, "witness_out", None),
         )

@@ -1,51 +1,62 @@
 """Finite-quotient-level module of ends for graphs of finite p-groups.
 
-At a witness level P, the degree-0 piece H^0(G_x, F_p[P]) of each vertex
-or edge group is the span of coset indicator vectors of the image
-subgroup, and the tree boundary map sends a family (x_v) to
-(x_{d0(e)} - t_e * x_{d1(e)})_e, the stable-letter image acting by left
-multiplication.  Its cokernel carries the right F_p[P]-module structure
-and computes H^1(G, F_p[P]) because the finite vertex groups have
-vanishing H^1 on F_p[P].  A Fox-derivative computation straight from the
-fundamental-group presentation provides a fully independent oracle for
-the same dimension; the two routes must agree, and a disagreement raises
+At a witness level P the group algebra F_p[P] is handled through index
+arrays: left multiplication by w sends the basis element z to
+``P.mult[w, z]`` and right multiplication by g sends it to
+``P.mult[z, g]``.  The degree-0 piece H^0(K, F_p[P]) of a vertex or edge
+image K is spanned by the indicator vectors of the right cosets Kx, and a
+coset space is a label array over the elements of P, its cosets numbered
+by their least element.
+
+The tree boundary map F sends a family (x_v) to (x_{d0(e)} - t_e x_{d1(e)})_e
+in T = sum_e F_p[K_e\\P], the stable-letter image t_e acting by left
+multiplication.  The finite vertex groups have vanishing H^1 on F_p[P],
+so the module of ends at level P is the right F_p[P]-module M = T / im F.
+With s the source dimension and n = dim T:
+
+    kernel_dim = s - rank F
+    h1_dim     = n - rank F
+    gen_count  = n - rank [F^T ; e_{cg} - e_c for every coset c of T and generator g of P]
+
+gen_count is Nakayama's count dim M - dim M.I_P, and M.I_P = (T.I_P + im F)/im F.
+The vectors e_{cg} - e_c span T.I_P: for x = g y with g a generator,
+x - 1 = g(y - 1) + (g - 1), so by induction on word length every
+e_c(x - 1) = e_{cg}(y - 1) + (e_{cg} - e_c) lies in their span.
+
+Each side of each edge must be edge-invariant and im F must be stable
+under the right action, or ``WellDefinednessViolation`` is raised.  A
+Fox-derivative computation straight from the fundamental-group
+presentation is an independent oracle for h1_dim; a disagreement raises
 rather than reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, Subspace, rank, rank_profile
-from .gmodules import GModule, QuotientMap, min_generators, quotient_module
+from .fplinalg import FpMatrix, rank
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
 from .gog import presentation, validate
 from .graphs import maximum_matching
 
 
 class WellDefinednessViolation(RuntimeError):
-    """An image vector escaped the edge-invariant subspace (wrong witness
-    or wrong twist)."""
+    """An image vector escaped the edge-invariant subspace, or the image of
+    the boundary map is not a right submodule (wrong witness or wrong twist)."""
 
 
 class OracleMismatch(RuntimeError):
-    """Mayer-Vietoris cokernel dimension disagrees with the Fox oracle."""
+    """Mayer-Vietoris h1 dimension disagrees with the Fox oracle."""
 
 
-def _coset_structure(P, subgroup_elements):
-    """Right cosets K\\P of the subgroup: transversal reps (first element
-    of each coset) and the coset index of every element."""
-    coset_of = [-1] * P.order
-    reps = []
-    for x in P.elements():
-        if coset_of[x] == -1:
-            idx = len(reps)
-            reps.append(x)
-            for k in subgroup_elements:
-                coset_of[int(P.mult[k, x])] = idx
-    return reps, coset_of
+def _coset_structure(P, subgroup_elements) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets K\\P of the subgroup: the least element of each coset,
+    ascending, and the coset label of every element of P."""
+    least = P.mult[np.asarray(subgroup_elements, dtype=np.intp)].min(axis=0)
+    reps, labels = np.unique(least, return_inverse=True)
+    return reps.astype(np.intp), labels
 
 
 @dataclass
@@ -56,113 +67,69 @@ class MvLevelData:
     map: FpMatrix
     rank: int
     kernel_dim: int
-    coker: GModule
-    coker_map: QuotientMap
-    vertex_offsets: dict
-    edge_offsets: dict
+    h1_dim: int
+    gen_count: int
+    right_perms: np.ndarray  # right_perms[i, c]: the target coset c * P.generators[i]
 
 
 def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
-    """Assemble the level-P Mayer-Vietoris H^0 map and its cokernel."""
+    """Assemble the level-P Mayer-Vietoris H^0 map and read the level
+    invariants off its ranks."""
     witness.verify(gog)
     P = witness.quotient
     p = gog.prime
-    n = P.order
+    mult = P.mult.astype(np.intp)
 
-    vertex_cosets = {}
-    vertex_offsets = {}
-    src = 0
+    vertex_labels, col_off, src = {}, {}, 0
     for vid in gog.graph.vertices:
-        image = sorted(set(witness.vertex_maps[vid].image))
-        reps, coset_of = _coset_structure(P, image)
-        vertex_cosets[vid] = (image, reps, coset_of)
-        vertex_offsets[vid] = src
-        src += len(reps)
+        reps, vertex_labels[vid] = _coset_structure(P, witness.vertex_maps[vid].image)
+        col_off[vid], src = src, src + len(reps)
 
-    edge_cosets = {}
-    edge_offsets = {}
-    tgt = 0
-    for eid, u, _ in gog.graph.edges:
-        ge = gog.edge_groups[eid]
-        pu = witness.vertex_maps[u]
-        image = sorted({pu.image[gog.inj0[eid].image[g]] for g in ge.elements()})
-        reps, coset_of = _coset_structure(P, image)
-        edge_cosets[eid] = (image, reps, coset_of)
-        edge_offsets[eid] = tgt
+    blocks, tgt = [], 0
+    for eid, u, v in gog.graph.edges:
+        image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
+        reps, labels = _coset_structure(P, image)
+        # the source coset of every x in F_p[P]: of x at d0, of t^-1 x at d1
+        lab0 = vertex_labels[u]
+        lab1 = vertex_labels[v][mult[P.inv(witness.stable_images[eid])]]
+        for side, lab in (("d0", lab0), ("d1", lab1)):
+            if not (lab[mult[image]] == lab).all():
+                raise WellDefinednessViolation(f"edge {eid!r}, {side} block: image vectors are not edge-invariant")
+        coset_times_gen = tgt + labels[mult[np.ix_(reps, P.generators)]].T
+        blocks.append((tgt + np.arange(len(reps)), col_off[u] + lab0[reps], col_off[v] + lab1[reps], coset_times_gen))
         tgt += len(reps)
 
-    mat = np.zeros((tgt, src), dtype=np.int64)
-    for eid, u, v in gog.graph.edges:
-        _, e_reps, e_cos = edge_cosets[eid]
-        off = edge_offsets[eid]
-        t = witness.stable_images[eid]
-        t_inv = P.inv(t)
-        _, _, u_cos = vertex_cosets[u]
-        for r, x in enumerate(e_reps):
-            mat[off + r, vertex_offsets[u] + u_cos[x]] += 1
-        _, _, v_cos = vertex_cosets[v]
-        for r, x in enumerate(e_reps):
-            j = v_cos[int(P.mult[t_inv, x])]
-            mat[off + r, vertex_offsets[v] + j] -= 1
+    fmap = np.zeros((tgt, src), dtype=np.uint8)
+    right_perms = np.zeros((len(P.generators), tgt), dtype=np.intp)
+    for rows, d0_cols, d1_cols, perms in blocks:
+        fmap[rows, d0_cols] = 1
+        fmap[rows, d1_cols] = (fmap[rows, d1_cols] + p - 1) % p
+        right_perms[:, rows] = perms
 
-    fmat = FpMatrix(mat % p, p)
-    _assert_edge_invariance(gog, witness, vertex_cosets, edge_cosets, vertex_offsets, src)
+    fmat = FpMatrix(fmap, p)
+    r = rank(fmat)
+    k = len(right_perms)
+    moved = np.zeros((k, tgt, src), dtype=np.uint8)
+    moved[np.arange(k)[:, None], right_perms] = fmap  # column f of F becomes f * g
+    if rank(FpMatrix(np.hstack([fmap, *moved]), p)) != r:
+        raise WellDefinednessViolation("the image of the boundary map is not a right submodule")
 
-    profile = rank_profile(fmat)
-    kernel_dim = src - profile.rank
-
-    right_actions = []
-    for g in P.generators:
-        act = np.zeros((tgt, tgt), dtype=np.uint8)
-        for eid, _, _ in gog.graph.edges:
-            _, reps, coset_of = edge_cosets[eid]
-            off = edge_offsets[eid]
-            for r, x in enumerate(reps):
-                act[off + coset_of[int(P.mult[x, g])], off + r] = 1
-        right_actions.append(FpMatrix(act, p))
-    target_module = GModule(P, tgt, right=right_actions)
-    image_space = Subspace.from_vectors(fmat.transpose().data, tgt, p)
-    coker, qmap = quotient_module(target_module, "right", image_space)
+    aug = np.zeros((k * tgt, tgt), dtype=np.uint8)  # rows e_{cg} - e_c
+    aug[np.arange(k * tgt), right_perms.ravel()] = 1
+    aug[np.arange(k * tgt), np.tile(np.arange(tgt), k)] += p - 1
+    spanned = rank(FpMatrix(np.vstack([fmap.T, aug % p]), p))
 
     return MvLevelData(
         witness=witness,
         source_dim=src,
         target_dim=tgt,
         map=fmat,
-        rank=profile.rank,
-        kernel_dim=kernel_dim,
-        coker=coker,
-        coker_map=qmap,
-        vertex_offsets=vertex_offsets,
-        edge_offsets=edge_offsets,
+        rank=r,
+        kernel_dim=src - r,
+        h1_dim=tgt - r,
+        gen_count=tgt - spanned,
+        right_perms=right_perms,
     )
-
-
-def _assert_edge_invariance(gog, witness, vertex_cosets, edge_cosets, vertex_offsets, src):
-    """Every mapped source basis vector, viewed inside F_p[P], must be
-    constant on the right cosets of the edge-group image."""
-    P = witness.quotient
-    for eid, u, v in gog.graph.edges:
-        image, _, e_cos = edge_cosets[eid]
-        t = witness.stable_images[eid]
-        for side, vid in (("d0", u), ("d1", v)):
-            _, v_reps, v_cos = vertex_cosets[vid]
-            for j in range(len(v_reps)):
-                vec = np.zeros(P.order, dtype=np.int64)
-                for x in P.elements():
-                    if side == "d0":
-                        if v_cos[x] == j:
-                            vec[x] = 1
-                    else:
-                        if v_cos[int(P.mult[P.inv(t), x])] == j:
-                            vec[x] = 1
-                for x in P.elements():
-                    for k in image:
-                        if vec[int(P.mult[k, x])] != vec[x]:
-                            raise WellDefinednessViolation(
-                                f"edge {eid!r}, {side} block, column {j}: image vector "
-                                "is not edge-invariant"
-                            )
 
 
 def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -> int:
@@ -176,6 +143,8 @@ def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -
     P = witness.quotient
     p = gog.prime
     n = P.order
+    mult = P.mult.astype(np.intp)
+    z = np.arange(n)
 
     def symbol_element(sym) -> int:
         kind = pres.kinds[sym]
@@ -185,45 +154,31 @@ def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -
             return witness.vertex_maps[vid].image[grp.generators[gi]]
         return witness.stable_images[kind[1]]
 
-    def left_perm_matrix(w: int) -> np.ndarray:
-        m = np.zeros((n, n), dtype=np.int64)
-        for z in P.elements():
-            m[int(P.mult[w, z]), z] = 1
-        return m
+    col = {sym: i * n for i, sym in enumerate(pres.symbols)}
+    total_cols = len(col) * n
 
-    symbols = list(pres.symbols)
-    col = {sym: i * n for i, sym in enumerate(symbols)}
-    total_cols = len(symbols) * n
-
-    row_blocks = []
-    for word in pres.relators:
-        block = np.zeros((n, total_cols), dtype=np.int64)
+    fox = np.zeros((len(pres.relators) * n, total_cols), dtype=np.uint8)
+    for ri, word in enumerate(pres.relators):
         prefix = 0
         for sym, exp in word:
             x = symbol_element(sym)
             if exp == 1:
-                block[:, col[sym] : col[sym] + n] += left_perm_matrix(prefix)
-                prefix = int(P.mult[prefix, x])
+                rows, step = ri * n + mult[prefix], 1
+                prefix = int(mult[prefix, x])
             elif exp == -1:
-                prefix = int(P.mult[prefix, P.inv(x)])
-                block[:, col[sym] : col[sym] + n] -= left_perm_matrix(prefix)
+                prefix = int(mult[prefix, P.inv(x)])
+                rows, step = ri * n + mult[prefix], p - 1
             else:
                 raise GogError("relator letters must have exponent +-1")
-        row_blocks.append(block)
+            cols = col[sym] + z
+            fox[rows, cols] = (fox[rows, cols] + step) % p
+    z1_dim = total_cols - rank(FpMatrix(fox, p))
 
-    if row_blocks:
-        fox = FpMatrix(np.concatenate(row_blocks, axis=0) % p, p)
-        z1_dim = total_cols - rank(fox)
-    else:
-        z1_dim = total_cols
-
-    eye = np.eye(n, dtype=np.int64)
-    bblocks = [(left_perm_matrix(symbol_element(sym)) - eye) % p for sym in symbols]
-    if bblocks:
-        b1_rank = rank(FpMatrix(np.concatenate(bblocks, axis=0), p))
-    else:
-        b1_rank = 0
-    return z1_dim - b1_rank
+    coboundary = np.zeros((total_cols, n), dtype=np.uint8)
+    for sym, off in col.items():
+        coboundary[off + mult[symbol_element(sym)], z] = 1
+        coboundary[off + z, z] = (coboundary[off + z, z] + p - 1) % p
+    return z1_dim - rank(FpMatrix(coboundary, p))
 
 
 @dataclass(frozen=True)
@@ -244,55 +199,37 @@ class EndsLevelReport:
     ends_signature: tuple
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "h1_dim": self.h1_dim,
-            "gen_count": self.gen_count,
-            "fox_h1_dim": self.fox_h1_dim,
-            "b1": self.b1,
-            "edge_count": self.edge_count,
-            "bound_rhs": self.bound_rhs,
-            "bound_holds": self.bound_holds,
-            "matching_size": self.matching_size,
-            "matching_le_gen": self.matching_le_gen,
-            "kernel_dim": self.kernel_dim,
-            "source_dim": self.source_dim,
-            "target_dim": self.target_dim,
-            "ends_signature": list(self.ends_signature),
-        }
+        return dict(asdict(self), ends_signature=list(self.ends_signature))
 
 
 def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
-    """Full level report: MV cokernel, Nakayama generator count, Fox
+    """Full level report: MV h1 and Nakayama generator count, Fox
     cross-check, and the edge-count bound 2*gen_count + 9*(b1 - 1)."""
     mv = mv_h0_map(gog, witness)
-    h1_dim = mv.coker.dim
-    gen_count = min_generators(mv.coker, "right")
-    pres = presentation(gog)
-    fox = h1_via_fox(pres, gog, witness)
-    if fox != h1_dim:
+    fox = h1_via_fox(presentation(gog), gog, witness)
+    if fox != mv.h1_dim:
         raise OracleMismatch(
-            f"MV cokernel dim {h1_dim} != Fox H^1 dim {fox} at level {witness.quotient.order}"
+            f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {witness.quotient.order}"
         )
     betti = gog_b1(gog)
     edge_count = len(gog.graph.edges)
-    bound_rhs = 2 * gen_count + 9 * (betti - 1)
+    bound_rhs = 2 * mv.gen_count + 9 * (betti - 1)
     matching = len(maximum_matching(gog.graph))
     return EndsLevelReport(
         level=witness.quotient.order,
-        h1_dim=h1_dim,
-        gen_count=gen_count,
+        h1_dim=mv.h1_dim,
+        gen_count=mv.gen_count,
         fox_h1_dim=fox,
         b1=betti,
         edge_count=edge_count,
         bound_rhs=bound_rhs,
         bound_holds=edge_count <= bound_rhs,
         matching_size=matching,
-        matching_le_gen=matching <= gen_count,
+        matching_le_gen=matching <= mv.gen_count,
         kernel_dim=mv.kernel_dim,
         source_dim=mv.source_dim,
         target_dim=mv.target_dim,
-        ends_signature=(mv.kernel_dim, h1_dim),
+        ends_signature=(mv.kernel_dim, mv.h1_dim),
     )
 
 
@@ -315,4 +252,4 @@ def prop_more_check(gog: GraphOfGroups, witness: ProperWitness) -> PropMoreRepor
     if not gog.graph.edges:
         raise GogError("need at least one edge")
     mv = mv_h0_map(gog, witness)
-    return PropMoreReport(ok=mv.coker.dim > 0, h1_dim=mv.coker.dim, level=witness.quotient.order)
+    return PropMoreReport(ok=mv.h1_dim > 0, h1_dim=mv.h1_dim, level=witness.quotient.order)

@@ -43,7 +43,7 @@ class FiniteGroup:
 
     __slots__ = ("name", "prime", "order", "mult", "inverses", "generators", "words", "spec", "_orders", "_hash")
 
-    def __init__(self, name: str, mult, generators, prime: int, check: bool = True):
+    def __init__(self, name: str, mult, generators, prime: int):
         table = np.ascontiguousarray(np.asarray(mult, dtype=np.uint16))
         n = table.shape[0]
         if table.shape != (n, n):
@@ -55,8 +55,7 @@ class FiniteGroup:
         self.order = n
         self.mult = table
         self.generators = [int(g) for g in generators]
-        if check:
-            self._validate_table()
+        self._validate_table()
         self.inverses = self._compute_inverses()
         self.words = self._bfs_words()
         self.spec = None  # JSON-serialisable construction recipe, if known
@@ -165,9 +164,6 @@ class GroupHom:
     target: FiniteGroup
     image: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner (inner.target must be self.source)."""
         if inner.target != self.source:
@@ -185,9 +181,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, x: int) -> bool:
-        return x in set(self.elements)
 
 
 # -- catalog construction ------------------------------------------------
@@ -459,18 +452,9 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     gens: list[int] = []
     closure = {0}
     for i in range(1, n):
-        if i not in closure:
+        if elems[i] not in closure:
             gens.append(i)
-            closed = {0}
-            frontier = [0]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = int(table[x, g])
-                    if y not in closed:
-                        closed.add(y)
-                        frontier.append(y)
-            closure = closed
+            closure = set(subgroup_generated(parent, [elems[g] for g in gens]).elements)
     grp = FiniteGroup(f"{parent.name}|{n}", table, gens, parent.prime)
     incl = GroupHom(grp, parent, tuple(elems))
     return grp, incl

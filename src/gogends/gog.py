@@ -86,10 +86,6 @@ class GraphOfGroups:
 @dataclass(frozen=True)
 class ValidationReport:
     reduced: bool
-    connected: bool
-
-    def to_json(self) -> dict:
-        return {"reduced": self.reduced, "connected": self.connected}
 
 
 def validate(gog: GraphOfGroups) -> ValidationReport:
@@ -101,7 +97,7 @@ def validate(gog: GraphOfGroups) -> ValidationReport:
         ge = gog.edge_groups[eid]
         if ge.order == gog.vertex_groups[u].order or ge.order == gog.vertex_groups[v].order:
             reduced = False
-    return ValidationReport(reduced=reduced, connected=graph_stats(gog.graph).connected)
+    return ValidationReport(reduced=reduced)
 
 
 def _inverse_hom(hom: GroupHom) -> GroupHom:
@@ -167,8 +163,9 @@ def reduce_gog(gog: GraphOfGroups) -> GraphOfGroups:
 
 
 def _bfs_tree(graph: Graph):
-    """Deterministic spanning tree: (vertex order, tree edge triples,
-    non-tree edge ids).  Tree triples are (eid, parent, child)."""
+    """Deterministic spanning tree of a connected graph (``GraphOfGroups``
+    requires one): (vertex order, tree edge triples, non-tree edge ids).
+    Tree triples are (eid, parent, child)."""
     adjacency: dict = {v: [] for v in graph.vertices}
     for e, u, v in graph.edges:
         adjacency[u].append((e, v))
@@ -189,8 +186,6 @@ def _bfs_tree(graph: Graph):
                 tree.append((e, x, w))
                 tree_ids.add(e)
                 queue.append(w)
-    if len(seen) != len(graph.vertices):
-        raise GogError("graph is not connected")
     nontree = [e for e, _, _ in graph.edges if e not in tree_ids]
     return order, tree, nontree
 

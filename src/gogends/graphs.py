@@ -48,9 +48,6 @@ class Graph:
             if u not in vset or v not in vset:
                 raise GraphError(f"edge {e!r} references a missing vertex")
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def to_json(self) -> dict:
         return {
             "vertices": list(self.vertices),

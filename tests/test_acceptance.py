@@ -7,10 +7,12 @@ tests/test_acceptance.py -v -s`` for the live lines.
 
 import random
 
+import numpy as np
 import pytest
 
 from gogends import cohomology, ends, fpcore, gmodules, gog as gogmod, graphs
 from gogends.corpus import corpus, fixture_names, load_fixture, witness_bound
+from gogends.fplinalg import FpMatrix, Subspace
 
 
 def _report(num, ok, detail):
@@ -216,6 +218,28 @@ def test_criterion_6_structural_mv_facts():
             if mv.kernel_dim != 1:
                 bad.append(f"{name}/{tag}: kernel dim {mv.kernel_dim}")
     _report(6, not bad, f"kernel dim 1 + edge invariance at two levels per fixture; issues: {bad or 'none'}")
+
+
+def _cokernel_reference(mv):
+    """(dim, Nakayama count) of T / im F built as a module: the right
+    action from ``right_perms`` as permutation matrices, then
+    ``quotient_module`` and ``min_generators``."""
+    P, tgt, p = mv.witness.quotient, mv.target_dim, mv.map.prime
+    acts = []
+    for perm in mv.right_perms:
+        m = np.zeros((tgt, tgt), dtype=np.uint8)
+        m[perm, np.arange(tgt)] = 1
+        acts.append(FpMatrix(m, p))
+    image = Subspace.from_vectors(mv.map.transpose().data, tgt, p)
+    coker, _ = gmodules.quotient_module(gmodules.GModule(P, tgt, right=acts), "right", image)
+    return coker.dim, gmodules.min_generators(coker, "right")
+
+
+def test_mv_rank_formulas_match_the_cokernel_module():
+    for name, (g, w, _, lifted) in _corpus_reports().items():
+        for witness in (w, lifted):
+            mv = ends.mv_h0_map(g, witness)
+            assert (mv.h1_dim, mv.gen_count) == _cokernel_reference(mv), f"{name}@{witness.quotient.order}"
 
 
 def test_criterion_7_known_families():

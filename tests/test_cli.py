@@ -132,9 +132,6 @@ def test_parse_input_file_errors(tmp_path):
 def test_config_validation():
     with pytest.raises(InputError):
         WorkbenchConfig(prime=5)
-    with pytest.raises(InputError):
-        WorkbenchConfig(prime=2, levels=(6,))
-    WorkbenchConfig(prime=2, levels=(2, 4, 8))
 
 
 def test_run_counting_suite_exit_codes():
@@ -309,3 +306,34 @@ def test_ends_bound_holds_on_corpus(tmp_path):
         for rep in reports:
             assert rep["bound_holds"], name
             assert rep["matching_le_gen"], name
+
+
+def _write(tmp_path, doc, name="doc.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_main_levels_are_checked_against_the_file_prime(tmp_path, capsys):
+    p2 = _write(tmp_path, fixture_json("c4_c4_over_c2"), "p2.json")
+    assert cli.main(["analyze", p2, "--levels", "6"]) == 2
+    assert "input error: level 6 is not a power of 2" in capsys.readouterr().err
+    p3 = _write(tmp_path, fixture_json("tree_c9_c9_c9"), "p3.json")
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", p3, "--levels", "9,27", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert len(reports) == 2 and all(r["h1_dim"] == r["fox_h1_dim"] for r in reports)
+    # the prime comes from the file: analyze and ends take no --prime
+    for argv in (["analyze", p3, "--prime", "3"], ["ends", p3, "--prime", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("group", [{"type": "trivial", "params": [2]}, C2], ids=["trivial", "c2"])
+def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
+    # the edge-count bound needs an edge: b1 - 1 = -1 on a finite group
+    assert cli.main(["ends", _write(tmp_path, _one_vertex(group))]) == 2
+    err = capsys.readouterr().err
+    assert "input error: the graph of groups needs at least one edge" in err
+    assert "Traceback" not in err

@@ -1,10 +1,15 @@
 """Level ends pipeline: MV map dimensions, Fox oracle, known families."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
+from gogends import ends
 from gogends.corpus import corpus, fixture_names, load_fixture, witness_bound
 from gogends.ends import (
     OracleMismatch,
+    WellDefinednessViolation,
     ends_level,
     h1_via_fox,
     mv_h0_map,
@@ -12,6 +17,7 @@ from gogends.ends import (
 )
 from gogends.fpcore import (
     cyclic,
+    dihedral8,
     direct_product,
     elementary_abelian,
     hom_from_images,
@@ -72,7 +78,7 @@ def test_loop_mv_dimensions():
         n = p**k
         assert mv.source_dim == n and mv.target_dim == n
         assert mv.rank == n - 1 and mv.kernel_dim == 1
-        assert mv.coker.dim == 1
+        assert mv.h1_dim == 1
 
 
 def test_two_c2_vertices_at_klein_witness():
@@ -86,7 +92,7 @@ def test_two_c2_vertices_at_klein_witness():
     )
     mv = mv_h0_map(g, w)
     assert mv.source_dim == 4 and mv.target_dim == 4
-    assert mv.kernel_dim == 1 and mv.coker.dim == 1
+    assert mv.kernel_dim == 1 and mv.h1_dim == 1
 
 
 def test_c4_amalgam_at_order_eight_witness():
@@ -212,10 +218,8 @@ def test_collapse_invariance_at_common_witness():
     w_small = ProperWitness(P, {"u": identity_hom(c2)}, {"l": 0})
     mv_full = mv_h0_map(g, w_full)
     mv_small = mv_h0_map(collapsed, w_small)
-    assert mv_full.coker.dim == mv_small.coker.dim
-    from gogends.gmodules import min_generators
-
-    assert min_generators(mv_full.coker) == min_generators(mv_small.coker)
+    assert mv_full.h1_dim == mv_small.h1_dim
+    assert mv_full.gen_count == mv_small.gen_count
 
 
 def test_wrong_witness_is_rejected_before_mv():
@@ -224,3 +228,30 @@ def test_wrong_witness_is_rejected_before_mv():
     bad = ProperWitness(c2, {"v": hom_from_images(cyclic(2, 1), c2, [1])}, {"e0": 0})
     with pytest.raises(GogError):
         mv_h0_map(g, bad)  # witness source group mismatches the vertex group
+
+
+def test_broken_conjugation_is_not_edge_invariant(monkeypatch):
+    # a C2 loop mapped identically at both ends: t must centralise the
+    # vertex image, and a rotation of D8 does not centralise a reflection
+    c2 = cyclic(2, 1)
+    iso = identity_hom(c2)
+    g = mk(("v",), (("e", "v", "v"),), {"v": c2}, {"e": c2}, {"e": iso}, {"e": iso})
+    P = dihedral8()
+    r, s = P.generators
+    w = ProperWitness(P, {"v": hom_from_images(c2, P, [s])}, {"e": r})
+    with pytest.raises(GogError, match="conjugation"):
+        w.verify(g)
+    monkeypatch.setattr(ProperWitness, "verify", lambda self, gog: None)
+    with pytest.raises(WellDefinednessViolation, match="edge 'e', d1 block"):
+        mv_h0_map(g, w)
+
+
+def test_benchmark_tracer_reads_the_mv_layer(monkeypatch):
+    # perfbench/spans.py wraps ends.mv_h0_map and counts its target_dim
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    g = load_fixture("hnn_c4_c2")
+    w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
+    with spans.Tracer() as tracer:
+        rep = ends.ends_level(g, w)
+    assert tracer.counts["ends.mv_h0_map", "target_dim"] == rep.target_dim > 0
