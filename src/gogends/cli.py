@@ -38,6 +38,15 @@ class WorkbenchConfig:
     def __post_init__(self):
         if self.prime not in (2, 3):
             raise InputError("prime must be 2 or 3")
+        if self.max_edges < 0:
+            raise InputError("--max-edges must be at least 0")
+        if self.subcommand == "enumerate" and self.max_edges > 8:
+            raise InputError("enumerate is exhaustive and capped at 8 edges")
+        for name, value in (("--max-vertices", self.max_vertices), ("--max-order", self.max_order)):
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be at least 1")
+        if self.order_bound < 1:
+            raise InputError("--order-bound must be at least 1")
 
 
 # -- input ---------------------------------------------------------------
@@ -77,7 +86,7 @@ def emit_report(report, path: str | None):
 
 
 def run_verify_lemmas(cfg: WorkbenchConfig) -> tuple[int, dict]:
-    max_order = cfg.max_order or DEFAULT_LEMMA_ORDER[cfg.prime]
+    max_order = DEFAULT_LEMMA_ORDER[cfg.prime] if cfg.max_order is None else cfg.max_order
     findings = []
     checks = 0
     for G in fpcore.catalog_groups(cfg.prime, max_order):
@@ -115,7 +124,7 @@ def run_counting(cfg: WorkbenchConfig) -> tuple[int, dict]:
     rng = random.Random(cfg.seed)
     out = graphs.CountingVerification()
     for _ in range(2000):
-        g = graphs.random_multigraph(rng, cfg.max_edges, (cfg.max_vertices or cfg.max_edges + 1))
+        g = graphs.random_multigraph(rng, cfg.max_edges, _max_vertices(cfg))
         if not graphs.graph_stats(g).connected:
             continue
         rep = graphs.counting_report(g)
@@ -127,9 +136,14 @@ def run_counting(cfg: WorkbenchConfig) -> tuple[int, dict]:
     return (0 if out.ok else 1), report
 
 
+def _max_vertices(cfg: WorkbenchConfig) -> int:
+    """A connected graph with m edges has at most m + 1 vertices."""
+    return cfg.max_edges + 1 if cfg.max_vertices is None else cfg.max_vertices
+
+
 def run_enumerate(cfg: WorkbenchConfig) -> tuple[int, dict]:
     reports = []
-    for g in graphs.enumerate_connected_multigraphs(cfg.max_edges, cfg.max_vertices or cfg.max_edges + 1):
+    for g in graphs.enumerate_connected_multigraphs(cfg.max_edges, _max_vertices(cfg)):
         reports.append(graphs.counting_report(g).to_json())
     return 0, {"suite": "enumerate", "max_edges": cfg.max_edges, "graphs": reports, "count": len(reports)}
 
@@ -219,10 +233,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_levels(text: str) -> tuple[int, ...]:
+    levels = []
+    for entry in filter(None, text.split(",")):
+        try:
+            levels.append(int(entry))
+        except ValueError:
+            raise InputError(f"--levels entry {entry!r} is not an integer") from None
+    return tuple(levels)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        levels = tuple(int(x) for x in args.levels.split(",") if x) if getattr(args, "levels", "") else ()
+        levels = _parse_levels(getattr(args, "levels", ""))
         cfg = WorkbenchConfig(
             prime=getattr(args, "prime", 2),
             subcommand=args.subcommand,

@@ -5,20 +5,24 @@ Conventions that the bound's source never states but the computations
 need: a loop counts twice toward the valence of its vertex, and a loop
 is admissible in a matching (the pairwise no-shared-endpoint condition
 is vacuous for a single loop) while conflicting with every other edge at
-its vertex.  Maximum matchings run through networkx's blossom
-implementation after rewriting each loop as a pendant edge to a fresh
-vertex, a transformation that preserves the conflict structure exactly;
-an exhaustive search provides the independent oracle.
+its vertex.  Maximum matchings run Edmonds' blossom algorithm (Edmonds,
+"Paths, trees, and flowers", 1965) on integer vertex indices after
+rewriting each loop as a pendant edge to a fresh vertex, a
+transformation that preserves the conflict structure exactly; an
+exhaustive search, ``matching_bruteforce``, is the independent oracle.
+
+Isomorph-free enumeration rests on one canonical labelling: an
+individualisation-refinement search whose key is the least leaf.  Leaves
+with equal keys reveal automorphisms, and a child whose subtree is the
+image of an already-searched sibling under them is skipped (McKay and
+Piperno, "Practical graph isomorphism, II", 2014).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
-
-import networkx as nx
 
 
 class GraphError(ValueError):
@@ -101,22 +105,77 @@ def maximum_matching(g: Graph) -> tuple:
     Loops become pendant edges to fresh vertices; parallel edges collapse
     to one representative (a matching cannot use two of them anyway).
     """
-    nxg = nx.Graph()
-    nxg.add_nodes_from(("v", v) for v in g.vertices)
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    nbrs: list = [[] for _ in g.vertices]
     rep: dict = {}
     for e, u, v in g.edges:
-        if u == v:
-            aux = ("loopend", e)
-            nxg.add_edge(("v", u), aux)
-            rep[frozenset((("v", u), aux))] = e
-        else:
-            key = frozenset((("v", u), ("v", v)))
-            if key not in rep:
-                rep[key] = e
-                nxg.add_edge(("v", u), ("v", v))
-    mates = nx.max_weight_matching(nxg, maxcardinality=True)
-    chosen = [rep[frozenset(pair)] for pair in mates]
-    return tuple(sorted(chosen, key=str))
+        a, b = sorted((idx[u], idx[v]))
+        if a == b:
+            b = len(nbrs)
+            nbrs.append([])
+        if (a, b) not in rep:
+            rep[(a, b)] = e
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    mate = [-1] * len(nbrs)
+    for root in range(len(nbrs)):
+        if mate[root] == -1:
+            _augment(root, nbrs, mate)
+    return tuple(sorted((rep[(a, b)] for a, b in enumerate(mate) if a < b), key=str))
+
+
+def _augment(root: int, nbrs: list, mate: list) -> None:
+    """One step of Edmonds' blossom algorithm on vertices 0..n-1 given by
+    adjacency lists, with ``mate`` -1 at unmatched vertices: grow an
+    alternating tree from the free vertex ``root``, contracting odd
+    cycles (blossoms) into their base, and flip the first augmenting path
+    found.  One step per free vertex gives a maximum matching, since a
+    vertex without an augmenting path never gains one later.
+    """
+    n = len(nbrs)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = {root}
+    queue = [root]
+
+    def common_base(a, b):
+        on_path = {base[a]}
+        while mate[base[a]] != -1:  # up to the root
+            a = parent[mate[base[a]]]
+            on_path.add(base[a])
+        while base[b] not in on_path:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    for v in queue:  # the queue grows while it is read
+        for w in nbrs[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                b = common_base(v, w)
+                blossom: set = set()
+                for x, y in ((v, w), (w, v)):  # relink both halves of the odd cycle
+                    while base[x] != b:
+                        blossom.update((base[x], base[mate[x]]))
+                        parent[x], y = y, mate[x]
+                        x = parent[y]
+                for u in range(n):
+                    if base[u] in blossom:
+                        base[u] = b
+                        if u not in outer:
+                            outer.add(u)
+                            queue.append(u)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] != -1:
+                    outer.add(mate[w])
+                    queue.append(mate[w])
+                    continue
+                while w != -1:  # flip the path root ... v, w
+                    p, nxt = parent[w], mate[parent[w]]
+                    mate[w], mate[p] = p, w
+                    w = nxt
+                return
 
 
 def matching_bruteforce(g: Graph) -> tuple:
@@ -286,68 +345,44 @@ def _leaf_key(n: int, adj, loops, colors):
     return (n, loop_t, tuple(edges))
 
 
-def _canon_key(n: int, adj, loops, colors=None):
-    """Canonical form by individualisation-refinement (min over leaves)."""
-    colors = _refine(n, adj, loops, colors or tuple([0] * n))
-    counts: dict = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    target = None
-    for c in sorted(counts):
-        if counts[c] > 1:
-            target = c
-            break
-    if target is None:
-        return _leaf_key(n, adj, loops, colors)
-    best = None
-    fresh = max(colors) + 1
-    for v in range(n):
-        if colors[v] != target:
-            continue
-        branched = tuple(fresh if u == v else colors[u] for u in range(n))
-        key = _canon_key(n, adj, loops, branched)
-        if best is None or key < best:
-            best = key
-    return best
+def _canon_key(n: int, adj, loops):
+    """Canonical form by individualisation-refinement: the least leaf key.
 
+    Two leaves with equal keys differ by an automorphism, which is kept.
+    A child is skipped when kept automorphisms fixing the node's
+    individualised vertices pointwise map a searched sibling onto it: its
+    subtree is that sibling's image and holds the same keys.
+    """
+    best = None  # (key, discrete colors) of the least leaf so far
+    auts: list = []
 
-def _color_preserving_perms(n: int, colors) -> Iterator[tuple]:
-    classes: dict = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    total = 1
-    for b in blocks:
-        f = 1
-        for i in range(2, len(b) + 1):
-            f *= i
-        total *= f
-    if total > 2_000_000:
-        raise GraphError("automorphism scan too large")
-    for perm_parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        perm = [0] * n
-        for block, images in zip(blocks, perm_parts):
-            for src, dst in zip(block, images):
-                perm[src] = dst
-        yield tuple(perm)
+    def search(colors, fixed):
+        nonlocal best
+        colors = _refine(n, adj, loops, colors)
+        counts = Counter(colors)
+        target = min((c for c, k in counts.items() if k > 1), default=None)
+        if target is None:
+            key = _leaf_key(n, adj, loops, colors)
+            if best is None or key < best[0]:
+                best = (key, colors)
+            elif key == best[0]:  # send each vertex to the one at its place here
+                order = sorted(range(n), key=colors.__getitem__)
+                auts.append([order[c] for c in best[1]])
+            return
+        fresh = max(colors) + 1
+        searched: list = []
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            stabiliser = [p for p in auts if all(p[x] == x for x in fixed)]
+            roots = _component_roots(range(n), ((u, p[u]) for p in stabiliser for u in range(n)))
+            if any(roots[s] == roots[v] for s in searched):
+                continue
+            search(tuple(fresh if u == v else c for u, c in enumerate(colors)), fixed + (v,))
+            searched.append(v)
 
-
-def _automorphisms(n: int, adj, loops) -> list[tuple]:
-    colors = _refine(n, adj, loops, tuple([0] * n))
-    auts = []
-    for perm in _color_preserving_perms(n, colors):
-        ok = all(loops[perm[v]] == loops[v] for v in range(n))
-        if ok:
-            for u in range(n):
-                for v in range(u, n):
-                    if adj[u][v] != adj[perm[u]][perm[v]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            auts.append(perm)
-    return auts
+    search(tuple([0] * n), ())
+    return best[0]
 
 
 def canonical_form(g: Graph):
@@ -373,38 +408,17 @@ def _connected_simple_graphs(max_edges: int, max_vertices: int):
     for m in range(1, max_edges + 1):
         nxt: set = set()
         for n, edges in levels[m - 1]:
-            present = set(edges)
-            adj = [[0] * (n + 1) for _ in range(n + 1)]
-            for u, v in edges:
-                adj[u][v] = adj[v][u] = 1
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) not in present:
-                        key = _canon_key(
-                            n,
-                            [row[:n] for row in _with_edge(adj, u, v, n)],
-                            tuple([0] * n),
-                        )
-                        nxt.add((key[0], tuple((a, b) for a, b, _ in key[2])))
+            grown = [(n, (u, v)) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
             if n < max_vertices:
-                for u in range(n):
-                    key = _canon_key(
-                        n + 1,
-                        _with_edge(adj, u, n, n + 1),
-                        tuple([0] * (n + 1)),
-                    )
-                    nxt.add((key[0], tuple((a, b) for a, b, _ in key[2])))
+                grown += [(n + 1, (u, n)) for u in range(n)]
+            for size, new in grown:
+                adj = [[0] * size for _ in range(size)]
+                for u, v in edges + (new,):
+                    adj[u][v] = adj[v][u] = 1
+                key = _canon_key(size, adj, (0,) * size)
+                nxt.add((size, tuple((u, v) for u, v, _ in key[2])))
         levels.append(nxt)
     return levels
-
-
-def _with_edge(adj, u, v, n):
-    new = [row[:n] for row in adj[:n]]
-    while len(new) < n:
-        new.append([0] * n)
-    new[u][v] += 1
-    new[v][u] += 1
-    return new
 
 
 def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple]:
@@ -422,8 +436,11 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
     """All connected multigraphs with loops, up to isomorphism.
 
     Realised as isomorph-free connected simple graphs decorated with edge
-    multiplicities and per-vertex loop counts, deduplicated by
-    automorphism orbits of the decorations.
+    multiplicities and per-vertex loop counts.  A decoration is kept when
+    its multigraph's canonical key is new for the simple graph.  An
+    automorphism keeps the edge total and the loop total, and decorations
+    come in lexicographic order within each pair of totals, so each
+    isomorphism class is represented by its least decoration.
     """
     if max_edges > 8:
         raise GraphError("exhaustive enumeration capped at 8 edges")
@@ -434,35 +451,18 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
         for n, edges in sorted(levels[k]):
             if n > max_vertices:
                 continue
-            adj = [[0] * n for _ in range(n)]
-            for u, v in edges:
-                adj[u][v] = adj[v][u] = 1
-            auts = _automorphisms(n, adj, tuple([0] * n))
-            edge_list = sorted(edges)
-            edge_index = {e: i for i, e in enumerate(edge_list)}
+            seen: set = set()
             for total in range(k, max_edges + 1):
-                for mults in _compositions(total, k, 1) if k else ([()] if total == 0 else []):
-                    loop_budget = max_edges - total
-                    for loop_total in range(0, loop_budget + 1):
+                for mults in _compositions(total, k, 1):
+                    adj = [[0] * n for _ in range(n)]
+                    for (u, v), m in zip(edges, mults):
+                        adj[u][v] = adj[v][u] = m
+                    for loop_total in range(0, max_edges - total + 1):
                         for loops in _compositions(loop_total, n, 0):
-                            if not _decoration_is_canonical(auts, edge_list, edge_index, mults, loops):
-                                continue
-                            yield _build_decorated(n, edge_list, mults, loops)
-
-
-def _decoration_is_canonical(auts, edge_list, edge_index, mults, loops) -> bool:
-    key = (mults, loops)
-    for perm in auts:
-        p_m = [0] * len(edge_list)
-        for i, (u, v) in enumerate(edge_list):
-            a, b = sorted((perm[u], perm[v]))
-            p_m[edge_index[(a, b)]] = mults[i]
-        p_l = [0] * len(loops)
-        for v, c in enumerate(loops):
-            p_l[perm[v]] = c
-        if (tuple(p_m), tuple(p_l)) < key:
-            return False
-    return True
+                            key = _canon_key(n, adj, loops)
+                            if key not in seen:
+                                seen.add(key)
+                                yield _build_decorated(n, edges, mults, loops)
 
 
 def _build_decorated(n, edge_list, mults, loops) -> Graph:

@@ -1,14 +1,11 @@
 """CLI parsing, serialisation round-trips, subcommands, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import gogends
 from gogends import cli
 from gogends.cli import WorkbenchConfig, canonical_json, parse_input, run_suite
 from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
@@ -139,6 +136,10 @@ def test_run_counting_suite_exit_codes():
     code, report = run_suite(cfg)
     assert code == 0
     assert report["ok"] and report["mode"] == "exhaustive"
+    # beyond the exhaustive cap, counting samples instead of rejecting
+    code, report = run_suite(WorkbenchConfig(prime=2, subcommand="counting", max_edges=9))
+    assert code == 0
+    assert report["ok"] and report["mode"] == "sampled"
 
 
 def test_emit_report_deterministic(tmp_path):
@@ -210,7 +211,7 @@ def test_main_byte_determinism(tmp_path):
     pytest.param([1, 2], id="prime_one"),
     pytest.param([2, 1_000_000_000], id="huge_exponent"),
 ])
-def test_main_bad_cyclic_params_exit_2_promptly(tmp_path, params):
+def test_main_bad_cyclic_params_exit_2_promptly(tmp_path, package_env, params):
     # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
     doc = tmp_path / "cyclic.json"
     doc.write_text(json.dumps({
@@ -218,11 +219,9 @@ def test_main_bad_cyclic_params_exit_2_promptly(tmp_path, params):
         "vertices": [{"id": "v0", "group": {"type": "cyclic", "params": params}}],
         "edges": [],
     }))
-    src = str(Path(gogends.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from gogends.cli import main; sys.exit(main())", "ends", str(doc)],
-        capture_output=True, text=True, timeout=5, env=env,
+        capture_output=True, text=True, timeout=5, env=package_env,
     )
     assert proc.returncode == 2
     assert "input error" in proc.stderr
@@ -318,6 +317,9 @@ def test_main_levels_are_checked_against_the_file_prime(tmp_path, capsys):
     p2 = _write(tmp_path, fixture_json("c4_c4_over_c2"), "p2.json")
     assert cli.main(["analyze", p2, "--levels", "6"]) == 2
     assert "input error: level 6 is not a power of 2" in capsys.readouterr().err
+    assert cli.main(["analyze", p2, "--levels", "4,x"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: --levels entry 'x' is not an integer" in err and "Traceback" not in err
     p3 = _write(tmp_path, fixture_json("tree_c9_c9_c9"), "p3.json")
     out = tmp_path / "report.json"
     assert cli.main(["analyze", p3, "--levels", "9,27", "--out", str(out)]) == 0
@@ -337,3 +339,21 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     err = capsys.readouterr().err
     assert "input error: the graph of groups needs at least one edge" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--max-edges", "9"], "capped at 8 edges"),
+    (["enumerate", "--max-vertices", "0"], "--max-vertices must be at least 1"),
+    (["counting", "--max-edges", "-1"], "--max-edges must be at least 0"),
+    (["counting", "--max-edges", "3", "--max-vertices", "0"], "--max-vertices must be at least 1"),
+    (["verify-lemmas", "--max-order", "0"], "--max-order must be at least 1"),
+    (["ends", "FIXTURE", "--order-bound", "-3"], "--order-bound must be at least 1"),
+    (["analyze", "FIXTURE", "--order-bound", "0"], "--order-bound must be at least 1"),
+], ids=["enumerate_9_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
+        "lemmas_order_0", "ends_negative_bound", "analyze_zero_bound"])
+def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, argv, message):
+    # checked before any enumeration or search starts, with no default swapped in
+    fixture = _write(tmp_path, fixture_json("hnn_c4_c2"))
+    assert cli.main([fixture if a == "FIXTURE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "input error: " in err and message in err and "Traceback" not in err

@@ -1,7 +1,10 @@
 """Multigraph statistics, matchings, enumeration, the counting bound."""
 
 import random
-from itertools import combinations_with_replacement
+import subprocess
+import sys
+import textwrap
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -10,7 +13,6 @@ from gogends.graphs import (
     CountingReport,
     Graph,
     GraphError,
-    _automorphisms,
     canonical_form,
     counting_report,
     enumerate_connected_multigraphs,
@@ -83,6 +85,17 @@ def test_loops_conflict_at_their_vertex():
     assert len(maximum_matching(g)) == 1
     g2 = Graph((0, 1), (("l0", 0, 0), ("l1", 1, 1)))
     assert set(maximum_matching(g2)) == {"l0", "l1"}
+
+
+def test_matching_oracle_on_every_enumerated_graph():
+    graphs = list(enumerate_connected_multigraphs(7, 8))
+    assert len(graphs) == 1682
+    for g in graphs:
+        chosen = maximum_matching(g)
+        assert len(chosen) == len(matching_bruteforce(g))
+        ends = {e: {u, v} for e, u, v in g.edges}
+        touched = [x for e in chosen for x in ends[e]]
+        assert len(touched) == len(set(touched)), g
 
 
 def test_matching_oracle_fixed_seed():
@@ -207,6 +220,15 @@ def _labeled_count(n, m):
     return count
 
 
+def _automorphism_count(n, adj, loops):
+    """|Aut| by testing every one of the n! vertex permutations."""
+    return sum(
+        all(loops[p[v]] == loops[v] for v in range(n))
+        and all(adj[p[u]][p[v]] == adj[u][v] for u in range(n) for v in range(n))
+        for p in permutations(range(n))
+    )
+
+
 def test_enumeration_double_count_oracle():
     for n in range(1, 5):
         for m in range(0, 5):
@@ -223,7 +245,7 @@ def test_enumeration_double_count_oracle():
                     else:
                         adj[idx[u]][idx[v]] += 1
                         adj[idx[v]][idx[u]] += 1
-                class_sum += factorial(n) // len(_automorphisms(n, adj, tuple(loops)))
+                class_sum += factorial(n) // _automorphism_count(n, adj, loops)
             assert class_sum == _labeled_count(n, m), (n, m)
 
 
@@ -238,6 +260,27 @@ def test_canonical_form_is_relabel_invariant():
         assert canonical_form(g) == canonical_form(h)
         rg, rh = counting_report(g), counting_report(h)
         assert (rg.t_value, rg.euler_char) == (rh.t_value, rh.euler_char)
+
+
+@pytest.mark.parametrize("edges", [
+    "()",
+    "tuple((i, 0, i) for i in range(1, 10))",
+    "tuple((i, i, i) for i in range(10))",
+], ids=["ten_isolated", "star_k19", "ten_looped"])
+def test_canonical_form_on_ten_equivalent_vertices_is_prompt(package_env, edges):
+    # 10! leaves without automorphism pruning; a subprocess bounds the wait
+    script = textwrap.dedent(f"""
+        import random
+        from gogends.graphs import Graph, canonical_form
+        g = Graph(tuple(range(10)), {edges})
+        perm = list(range(10))
+        random.Random(4).shuffle(perm)
+        h = Graph(tuple(perm), tuple((e, perm[u], perm[v]) for e, u, v in g.edges))
+        print(canonical_form(g) == canonical_form(h))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=package_env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
 
 
 def test_enumeration_bound_guard():

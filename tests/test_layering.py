@@ -1,6 +1,9 @@
-"""Package-internal imports run one way, from the arithmetic core to the CLI."""
+"""Package-internal imports run one way, from the arithmetic core to the CLI,
+and the package loads nothing outside the standard library but numpy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import gogends
@@ -39,3 +42,16 @@ def test_modules_import_only_earlier_modules():
     for i, name in enumerate(ORDER):
         later = internal_imports(PACKAGE / f"{name}.py") - set(ORDER[:i])
         assert not later, f"{name} imports {sorted(later)}, which are not earlier than it in {ORDER}"
+
+
+def test_runtime_imports_are_stdlib_numpy_and_the_package(package_env):
+    # a fresh interpreter, counting only what the import adds to what site startup loaded
+    script = (
+        "import sys; before = set(sys.modules); import gogends.cli, gogends.corpus; "
+        "print(' '.join({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=package_env)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "gogends" in loaded and "numpy" in loaded
+    assert loaded - sys.stdlib_module_names - {"numpy", "gogends"} == set()
