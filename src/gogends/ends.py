@@ -3,31 +3,32 @@
 At a witness level P the group algebra F_p[P] is handled through index
 arrays: left multiplication by w sends the basis element z to
 ``P.mult[w, z]`` and right multiplication by g sends it to
-``P.mult[z, g]``.  The degree-0 piece H^0(K, F_p[P]) of a vertex or edge
-image K is spanned by the indicator vectors of the right cosets Kx, and a
-coset space is a label array over the elements of P, its cosets numbered
-by their least element.
+``P.mult[z, g]``.  H^0(K, F_p[P]) of a vertex or edge image K is
+spanned by the indicator vectors of the right cosets Kx, and a coset
+space is a label array over P, its cosets numbered by their least element.
 
-The tree boundary map F sends a family (x_v) to (x_{d0(e)} - t_e x_{d1(e)})_e
-in T = sum_e F_p[K_e\\P], the stable-letter image t_e acting by left
-multiplication.  The finite vertex groups have vanishing H^1 on F_p[P],
-so the module of ends at level P is the right F_p[P]-module M = T / im F.
-With s the source dimension and n = dim T:
+The level graph X_P, the Bass-Serre tree modulo the kernel of G -> P
+(Serre, *Trees* I.5), has the cosets K_v x as vertices and the cosets
+K_e x as edges, K_e x joining K_d0 x to K_d1 t_e^-1 x.  The tree boundary
+map F into T = sum_e F_p[K_e\\P] is its signed incidence matrix, a loop a
+zero row.  The finite vertex groups have vanishing H^1 on F_p[P], so the
+module of ends at level P is M = T / im F, and if X_P has s vertices,
+n edges and c components, then kernel_dim = c, rank F = s - c,
+h1_dim = n - s + c and gen_count = |E| - rank_p(W), for the |E| x |V|
+matrix W[e, d0(e)] += [G_d0 : G_e], W[e, d1(e)] -= [G_d1 : G_e].
 
-    kernel_dim = s - rank F
-    h1_dim     = n - rank F
-    gen_count  = n - rank [F^T ; e_{cg} - e_c for every coset c of T and generator g of P]
+gen_count is Nakayama's count dim M / M.I_P = dim T / (T.I_P + im F).
+Augmentation identifies T / T.I_P with one F_p per edge of the graph of
+groups and sends the column of F at a vertex coset K_v x to column v of
+W, since the vertex maps are injective and so each side of e at v meets
+K_v x in [G_v : G_e] edge cosets; im F goes onto the column space of W.
+So gen_count is the same at every level, and as every index is a power
+of p, gen_count = |E| when the graph of groups is reduced.
 
-gen_count is Nakayama's count dim M - dim M.I_P, and M.I_P = (T.I_P + im F)/im F.
-The vectors e_{cg} - e_c span T.I_P: for x = g y with g a generator,
-x - 1 = g(y - 1) + (g - 1), so by induction on word length every
-e_c(x - 1) = e_{cg}(y - 1) + (e_{cg} - e_c) lies in their span.
-
-Each side of each edge must be edge-invariant and im F must be stable
-under the right action, or ``WellDefinednessViolation`` is raised.  A
-Fox-derivative computation straight from the fundamental-group
-presentation is an independent oracle for h1_dim; a disagreement raises
-rather than reports.
+Each side of each edge must be edge-invariant and each coset labelling
+stable under the right action, or ``WellDefinednessViolation`` is raised.
+Fox calculus on the fundamental-group presentation is an independent
+elimination oracle for h1_dim; a disagreement raises rather than reports.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .fplinalg import FpMatrix, rank
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
 from .gog import presentation, validate
-from .graphs import maximum_matching
+from .graphs import _component_roots, maximum_matching
 
 
 class WellDefinednessViolation(RuntimeError):
@@ -59,33 +60,38 @@ def _coset_structure(P, subgroup_elements) -> tuple[np.ndarray, np.ndarray]:
     return reps.astype(np.intp), labels
 
 
+def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:
+    """labels[x] = labels[y] implies labels[xg] = labels[yg]; ``right[:, i]`` is P.mult[:, g_i]."""
+    _, first, classes = np.unique(labels, return_index=True, return_inverse=True)
+    moved = labels[right]
+    return bool((moved == moved[first[classes]]).all())
+
+
 @dataclass
 class MvLevelData:
     witness: ProperWitness
     source_dim: int
     target_dim: int
-    map: FpMatrix
     rank: int
     kernel_dim: int
     h1_dim: int
     gen_count: int
-    right_perms: np.ndarray  # right_perms[i, c]: the target coset c * P.generators[i]
 
 
 def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
-    """Assemble the level-P Mayer-Vietoris H^0 map and read the level
-    invariants off its ranks."""
+    """Read the level-P Mayer-Vietoris invariants off the level graph X_P
+    and the graph-of-groups index matrix W."""
     witness.verify(gog)
     P = witness.quotient
-    p = gog.prime
     mult = P.mult.astype(np.intp)
+    right = mult[:, P.generators]
 
     vertex_labels, col_off, src = {}, {}, 0
     for vid in gog.graph.vertices:
         reps, vertex_labels[vid] = _coset_structure(P, witness.vertex_maps[vid].image)
         col_off[vid], src = src, src + len(reps)
 
-    blocks, tgt = [], 0
+    joins, tgt = [], 0
     for eid, u, v in gog.graph.edges:
         image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
         reps, labels = _coset_structure(P, image)
@@ -95,40 +101,26 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
         for side, lab in (("d0", lab0), ("d1", lab1)):
             if not (lab[mult[image]] == lab).all():
                 raise WellDefinednessViolation(f"edge {eid!r}, {side} block: image vectors are not edge-invariant")
-        coset_times_gen = tgt + labels[mult[np.ix_(reps, P.generators)]].T
-        blocks.append((tgt + np.arange(len(reps)), col_off[u] + lab0[reps], col_off[v] + lab1[reps], coset_times_gen))
+        if not all(_right_stable(lab, right) for lab in (labels, lab0, lab1)):
+            raise WellDefinednessViolation(f"edge {eid!r}: the image of the boundary map is not a right submodule")
+        joins += zip((col_off[u] + lab0[reps]).tolist(), (col_off[v] + lab1[reps]).tolist())
         tgt += len(reps)
+    components = len(set(_component_roots(range(src), joins).values()))
 
-    fmap = np.zeros((tgt, src), dtype=np.uint8)
-    right_perms = np.zeros((len(P.generators), tgt), dtype=np.intp)
-    for rows, d0_cols, d1_cols, perms in blocks:
-        fmap[rows, d0_cols] = 1
-        fmap[rows, d1_cols] = (fmap[rows, d1_cols] + p - 1) % p
-        right_perms[:, rows] = perms
-
-    fmat = FpMatrix(fmap, p)
-    r = rank(fmat)
-    k = len(right_perms)
-    moved = np.zeros((k, tgt, src), dtype=np.uint8)
-    moved[np.arange(k)[:, None], right_perms] = fmap  # column f of F becomes f * g
-    if rank(FpMatrix(np.hstack([fmap, *moved]), p)) != r:
-        raise WellDefinednessViolation("the image of the boundary map is not a right submodule")
-
-    aug = np.zeros((k * tgt, tgt), dtype=np.uint8)  # rows e_{cg} - e_c
-    aug[np.arange(k * tgt), right_perms.ravel()] = 1
-    aug[np.arange(k * tgt), np.tile(np.arange(tgt), k)] += p - 1
-    spanned = rank(FpMatrix(np.vstack([fmap.T, aug % p]), p))
+    column = {vid: i for i, vid in enumerate(gog.graph.vertices)}
+    weights = np.zeros((len(gog.graph.edges), len(column)), dtype=np.int64)
+    for row, (eid, u, v) in enumerate(gog.graph.edges):
+        weights[row, column[u]] += gog.vertex_groups[u].order // gog.edge_groups[eid].order
+        weights[row, column[v]] -= gog.vertex_groups[v].order // gog.edge_groups[eid].order
 
     return MvLevelData(
         witness=witness,
         source_dim=src,
         target_dim=tgt,
-        map=fmat,
-        rank=r,
-        kernel_dim=src - r,
-        h1_dim=tgt - r,
-        gen_count=tgt - spanned,
-        right_perms=right_perms,
+        rank=src - components,
+        kernel_dim=components,
+        h1_dim=tgt - src + components,
+        gen_count=len(weights) - rank(FpMatrix(weights % gog.prime, gog.prime)),
     )
 
 

@@ -7,12 +7,13 @@ tests/test_acceptance.py -v -s`` for the live lines.
 
 import random
 
-import numpy as np
 import pytest
 
 from gogends import cohomology, ends, fpcore, gmodules, gog as gogmod, graphs
 from gogends.corpus import corpus, fixture_names, load_fixture, witness_bound
-from gogends.fplinalg import FpMatrix, Subspace
+from gogends.fplinalg import rank
+
+from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
 
 
 def _report(num, ok, detail):
@@ -127,58 +128,12 @@ def test_criterion_4_nakayama_oracle():
 # -- 5/6/8/9: corpus pipeline ------------------------------------------------
 
 
-def _all_homs_to_cp(src, cp):
-    import itertools
-
-    cands = []
-    for g in src.generators:
-        og = src.element_order(g)
-        cands.append([y for y in cp.elements() if og % cp.element_order(y) == 0])
-    out = []
-    for images in itertools.product(*cands) if cands else [()]:
-        try:
-            out.append(fpcore.hom_from_images(src, cp, list(images)))
-        except fpcore.ImagesInconsistent:
-            pass
-    return out
-
-
-def _lifted_witness(g, w):
-    """Cross the witness with an extra C_p factor, twisting the vertex
-    maps by characters so the product stays surjective (the construction
-    behind the (C4 x C4)/<(g^2, h^2)> style levels)."""
-    import itertools
-
-    p = g.prime
-    cp = fpcore.cyclic(p, 1)
-    big = fpcore.direct_product(w.quotient, cp)
-    vids = list(g.graph.vertices)
-    edge_ids = [e for e, _, _ in g.graph.edges]
-    choices = [_all_homs_to_cp(g.vertex_groups[v], cp) for v in vids]
-    for chi_combo in itertools.product(*choices):
-        vm = {}
-        for vid, chi in zip(vids, chi_combo):
-            old = w.vertex_maps[vid]
-            images = tuple(old.image[x] * p + chi.image[x] for x in range(old.source.order))
-            vm[vid] = fpcore.GroupHom(old.source, big, images)
-        for tau2 in itertools.product(range(p), repeat=len(edge_ids)):
-            stable = {e: w.stable_images[e] * p + c for e, c in zip(edge_ids, tau2)}
-            cand = gogmod.ProperWitness(big, vm, stable)
-            try:
-                cand.verify(g)
-            except gogmod.GogError:
-                continue
-            if cand.is_surjective(g):
-                return cand
-    return None
-
-
 def _corpus_reports():
     if not hasattr(_corpus_reports, "cache"):
         out = {}
         for name, g in corpus().items():
             w = gogmod.proper_quotient_search(g, witness_bound(name))
-            lifted = _lifted_witness(g, w)
+            lifted = lifted_witness(g, w)
             out[name] = (g, w, ends.ends_level(g, w), lifted)
         _corpus_reports.cache = out
     return _corpus_reports.cache
@@ -220,26 +175,27 @@ def test_criterion_6_structural_mv_facts():
     _report(6, not bad, f"kernel dim 1 + edge invariance at two levels per fixture; issues: {bad or 'none'}")
 
 
-def _cokernel_reference(mv):
-    """(dim, Nakayama count) of T / im F built as a module: the right
-    action from ``right_perms`` as permutation matrices, then
-    ``quotient_module`` and ``min_generators``."""
-    P, tgt, p = mv.witness.quotient, mv.target_dim, mv.map.prime
-    acts = []
-    for perm in mv.right_perms:
-        m = np.zeros((tgt, tgt), dtype=np.uint8)
-        m[perm, np.arange(tgt)] = 1
-        acts.append(FpMatrix(m, p))
-    image = Subspace.from_vectors(mv.map.transpose().data, tgt, p)
-    coker, _ = gmodules.quotient_module(gmodules.GModule(P, tgt, right=acts), "right", image)
-    return coker.dim, gmodules.min_generators(coker, "right")
-
-
 def test_mv_rank_formulas_match_the_cokernel_module():
     for name, (g, w, _, lifted) in _corpus_reports().items():
         for witness in (w, lifted):
             mv = ends.mv_h0_map(g, witness)
-            assert (mv.h1_dim, mv.gen_count) == _cokernel_reference(mv), f"{name}@{witness.quotient.order}"
+            fmap, right_perms = boundary_map(g, witness)
+            where = f"{name}@{witness.quotient.order}"
+            assert rank(fmap) == mv.rank, where
+            assert (mv.source_dim, mv.target_dim) == (fmap.cols, fmap.rows), where
+            assert (mv.h1_dim, mv.gen_count) == cokernel_reference(witness.quotient, fmap, right_perms), where
+
+
+def test_gen_count_is_the_level_free_closed_form():
+    reduced = 0
+    for name, (g, w, _, lifted) in _corpus_reports().items():
+        expected = gen_count_closed_form(g)
+        if gogmod.validate(g).reduced:
+            assert expected == len(g.graph.edges), name
+            reduced += 1
+        for witness in (w, lifted):
+            assert ends.mv_h0_map(g, witness).gen_count == expected, f"{name}@{witness.quotient.order}"
+    assert reduced > 0
 
 
 def test_criterion_7_known_families():

@@ -129,6 +129,9 @@ def test_parse_input_file_errors(tmp_path):
 def test_config_validation():
     with pytest.raises(InputError):
         WorkbenchConfig(prime=5)
+    # the largest sampled counting run: 256 edges, 257 vertices
+    WorkbenchConfig(subcommand="counting", max_edges=256, max_vertices=257)
+    WorkbenchConfig(subcommand="counting", max_edges=8, max_vertices=10**9)  # exhaustive: a cap only
 
 
 def test_run_counting_suite_exit_codes():
@@ -346,13 +349,24 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     (["enumerate", "--max-vertices", "0"], "--max-vertices must be at least 1"),
     (["counting", "--max-edges", "-1"], "--max-edges must be at least 0"),
     (["counting", "--max-edges", "3", "--max-vertices", "0"], "--max-vertices must be at least 1"),
+    (["counting", "--max-edges", "257"], "capped at 256 edges and 257 vertices"),
+    (["counting", "--max-edges", "9", "--max-vertices", "258"], "capped at 256 edges and 257 vertices"),
     (["verify-lemmas", "--max-order", "0"], "--max-order must be at least 1"),
     (["ends", "FIXTURE", "--order-bound", "-3"], "--order-bound must be at least 1"),
     (["analyze", "FIXTURE", "--order-bound", "0"], "--order-bound must be at least 1"),
 ], ids=["enumerate_9_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
+        "sampled_counting_257_edges", "sampled_counting_258_vertices",
         "lemmas_order_0", "ends_negative_bound", "analyze_zero_bound"])
-def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, argv, message):
-    # checked before any enumeration or search starts, with no default swapped in
+def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # checked before any graph is built or any enumeration or search starts,
+    # with no default swapped in
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("random_multigraph", "enumerate_connected_multigraphs", "verify_counting_lemma"):
+        monkeypatch.setattr(cli.graphs, name, unreachable)
+    for module, name in ((cli.fpcore, "catalog_groups"), (cli.gogmod, "proper_quotient_search")):
+        monkeypatch.setattr(module, name, unreachable)
     fixture = _write(tmp_path, fixture_json("hnn_c4_c2"))
     assert cli.main([fixture if a == "FIXTURE" else a for a in argv]) == 2
     err = capsys.readouterr().err

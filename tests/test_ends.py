@@ -3,9 +3,11 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from gogends import ends
+from gogends import ends, gog as gogmod
 from gogends.corpus import corpus, fixture_names, load_fixture, witness_bound
 from gogends.ends import (
     OracleMismatch,
@@ -16,6 +18,7 @@ from gogends.ends import (
     prop_more_check,
 )
 from gogends.fpcore import (
+    catalog_groups,
     cyclic,
     dihedral8,
     direct_product,
@@ -24,17 +27,22 @@ from gogends.fpcore import (
     identity_hom,
     trivial,
 )
+from gogends.fplinalg import rank
 from gogends.gog import (
     GogError,
     GraphOfGroups,
     NotFoundWithinBound,
     ProperWitness,
     collapse_iso_edge,
+    free_kernel_rank,
+    injective_homs,
     presentation,
     proper_quotient_search,
     validate,
 )
 from gogends.graphs import Graph
+
+from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
 
 
 def triv_hom(dst, prime=2):
@@ -220,6 +228,9 @@ def test_collapse_invariance_at_common_witness():
     mv_small = mv_h0_map(collapsed, w_small)
     assert mv_full.h1_dim == mv_small.h1_dim
     assert mv_full.gen_count == mv_small.gen_count
+    # the iso edge gives W a unit row, so gen_count is |E| - 1, not |E|
+    assert not validate(g).reduced
+    assert mv_full.gen_count == gen_count_closed_form(g) == len(g.graph.edges) - 1
 
 
 def test_wrong_witness_is_rejected_before_mv():
@@ -244,6 +255,95 @@ def test_broken_conjugation_is_not_edge_invariant(monkeypatch):
     monkeypatch.setattr(ProperWitness, "verify", lambda self, gog: None)
     with pytest.raises(WellDefinednessViolation, match="edge 'e', d1 block"):
         mv_h0_map(g, w)
+
+
+def test_coset_labels_that_are_not_right_cosets_are_rejected(monkeypatch):
+    # C2 * C2 at the Klein level: the edge group is trivial, so edge
+    # invariance holds for any labelling and only right stability can object
+    c2 = cyclic(2, 1)
+    g = mk(("u", "w"), (("e", "u", "w"),), {"u": c2, "w": c2}, {"e": trivial(2)},
+           {"e": triv_hom(c2)}, {"e": triv_hom(c2)})
+    P = elementary_abelian(2, 2)
+    w = ProperWitness(
+        P, {"u": hom_from_images(c2, P, [1]), "w": hom_from_images(c2, P, [2])}, {"e": 0}
+    )
+    assert mv_h0_map(g, w).kernel_dim == 1
+    cosets = ends._coset_structure
+
+    def one_and_the_rest(P, subgroup_elements):
+        if len(subgroup_elements) > 1:
+            return cosets(P, subgroup_elements)
+        return np.array([0, 1]), np.array([0, 1, 1, 1])
+
+    monkeypatch.setattr(ends, "_coset_structure", one_and_the_rest)
+    with pytest.raises(WellDefinednessViolation, match="right submodule"):
+        mv_h0_map(g, w)
+
+
+def test_ends_level_makes_four_eliminations(monkeypatch):
+    # W in MV, two Fox ranks, and b1, which calls rank from gog: no
+    # |P|-sized rank in MV
+    g = load_fixture("hnn_c4_c2")
+    w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
+    for witness in (w, lifted_witness(g, w)):
+        shapes = []
+
+        def counted(module, real):
+            def rank(m):
+                shapes.append((module.__name__, m.rows, m.cols))
+                return real(m)
+            return rank
+
+        with monkeypatch.context() as patch:
+            for module in (ends, gogmod):
+                patch.setattr(module, "rank", counted(module, module.rank))
+            ends_level(g, witness)
+        assert len(shapes) == 4, shapes
+        assert shapes[0] == ("gogends.ends", len(g.graph.edges), len(g.graph.vertices))
+        assert [name for name, _, _ in shapes].count("gogends.ends") == 3
+
+
+SMALL_GROUPS = catalog_groups(2, 4)
+
+
+def _embeds(src, dst):
+    return next(injective_homs(src, dst), None) is not None
+
+
+@st.composite
+def small_graphs_of_groups(draw):
+    """Connected, at most 3 vertices and 4 edges, groups of order <= 4, p = 2."""
+    n = draw(st.integers(1, 3))
+    vertex_groups = {f"v{i}": draw(st.sampled_from(SMALL_GROUPS)) for i in range(n)}
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), min_size=1 if n == 1 else 0, max_size=5 - n))
+    edges, edge_groups, inj0, inj1 = [], {}, {}, {}
+    for k, (i, j) in enumerate(pairs):
+        eid, u, v = f"e{k}", f"v{i}", f"v{j}"
+        gu, gv = vertex_groups[u], vertex_groups[v]
+        edge_groups[eid] = ge = draw(st.sampled_from([h for h in SMALL_GROUPS if _embeds(h, gu) and _embeds(h, gv)]))
+        inj0[eid] = draw(st.sampled_from(list(injective_homs(ge, gu))))
+        inj1[eid] = draw(st.sampled_from(list(injective_homs(ge, gv))))
+        edges.append((eid, u, v))
+    return mk(tuple(vertex_groups), tuple(edges), vertex_groups, edge_groups, inj0, inj1)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_graphs_of_groups())
+def test_level_graph_route_on_random_graphs_of_groups(g):
+    try:
+        w = proper_quotient_search(g, 16)
+    except NotFoundWithinBound:
+        assume(False)
+    mv = mv_h0_map(g, w)
+    assert mv.h1_dim == h1_via_fox(presentation(g), g, w) == free_kernel_rank(g, w)
+    assert mv.kernel_dim == 1
+    fmap, right_perms = boundary_map(g, w)
+    assert rank(fmap) == mv.rank
+    assert (mv.h1_dim, mv.gen_count) == cokernel_reference(w.quotient, fmap, right_perms)
+    assert mv.gen_count == gen_count_closed_form(g)
 
 
 def test_benchmark_tracer_reads_the_mv_layer(monkeypatch):
