@@ -157,9 +157,13 @@ def run_analyze(cfg: WorkbenchConfig) -> tuple[int, dict | list]:
     g = parse_input(cfg.input_path)
     if not g.graph.edges:
         raise InputError("the graph of groups needs at least one edge")
+    largest = max(grp.order for grp in g.vertex_groups.values())
     for bound in cfg.levels:
         if not fpcore.is_power_of(bound, g.prime):
             raise InputError(f"level {bound} is not a power of {g.prime}")
+        if bound < largest:
+            # every vertex group injects into a witness
+            raise InputError(f"level {bound} is below the largest vertex-group order {largest}")
     levels = cfg.levels or (cfg.order_bound,)
     reports = []
     witnesses = []

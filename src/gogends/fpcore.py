@@ -6,6 +6,14 @@ form word in the distinguished generators.  The closed-form catalog
 (cyclic, elementary abelian, dihedral/quaternion of order 8, Heisenberg,
 direct products) covers every group the workbench needs; orders are
 capped at 256.
+
+Every constructed group is checked for an in-range table, a p-power
+order, identity at index 0, two-sided inverses and generation.  Tables
+built from a formula or given by the caller (cyclic, elementary abelian,
+D8, Q8, Heisenberg, ``group_from_table``, subgroups) are also checked for
+associativity, an O(n^3) scan.  ``direct_product`` skips that scan: the
+componentwise product of two associative tables is associative, and its
+factors were checked when they were built.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 256
+_SLAB_CELLS = 1 << 20  # triples per slab of the associativity check
 
 
 class GroupError(ValueError):
@@ -41,9 +50,15 @@ class FiniteGroup:
     generator positions whose left-to-right product equals element x.
     """
 
-    __slots__ = ("name", "prime", "order", "mult", "inverses", "generators", "words", "spec", "_orders", "_hash")
+    __slots__ = (
+        "name", "prime", "order", "mult", "inverses", "generators", "words", "spec",
+        "_bfs_order", "_rows", "_orders", "_hash",
+    )
 
     def __init__(self, name: str, mult, generators, prime: int):
+        self._build(name, mult, generators, prime, check_associativity=True)
+
+    def _build(self, name: str, mult, generators, prime: int, check_associativity: bool):
         table = np.ascontiguousarray(np.asarray(mult, dtype=np.uint16))
         n = table.shape[0]
         if table.shape != (n, n):
@@ -56,8 +71,11 @@ class FiniteGroup:
         self.mult = table
         self.generators = [int(g) for g in generators]
         self._validate_table()
+        if check_associativity:
+            self._check_associative()
         self.inverses = self._compute_inverses()
-        self.words = self._bfs_words()
+        self._rows = None
+        self.words, self._bfs_order = self._bfs_words()
         self.spec = None  # JSON-serialisable construction recipe, if known
         self._orders = None
         self._hash = None
@@ -70,37 +88,53 @@ class FiniteGroup:
             raise GroupError(f"order {n} is not a power of {p}")
         if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
             raise GroupError("index 0 must be the identity")
-        lhs = table[table]            # lhs[a,b,c] = (a*b)*c
-        rhs = table[:, table]         # rhs[a,b,c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            raise GroupError("multiplication table is not associative")
         for g in self.generators:
             if not 0 <= int(g) < n:
                 raise GroupError("generator index out of range")
 
+    def _check_associative(self):
+        """(a*b)*c == a*(b*c) for every triple, in slabs of rows a that
+        hold at most _SLAB_CELLS triples, so memory stays bounded."""
+        n, table = self.order, self.mult
+        step = max(1, _SLAB_CELLS // (n * n))
+        for a0 in range(0, n, step):
+            rows = table[a0 : a0 + step]
+            # [a, b, c]: (a*b)*c against a*(b*c)
+            if not np.array_equal(table[rows], rows[:, table]):
+                raise GroupError("multiplication table is not associative")
+
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.uint16)
-        for x in range(self.order):
-            hits = np.nonzero(self.mult[x] == 0)[0]
-            if hits.size != 1 or self.mult[int(hits[0]), x] != 0:
-                raise GroupError(f"element {x} lacks a two-sided inverse")
-            inv[x] = hits[0]
+        zero = self.mult == 0
+        inv = zero.argmax(axis=1).astype(np.uint16)
+        bad = (zero.sum(axis=1) != 1) | (self.mult[inv, np.arange(self.order)] != 0)
+        if bad.any():
+            raise GroupError(f"element {int(np.argmax(bad))} lacks a two-sided inverse")
         return inv
 
-    def _bfs_words(self) -> list[tuple[int, ...]]:
+    def _bfs_words(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Normal-form words, and the elements in the order the BFS
+        reached them."""
+        rows = self.rows()
         words: list[tuple[int, ...] | None] = [None] * self.order
         words[0] = ()
         queue = [0]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
+            row, word = rows[x], words[x]
             for gi, g in enumerate(self.generators):
-                y = int(self.mult[x, g])
+                y = row[g]
                 if words[y] is None:
-                    words[y] = words[x] + (gi,)
+                    words[y] = word + (gi,)
                     queue.append(y)
-        if any(w is None for w in words):
+        if len(queue) != self.order:
             raise GroupError("generators do not generate the group")
-        return words  # type: ignore[return-value]
+        return words, queue  # type: ignore[return-value]
+
+    def rows(self) -> list[list[int]]:
+        """The table as Python lists, ``rows()[a][b] == mult[a, b]``; built
+        once, for loops that read single entries."""
+        if self._rows is None:
+            self._rows = self.mult.tolist()
+        return self._rows
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -115,11 +149,12 @@ class FiniteGroup:
 
     def element_order(self, x: int) -> int:
         if self._orders is None:
+            rows = self.rows()
             orders = []
             for a in range(self.order):
                 y, k = a, 1
                 while y != 0:
-                    y = int(self.mult[y, a])
+                    y = rows[y][a]
                     k += 1
                 orders.append(k)
             self._orders = orders
@@ -300,7 +335,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     ia, ib = np.divmod(np.arange(n), b.order)
     table = a.mult[ia[:, None], ia[None, :]].astype(np.int64) * b.order + b.mult[ib[:, None], ib[None, :]]
     gens = [g * b.order for g in a.generators] + list(b.generators)
-    g = FiniteGroup(f"{a.name}x{b.name}", table, gens, a.prime)
+    # associative because both factors are: only the cheap checks run
+    g = FiniteGroup.__new__(FiniteGroup)
+    g._build(f"{a.name}x{b.name}", table, gens, a.prime, check_associativity=False)
     if a.spec is not None and b.spec is not None:
         g.spec = {"type": "direct_product", "params": [a.spec, b.spec]}
     return g
@@ -343,12 +380,14 @@ def catalog_groups(prime: int, max_order: int) -> list[FiniteGroup]:
     """
     max_order = min(max_order, MAX_ORDER)
     abelians: list[FiniteGroup] = []
+    cyclics: dict[int, FiniteGroup] = {}
     k = 0
     while prime**k <= max_order:
+        cyclics[k] = cyclic(prime, k)
         for part in _partitions(k):
-            grp = trivial(prime) if not part else cyclic(prime, part[0])
+            grp = trivial(prime) if not part else cyclics[part[0]]
             for exp in part[1:]:
-                grp = direct_product(grp, cyclic(prime, exp))
+                grp = direct_product(grp, cyclics[exp])
             abelians.append(grp)
         k += 1
     bases: list[FiniteGroup] = []
@@ -387,24 +426,39 @@ def subgroup_generated(group: FiniteGroup, seeds) -> Subgroup:
 
 
 def hom_from_images(src: FiniteGroup, dst: FiniteGroup, gen_images) -> GroupHom:
-    """Unique multiplicative extension of generator images, fully verified."""
+    """Unique multiplicative extension of generator images, fully verified.
+
+    The image is built along the BFS tree of ``src.words``: an element
+    reached as x*s (s the i-th generator) maps to image[x]*gen_images[i].
+    Every other pair (x, s) is checked, image[x*s] == image[x]*image[s],
+    stopping at the first mismatch.  Checking every element against every
+    generator is equivalent to checking the whole table: each y is a word
+    in the generators, so image[x*y] == image[x]*image[y] follows by
+    induction on its length.  image[s] is the built image of the element
+    s, so an image given for a repeated or identity generator is ignored,
+    as the words never use it.
+    """
     gen_images = [int(g) for g in gen_images]
-    if len(gen_images) != len(src.generators):
+    gens = src.generators
+    if len(gen_images) != len(gens):
         raise GroupError("need one image per source generator")
     for g in gen_images:
         if not 0 <= g < dst.order:
             raise GroupError(f"image {g} out of range")
-    image = np.zeros(src.order, dtype=np.int64)
-    for x in range(src.order):
-        y = 0
-        for gi in src.words[x]:
-            y = int(dst.mult[y, gen_images[gi]])
-        image[x] = y
-    lhs = dst.mult[image[:, None], image[None, :]]
-    rhs = image[src.mult]
-    if not np.array_equal(lhs, rhs):
-        raise ImagesInconsistent("generator images do not define a homomorphism")
-    return GroupHom(src, dst, tuple(int(v) for v in image))
+    src_rows, dst_rows = src.rows(), dst.rows()
+    image = [-1] * src.order
+    image[0] = 0
+    # the BFS starts at the identity, whose pass sets image[s] for every
+    # generator s before any later pass reads it
+    for x in src._bfs_order:
+        row, ix = src_rows[x], dst_rows[image[x]]
+        for gi, s in enumerate(gens):
+            y = row[s]
+            if image[y] < 0:
+                image[y] = ix[gen_images[gi]]
+            elif image[y] != ix[image[s]]:
+                raise ImagesInconsistent("generator images do not define a homomorphism")
+    return GroupHom(src, dst, tuple(image))
 
 
 def is_injective(hom: GroupHom) -> bool:

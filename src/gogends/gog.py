@@ -336,27 +336,44 @@ class ProperWitness:
 
 def injective_homs(src: FiniteGroup, dst: FiniteGroup, constraints=()):
     """All injective homomorphisms src -> dst, optionally constrained to
-    send given source elements to given targets.  Candidate generator
-    images are pruned by element-order divisibility."""
+    send given source elements to given targets.
+
+    Generator images are tried in ascending element order, generator by
+    generator; only the image tuples that already fail are skipped, so
+    the homs come in the same order as from every tuple in turn.  A
+    generator's image must have exactly its order, as an injective hom
+    keeps orders.  A constraint (x, y) is checked as soon as every
+    generator in ``src.words[x]`` has an image: x maps to that word
+    evaluated on the images.  Only complete tuples reach
+    ``hom_from_images``.
+    """
     if dst.order % src.order != 0:
         return
     cand = []
     for g in src.generators:
         og = src.element_order(g)
-        cand.append([y for y in dst.elements() if og % dst.element_order(y) == 0])
+        cand.append([y for y in dst.elements() if dst.element_order(y) == og])
+    # due[i]: the constraints whose words are first fully imaged by images[:i]
+    due: list[list] = [[] for _ in range(len(cand) + 1)]
+    for x, y in constraints:
+        word = src.words[x]
+        due[max(word) + 1 if word else 0].append((word, y))
+    rows = dst.rows()
 
     def rec(i, images):
+        for word, y in due[i]:
+            z = 0
+            for gi in word:
+                z = rows[z][images[gi]]
+            if z != y:
+                return
         if i == len(cand):
             try:
                 hom = hom_from_images(src, dst, images)
             except ImagesInconsistent:
                 return
-            if not is_injective(hom):
-                return
-            for x, y in constraints:
-                if hom.image[x] != y:
-                    return
-            yield hom
+            if is_injective(hom):
+                yield hom
             return
         for y in cand[i]:
             yield from rec(i + 1, images + [y])

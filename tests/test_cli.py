@@ -335,6 +335,25 @@ def test_main_levels_are_checked_against_the_file_prime(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_main_level_below_a_vertex_group_order_exits_2(tmp_path, capsys):
+    # every vertex group injects into a witness, so a smaller level is an input error
+    path = _write(tmp_path, fixture_json("hnn_c4_c2"))
+    for levels in ("1", "2", "8,2"):
+        assert cli.main(["analyze", path, "--levels", levels]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: level {levels[-1]} is below the largest vertex-group order 4" in err
+        assert "Traceback" not in err
+    assert cli.main(["analyze", path, "--levels", "4"]) == 0
+
+
+def test_main_level_1_on_trivial_vertex_groups(tmp_path):
+    path = _write(tmp_path, fixture_json("loop_trivial"))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", path, "--levels", "1", "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["level"] == 1 and report["h1_dim"] == report["fox_h1_dim"] == 1
+
+
 @pytest.mark.parametrize("group", [{"type": "trivial", "params": [2]}, C2], ids=["trivial", "c2"])
 def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     # the edge-count bound needs an edge: b1 - 1 = -1 on a finite group

@@ -1,7 +1,10 @@
 """Group catalog, subgroup closure, homomorphism extension."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hom_reference import associative, hom_from_images_reference
 
 from gogends import fpcore
 from gogends.fpcore import (
@@ -13,6 +16,7 @@ from gogends.fpcore import (
     dihedral8,
     direct_product,
     elementary_abelian,
+    group_from_table,
     heisenberg,
     hom_from_images,
     is_injective,
@@ -163,17 +167,93 @@ def test_catalog_structure():
 
 
 def test_catalog_invariants_exhaustive():
-    for g in catalog_groups(2, 16) + catalog_groups(3, 27):
-        # identity, inverses, generation are enforced at construction;
-        # re-check associativity on an independent random sample
-        rng = np.random.default_rng(1)
-        n = g.order
-        for _ in range(50):
-            a, b, c = rng.integers(0, n, size=3)
-            assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+    for g in catalog_groups(2, 64) + catalog_groups(3, 81):
+        # direct products skip the associativity check at construction:
+        # check every triple of every catalog group here
+        assert associative(g), g.name
         assert all(g.mul(x, g.inv(x)) == 0 for x in g.elements())
         closure = subgroup_generated(g, g.generators)
-        assert closure.order == n
+        assert closure.order == g.order
+
+
+def test_non_associative_table_rejected():
+    # C256 with two entries of the last row swapped: identity, inverses
+    # and generation survive, associativity fails only in the last slab
+    table = (np.arange(256)[:, None] + np.arange(256)[None, :]) % 256
+    table[255, [2, 3]] = table[255, [3, 2]]
+    for build in (lambda: fpcore.FiniteGroup("bad", table, [1], 2), lambda: group_from_table("bad", table, [1], 2)):
+        with pytest.raises(GroupError, match="not associative"):
+            build()
+    # an order-4 table with identity and self-inverse elements
+    small = [[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 1], [3, 1, 1, 0]]
+    with pytest.raises(GroupError, match="not associative"):
+        fpcore.FiniteGroup("bad", small, [1, 2], 2)
+
+
+def test_element_without_inverse_rejected():
+    # C2 x {1, z} with z*z = z: associative with an identity, z has no inverse
+    table = [[(a1 ^ a2) * 2 + (b1 | b2) for a2 in (0, 1) for b2 in (0, 1)] for a1 in (0, 1) for b1 in (0, 1)]
+    with pytest.raises(GroupError, match="element 1 lacks a two-sided inverse"):
+        fpcore.FiniteGroup("monoid", table, [1, 2], 2)
+
+
+# image tuples per catalog pair checked exhaustively; larger pairs are sampled
+EXHAUSTIVE_TUPLES = 1024
+SAMPLED_TUPLES = 256
+
+
+def _image_tuples(src, dst, rng):
+    k = len(src.generators)
+    if dst.order**k <= EXHAUSTIVE_TUPLES:
+        return itertools.product(range(dst.order), repeat=k)
+    return (tuple(int(v) for v in rng.integers(0, dst.order, size=k)) for _ in range(SAMPLED_TUPLES))
+
+
+def _assert_same_hom(src, dst, images):
+    try:
+        expected = hom_from_images_reference(src, dst, images)
+    except ImagesInconsistent:
+        with pytest.raises(ImagesInconsistent):
+            hom_from_images(src, dst, images)
+        return False
+    assert hom_from_images(src, dst, images) == expected, (src.name, dst.name, images)
+    return True
+
+
+def test_hom_from_images_matches_full_table_reference():
+    rng = np.random.default_rng(8)
+    for groups in (catalog_groups(2, 16), catalog_groups(3, 27)):
+        accepted = rejected = 0
+        for src in groups:
+            for dst in groups:
+                for images in _image_tuples(src, dst, rng):
+                    if _assert_same_hom(src, dst, images):
+                        accepted += 1
+                    else:
+                        rejected += 1
+        assert accepted and rejected
+
+
+def test_hom_from_images_degenerate_generators_match_reference():
+    # repeated generators and the identity as a generator: the words
+    # never use them, so their given images are ignored by both
+    c4, d8 = cyclic(2, 2), dihedral8()
+    sources = [
+        group_from_table("C4r", c4.mult, [1, 1], 2),
+        group_from_table("C4e", c4.mult, [0, 1], 2),
+        group_from_table("C4x", c4.mult, [1, 3, 0], 2),
+        group_from_table("D8r", d8.mult, [2, 0, 1, 2], 2),
+    ]
+    targets = [c4, elementary_abelian(2, 2), d8, quaternion8(), cyclic(2, 3)]
+    for src in sources:
+        accepted = 0
+        for dst in targets:
+            for images in itertools.product(range(dst.order), repeat=len(src.generators)):
+                accepted += _assert_same_hom(src, dst, images)
+        assert accepted
+    # a given image for an ignored generator need not agree with the others
+    assert hom_from_images(sources[0], c4, [1, 3]).image == (0, 1, 2, 3)
+    assert hom_from_images(sources[1], c4, [2, 1]).image == (0, 1, 2, 3)
 
 
 def test_words_are_normal_forms():

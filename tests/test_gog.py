@@ -2,12 +2,18 @@
 witness search, free kernel rank."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hom_reference import injective_homs_reference
 
+from gogends import corpus
+from gogends import gog as gogmod
 from gogends.fpcore import (
+    catalog_groups,
     cyclic,
     dihedral8,
+    group_from_table,
     hom_from_images,
     identity_hom,
     is_injective,
@@ -23,6 +29,7 @@ from gogends.gog import (
     b1,
     collapse_iso_edge,
     free_kernel_rank,
+    injective_homs,
     leaf_bound,
     presentation,
     proper_quotient_search,
@@ -302,3 +309,69 @@ def test_free_kernel_rank_requires_surjective_witness():
     w.verify(cc)
     with pytest.raises(GogError):
         free_kernel_rank(cc, w)
+
+
+def _constraint_sets(src, homs):
+    """No constraint, one a middle hom meets on two elements, the identity,
+    and one no injective hom meets (a nonidentity element sent to 0)."""
+    sets = [(), ((0, 0),)]
+    if src.order > 1:
+        last = src.order - 1
+        if homs:
+            h = homs[len(homs) // 2]
+            sets.append(((last, h.image[last]), (1, h.image[1])))
+        sets.append(((last, 0),))
+    return sets
+
+
+# reference image tuples per pair: larger pairs take seconds on the reference
+REFERENCE_TUPLES = 1024
+
+
+def test_injective_homs_same_sequence_as_reference():
+    compared = 0
+    for groups in (catalog_groups(2, 16), catalog_groups(3, 27)):
+        for src in groups:
+            for dst in groups:
+                sizes = [sum(1 for y in dst.elements() if src.element_order(g) % dst.element_order(y) == 0)
+                         for g in src.generators]
+                if dst.order % src.order or prod(sizes) > REFERENCE_TUPLES:
+                    continue
+                homs = list(injective_homs_reference(src, dst))
+                for constraints in _constraint_sets(src, homs):
+                    # the reference checks constraints on finished homs
+                    expected = [h for h in homs if all(h.image[x] == y for x, y in constraints)]
+                    assert list(injective_homs(src, dst, constraints)) == expected, (src.name, dst.name, constraints)
+                compared += bool(homs)
+    assert compared > 40
+
+
+def test_injective_homs_degenerate_generators_same_homs():
+    # an image tuple for a repeated or identity generator gives the same
+    # hom as the tuple with that entry changed, so the reference repeats
+    # homs; the pruned search repeats fewer, in the same order
+    c4, d8 = cyclic(2, 2), dihedral8()
+    sources = [group_from_table("C4r", c4.mult, [1, 1], 2), group_from_table("D8e", d8.mult, [2, 0, 1], 2)]
+    for src in sources:
+        for dst in (c4, d8, quaternion8(), cyclic(2, 3)):
+            for constraints in ((), ((1, 0),), ((src.generators[-1], dst.order - 1),)):
+                expected = list(dict.fromkeys(injective_homs_reference(src, dst, constraints)))
+                found = list(injective_homs(src, dst, constraints))
+                assert list(dict.fromkeys(found)) == expected
+
+
+def test_search_hom_checks_pinned(monkeypatch):
+    # the generator-order and constraint pruning leave this many complete
+    # image tuples for hom_from_images
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hom_from_images(*args)
+
+    monkeypatch.setattr(gogmod, "hom_from_images", counted)
+    g = corpus.load_fixture("heis3_heis3_over_center")
+    w = proper_quotient_search(g, 81, exact_order=81)
+    w.verify(g)
+    assert (w.quotient.name, w.quotient.order) == ("Heis3xC3|27", 27)
+    assert len(calls) == 7876
