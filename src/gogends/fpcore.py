@@ -18,6 +18,7 @@ factors were checked when they were built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,9 +377,15 @@ def catalog_groups(prime: int, max_order: int) -> list[FiniteGroup]:
 
     Abelian groups are every product of cyclic factors; the nonabelian
     stock is D8/Q8 (p=2) and the Heisenberg group (odd p), each crossed
-    with the abelian groups that fit under the cap.
+    with the abelian groups that fit under the cap.  Each (prime, capped
+    bound) catalog is built once per process; every call returns a fresh
+    list of the same group objects.
     """
-    max_order = min(max_order, MAX_ORDER)
+    return list(_catalog(prime, min(max_order, MAX_ORDER)))
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(prime: int, max_order: int) -> tuple[FiniteGroup, ...]:
     abelians: list[FiniteGroup] = []
     cyclics: dict[int, FiniteGroup] = {}
     k = 0
@@ -401,7 +408,7 @@ def catalog_groups(prime: int, max_order: int) -> list[FiniteGroup]:
             if base.order * ab.order <= max_order:
                 groups.append(base if ab.order == 1 else direct_product(base, ab))
     groups.sort(key=lambda g: (g.order, g.name))
-    return groups
+    return tuple(groups)
 
 
 # -- subgroups and homomorphisms ------------------------------------------
@@ -430,13 +437,13 @@ def hom_from_images(src: FiniteGroup, dst: FiniteGroup, gen_images) -> GroupHom:
 
     The image is built along the BFS tree of ``src.words``: an element
     reached as x*s (s the i-th generator) maps to image[x]*gen_images[i].
-    Every other pair (x, s) is checked, image[x*s] == image[x]*image[s],
-    stopping at the first mismatch.  Checking every element against every
-    generator is equivalent to checking the whole table: each y is a word
-    in the generators, so image[x*y] == image[x]*image[y] follows by
-    induction on its length.  image[s] is the built image of the element
-    s, so an image given for a repeated or identity generator is ignored,
-    as the words never use it.
+    Every other pair (x, i) is checked, image[x*s] == image[x]*gen_images[i],
+    stopping at the first mismatch.  At the identity x this reads image[s] ==
+    gen_images[i], so a repeated or identity generator whose given image
+    disagrees with the others is rejected.  Checking every element against
+    every generator is equivalent to checking the whole table: each y is
+    a word in the generators, so image[x*y] == image[x]*image[y] follows
+    by induction on its length.
     """
     gen_images = [int(g) for g in gen_images]
     gens = src.generators
@@ -448,15 +455,13 @@ def hom_from_images(src: FiniteGroup, dst: FiniteGroup, gen_images) -> GroupHom:
     src_rows, dst_rows = src.rows(), dst.rows()
     image = [-1] * src.order
     image[0] = 0
-    # the BFS starts at the identity, whose pass sets image[s] for every
-    # generator s before any later pass reads it
     for x in src._bfs_order:
         row, ix = src_rows[x], dst_rows[image[x]]
         for gi, s in enumerate(gens):
-            y = row[s]
+            y, z = row[s], ix[gen_images[gi]]
             if image[y] < 0:
-                image[y] = ix[gen_images[gi]]
-            elif image[y] != ix[image[s]]:
+                image[y] = z
+            elif image[y] != z:
                 raise ImagesInconsistent("generator images do not define a homomorphism")
     return GroupHom(src, dst, tuple(image))
 

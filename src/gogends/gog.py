@@ -23,6 +23,7 @@ from .fpcore import (
     FiniteGroup,
     GroupHom,
     ImagesInconsistent,
+    Subgroup,
     catalog_groups,
     hom_from_images,
     is_injective,
@@ -164,8 +165,8 @@ def reduce_gog(gog: GraphOfGroups) -> GraphOfGroups:
 
 def _bfs_tree(graph: Graph):
     """Deterministic spanning tree of a connected graph (``GraphOfGroups``
-    requires one): (vertex order, tree edge triples, non-tree edge ids).
-    Tree triples are (eid, parent, child)."""
+    requires one): (vertex order, tree edge triples).  Tree triples are
+    (eid, parent, child)."""
     adjacency: dict = {v: [] for v in graph.vertices}
     for e, u, v in graph.edges:
         adjacency[u].append((e, v))
@@ -175,7 +176,6 @@ def _bfs_tree(graph: Graph):
     order = [root]
     seen = {root}
     tree = []
-    tree_ids = set()
     queue = [root]
     while queue:
         x = queue.pop(0)
@@ -184,10 +184,8 @@ def _bfs_tree(graph: Graph):
                 seen.add(w)
                 order.append(w)
                 tree.append((e, x, w))
-                tree_ids.add(e)
                 queue.append(w)
-    nontree = [e for e, _, _ in graph.edges if e not in tree_ids]
-    return order, tree, nontree
+    return order, tree
 
 
 def _free_reduce(word):
@@ -224,7 +222,7 @@ def presentation(gog: GraphOfGroups) -> Presentation:
     """Generators: vertex-group generators plus one stable letter per
     edge; relators: vertex table relators, edge conjugation relators,
     and killers for the spanning-tree letters."""
-    _, tree, _ = _bfs_tree(gog.graph)
+    _, tree = _bfs_tree(gog.graph)
     tree_ids = tuple(e for e, _, _ in tree)
     symbols = []
     kinds: dict = {}
@@ -301,7 +299,7 @@ class ProperWitness:
                 raise GogError(f"vertex {vid!r}: witness map endpoints wrong")
             if not is_injective(hom):
                 raise GogError(f"vertex {vid!r}: witness map not injective")
-        _, tree, _ = _bfs_tree(gog.graph)
+        _, tree = _bfs_tree(gog.graph)
         tree_ids = {e for e, _, _ in tree}
         for eid, u, v in gog.graph.edges:
             t = self.stable_images[eid]
@@ -315,11 +313,16 @@ class ProperWitness:
                 if lhs != rhs:
                     raise GogError(f"edge {eid!r}: conjugation relator fails at {g}")
 
-    def is_surjective(self, gog: GraphOfGroups) -> bool:
+    def image(self, gog: GraphOfGroups) -> Subgroup:
+        """The subgroup of the quotient that the vertex images and the
+        stable letters generate."""
         gens: set = set(self.stable_images.values())
         for vid in gog.graph.vertices:
             gens.update(self.vertex_maps[vid].image)
-        return subgroup_generated(self.quotient, sorted(gens)).order == self.quotient.order
+        return subgroup_generated(self.quotient, sorted(gens))
+
+    def is_surjective(self, gog: GraphOfGroups) -> bool:
+        return self.image(gog).order == self.quotient.order
 
     def to_json(self, gog: GraphOfGroups) -> dict:
         return {
@@ -382,89 +385,74 @@ def injective_homs(src: FiniteGroup, dst: FiniteGroup, constraints=()):
 
 
 def proper_quotient_search(gog: GraphOfGroups, order_bound: int, exact_order: int | None = None) -> ProperWitness:
-    """Backtracking search over catalog quotients, ascending by order.
+    """The first witness over the catalog quotients, ascending by order.
+
+    On each quotient P one backtracking search picks the vertex maps in
+    BFS order, each from ``injective_homs`` in its order; a tree edge
+    makes its child's map agree with its parent's on the edge group.
+    Each edge is settled when the later of its endpoints in BFS order has
+    a map: it takes the least t in P with psi_u(inj0 g) * t ==
+    t * psi_v(inj1 g) for every edge generator g (the identity, on a tree
+    edge), and a map that leaves an edge without one is backtracked.
+    Given the maps, each letter depends on its own edge alone, so the
+    search is complete over the catalog, and the witness on P is the
+    least tuple of maps that has all its letters, each letter least.
 
     The returned witness is normalised to a surjective one by shrinking
     the quotient to the subgroup its images generate, then re-verified
     from scratch.
     """
-    order_vs, tree, nontree = _bfs_tree(gog.graph)
-    parent_edge = {child: (eid, par) for eid, par, child in tree}
-    candidates = [
-        P
-        for P in catalog_groups(gog.prime, order_bound)
-        if all(P.order % grp.order == 0 for grp in gog.vertex_groups.values())
-    ]
-    if exact_order is not None:
-        candidates = [P for P in candidates if P.order == exact_order]
+    order_vs, tree = _bfs_tree(gog.graph)
+    position = {vid: i for i, vid in enumerate(order_vs)}
+    tree_ids = {eid for eid, _, _ in tree}
+    settled_at: dict = {vid: [] for vid in order_vs}
+    for eid, u, v in gog.graph.edges:
+        settled_at[max(u, v, key=position.__getitem__)].append((eid, u, v))
 
-    for P in candidates:
-        assignment = _assign_vertices(gog, P, order_vs, parent_edge, 0, {})
-        if assignment is None:
-            continue
-        stable = {e: 0 for e, _, _ in tree}
-        ok = True
-        for eid in nontree:
-            u, v = gog.endpoints(eid)
-            ge = gog.edge_groups[eid]
-            pu, pv = assignment[u], assignment[v]
-            tau = None
-            for t in P.elements():
-                if all(
-                    pu.image[gog.inj0[eid].image[g]]
-                    == int(P.mult[int(P.mult[t, pv.image[gog.inj1[eid].image[g]]]), P.inv(t)])
-                    for g in ge.generators
-                ):
-                    tau = t
+    def extend(w: ProperWitness) -> bool:
+        """Complete w, whose maps are a BFS prefix, or report that no
+        completion exists."""
+        maps, rows = w.vertex_maps, w.quotient.rows()
+        if len(maps) == len(order_vs):
+            return True
+        vid = order_vs[len(maps)]
+        constraints = []
+        for eid, u, v in settled_at[vid]:
+            if eid in tree_ids:
+                mine, theirs, par = (gog.inj1, gog.inj0, u) if vid == v else (gog.inj0, gog.inj1, v)
+                gens = gog.edge_groups[eid].generators
+                constraints = [(mine[eid].image[g], maps[par].image[theirs[eid].image[g]]) for g in gens]
+        for hom in injective_homs(gog.vertex_groups[vid], w.quotient, constraints):
+            maps[vid] = hom
+            for eid, u, v in settled_at[vid]:
+                pairs = [
+                    (maps[u].image[gog.inj0[eid].image[g]], maps[v].image[gog.inj1[eid].image[g]])
+                    for g in gog.edge_groups[eid].generators
+                ]
+                t = next((t for t in w.quotient.elements() if all(rows[a][t] == rows[t][b] for a, b in pairs)), None)
+                if t is None:
                     break
-            if tau is None:
-                ok = False
-                break
-            stable[eid] = tau
-        if not ok:
+                w.stable_images[eid] = t
+            else:
+                if extend(w):
+                    return True
+        maps.pop(vid, None)
+        return False
+
+    for P in catalog_groups(gog.prime, order_bound):
+        if exact_order not in (None, P.order) or any(P.order % grp.order for grp in gog.vertex_groups.values()):
             continue
-        witness = ProperWitness(P, dict(assignment), stable)
-        witness = _shrink_to_image(gog, witness)
-        witness.verify(gog)
-        return witness
+        witness = ProperWitness(P, {}, {})
+        if extend(witness):
+            witness = _shrink_to_image(gog, witness)
+            witness.verify(gog)
+            return witness
     raise NotFoundWithinBound(f"no witness with order <= {order_bound}")
-
-
-def _assign_vertices(gog, P, order_vs, parent_edge, i, assigned):
-    if i == len(order_vs):
-        return dict(assigned)
-    vid = order_vs[i]
-    grp = gog.vertex_groups[vid]
-    constraints = []
-    if vid in parent_edge:
-        eid, par = parent_edge[vid]
-        u, v = gog.endpoints(eid)
-        ge = gog.edge_groups[eid]
-        ph = assigned[par]
-        # tree edge carries the identity: psi_u(inj0 g) = psi_v(inj1 g)
-        if vid == v:
-            constraints = [
-                (gog.inj1[eid].image[g], ph.image[gog.inj0[eid].image[g]]) for g in ge.generators
-            ]
-        else:
-            constraints = [
-                (gog.inj0[eid].image[g], ph.image[gog.inj1[eid].image[g]]) for g in ge.generators
-            ]
-    for hom in injective_homs(grp, P, constraints):
-        assigned[vid] = hom
-        result = _assign_vertices(gog, P, order_vs, parent_edge, i + 1, assigned)
-        if result is not None:
-            return result
-        del assigned[vid]
-    return None
 
 
 def _shrink_to_image(gog: GraphOfGroups, witness: ProperWitness) -> ProperWitness:
     P = witness.quotient
-    gens: set = set(witness.stable_images.values())
-    for vid in gog.graph.vertices:
-        gens.update(witness.vertex_maps[vid].image)
-    sub = subgroup_generated(P, sorted(gens))
+    sub = witness.image(gog)
     if sub.order == P.order:
         return witness
     H, incl = subgroup_as_group(sub)

@@ -1,19 +1,26 @@
 """Whole-table homomorphism checks: the reference for the witness search.
 
 ``hom_from_images_reference`` evaluates every source element's normal
-form word on the generator images and compares the full |src| x |src|
-multiplication table.  ``injective_homs_reference`` tries every tuple of
-generator images whose orders divide the generators' orders, and checks
-injectivity and the constraints on the finished hom.
+form word on the generator images, compares the full |src| x |src|
+multiplication table, and checks that every generator, a repeated or
+identity one too, maps to its given image.  ``injective_homs_reference``
+tries every tuple of generator images whose orders divide the
+generators' orders, and checks injectivity and the constraints on the
+finished hom.  ``witness_search_reference`` tries every tuple of vertex
+maps and stable letters on every catalog quotient.
 ``fpcore.hom_from_images`` checks generator columns only, and
-``gog.injective_homs`` prunes images and constraints as it goes; tests
-compare them against these.  ``associative`` is the one-array check of
-every triple that ``fpcore.direct_product`` skips at construction.
+``gog.injective_homs`` and ``gog.proper_quotient_search`` prune as they
+go; tests compare them against these.  ``associative`` is the one-array
+check of every triple that ``fpcore.direct_product`` skips at
+construction.
 """
+
+import itertools
 
 import numpy as np
 
-from gogends.fpcore import GroupError, GroupHom, ImagesInconsistent, is_injective
+from gogends.fpcore import GroupError, GroupHom, ImagesInconsistent, catalog_groups, is_injective
+from gogends.gog import ProperWitness, _bfs_tree
 
 
 def hom_from_images_reference(src, dst, gen_images):
@@ -31,7 +38,7 @@ def hom_from_images_reference(src, dst, gen_images):
         image[x] = y
     lhs = dst.mult[image[:, None], image[None, :]]
     rhs = image[src.mult]
-    if not np.array_equal(lhs, rhs):
+    if not np.array_equal(lhs, rhs) or any(image[g] != y for g, y in zip(src.generators, gen_images)):
         raise ImagesInconsistent("generator images do not define a homomorphism")
     return GroupHom(src, dst, tuple(int(v) for v in image))
 
@@ -61,6 +68,42 @@ def injective_homs_reference(src, dst, constraints=()):
             yield from rec(i + 1, images + [y])
 
     yield from rec(0, [])
+
+
+def witness_search_reference(g, bound):
+    """The first witness in the catalog of order <= bound: quotients in
+    order, then every tuple of vertex maps (vertices in the search's BFS
+    order), then every tuple of letters, tree edges at the identity and
+    the others over all of P, each relator checked on every element of
+    its edge group; None if there is none.  The witness is not shrunk to
+    its image."""
+    order_vs, tree = _bfs_tree(g.graph)
+    tree_ids = {eid for eid, _, _ in tree}
+    tree = [e for e in g.graph.edges if e[0] in tree_ids]  # (eid, u, v), as the relator reads it
+    loose = [e for e in g.graph.edges if e[0] not in tree_ids]
+    for P in catalog_groups(g.prime, bound):
+        homs = [list(injective_homs_reference(g.vertex_groups[vid], P)) for vid in order_vs]
+        for maps in itertools.product(*homs):
+            maps = dict(zip(order_vs, maps))
+            if not all(_relator_holds(g, P, maps, 0, *e) for e in tree):
+                continue
+            # each relator names one letter: the tuples whose relators all
+            # hold are the product of the letters each edge allows
+            allowed = [[t for t in P.elements() if _relator_holds(g, P, maps, t, *e)] for e in loose]
+            for letters in itertools.product(*allowed):
+                stable = dict.fromkeys(tree_ids, 0)
+                stable.update((eid, t) for t, (eid, _, _) in zip(letters, loose))
+                return ProperWitness(P, maps, stable)
+    return None
+
+
+def _relator_holds(g, P, maps, t, eid, u, v):
+    """psi_u(inj0 x) == t psi_v(inj1 x) t^-1 for every element x of the edge group."""
+    rows, t_inv = P.rows(), P.inv(t)
+    for x in g.edge_groups[eid].elements():
+        if maps[u].image[g.inj0[eid].image[x]] != rows[rows[t][maps[v].image[g.inj1[eid].image[x]]]][t_inv]:
+            return False
+    return True
 
 
 def associative(group) -> bool:

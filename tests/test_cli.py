@@ -274,6 +274,14 @@ def _one_vertex(group, prime=2, vid="a"):
     return {"prime": prime, "vertices": [{"id": vid, "group": group}], "edges": []}
 
 
+def _c4_loop_over_generator_listed_twice(inj0):
+    """A C4 vertex with a loop whose edge group is C4 with its generator
+    listed twice; the images of both entries must agree."""
+    c4_twice = {"table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "generators": [1, 1]}
+    loop = {"id": "e", "from": "a", "to": "a", "group": c4_twice, "inj0": inj0, "inj1": [1, 1]}
+    return dict(_one_vertex({"type": "cyclic", "params": [2, 2]}), edges=[loop])
+
+
 @pytest.mark.parametrize("doc, where", [
     pytest.param(_one_vertex(C2, vid=[1]), "vertices[0].id", id="vertex_id_list"),
     pytest.param(_c2_loop(id=["e"]), "edges[0].id", id="edge_id_list"),
@@ -285,15 +293,30 @@ def _one_vertex(group, prime=2, vid="a"):
                  "vertices[0].group.table[1]", id="table_entry_negative"),
     pytest.param(_one_vertex({"table": [[0, 1], [1, 0]], "generators": "1"}),
                  "vertices[0].group.generators", id="generators_string"),
+    pytest.param(_c4_loop_over_generator_listed_twice([1, 3]), "edges[0].inj0", id="repeated_generator_two_images"),
 ])
 def test_main_mistyped_values_exit_2(tmp_path, capsys, doc, where):
     assert gog_from_json(_c2_loop()).graph.edges  # the unmutated loop document is valid
+    assert gog_from_json(_c4_loop_over_generator_listed_twice([1, 1])).graph.edges
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["ends", str(path)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and where in err
     assert "Traceback" not in err
+
+
+def test_main_ends_finds_the_d8_witness_of_a_klein_loop(tmp_path):
+    # a C2 loop conjugating one coordinate generator of C2 x C2 into the
+    # other: an abelian quotient has no stable letter for it (conjugate
+    # images are equal), D8 has one, but not at its first pair of maps
+    klein = {"type": "elementary_abelian", "params": [2, 2]}
+    doc = _one_vertex(klein)
+    doc["edges"] = [{"id": "e", "from": "a", "to": "a", "group": C2, "inj0": [1], "inj1": [2]}]
+    out = tmp_path / "report.json"
+    assert cli.main(["ends", _write(tmp_path, doc), "--order-bound", "32", "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["level"] == 8 and report["h1_dim"] == report["fox_h1_dim"] == 3
 
 
 def test_ends_bound_holds_on_corpus(tmp_path):

@@ -1,5 +1,6 @@
 """Level ends pipeline: MV map dimensions, Fox oracle, known families."""
 
+import functools
 import importlib
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from gogends.gog import (
 )
 from gogends.graphs import Graph
 
+from hom_reference import witness_search_reference
 from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
 
 
@@ -346,10 +348,44 @@ def test_level_graph_route_on_random_graphs_of_groups(g):
     assert mv.gen_count == gen_count_closed_form(g)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_graphs_of_groups())
+def test_witness_search_is_complete_over_the_catalog(g):
+    expected = witness_search_reference(g, 8)
+    if expected is None:
+        with pytest.raises(NotFoundWithinBound):
+            proper_quotient_search(g, 8)
+    else:
+        # the same first witness, shrunk to its image the same way
+        assert proper_quotient_search(g, 8) == gogmod._shrink_to_image(g, expected)
+
+
+def _spans(monkeypatch):
+    """perfbench/spans.py, imported as the harness imports it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("spans")
+
+
+def _probed(probe):
+    *path, attr = probe.attr.split(".")
+    owner = functools.reduce(getattr, path, importlib.import_module(f"gogends.{probe.module}"))
+    return owner.__dict__[attr]
+
+
+def test_benchmark_tracer_wraps_every_probe_and_restores_it(monkeypatch):
+    # a probed function that is renamed or deleted fails here, not only in the benchmark
+    spans = _spans(monkeypatch)
+    originals = [_probed(probe) for probe in spans.PROBES]
+    with spans.Tracer():
+        for probe, original in zip(spans.PROBES, originals):
+            assert _probed(probe).__perfbench_original__ is original, probe.attr
+    assert all(_probed(probe) is original for probe, original in zip(spans.PROBES, originals))
+
+
 def test_benchmark_tracer_reads_the_mv_layer(monkeypatch):
     # perfbench/spans.py wraps ends.mv_h0_map and counts its target_dim
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    spans = importlib.import_module("spans")
+    spans = _spans(monkeypatch)
     g = load_fixture("hnn_c4_c2")
     w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
     with spans.Tracer() as tracer:

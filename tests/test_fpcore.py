@@ -166,6 +166,26 @@ def test_catalog_structure():
     assert "Heis3" in names3 and "C27" in names3
 
 
+def test_catalog_is_built_once_per_bound(monkeypatch):
+    first = catalog_groups(2, 16)
+    built = []
+    real_build = fpcore.FiniteGroup._build
+
+    def counted(self, name, *args, **kwargs):
+        built.append(name)
+        real_build(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(fpcore.FiniteGroup, "_build", counted)
+    again = catalog_groups(2, 16)
+    assert built == []
+    assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
+    again.clear()  # each call hands out its own list
+    assert catalog_groups(2, 16) == first
+    assert built == []
+    cyclic(2, 1)  # a construction outside the catalog is still counted
+    assert built == ["C2"]
+
+
 def test_catalog_invariants_exhaustive():
     for g in catalog_groups(2, 64) + catalog_groups(3, 81):
         # direct products skip the associativity check at construction:
@@ -235,8 +255,8 @@ def test_hom_from_images_matches_full_table_reference():
 
 
 def test_hom_from_images_degenerate_generators_match_reference():
-    # repeated generators and the identity as a generator: the words
-    # never use them, so their given images are ignored by both
+    # repeated generators and the identity as a generator: the words never
+    # use them, but their given images must still agree with the others
     c4, d8 = cyclic(2, 2), dihedral8()
     sources = [
         group_from_table("C4r", c4.mult, [1, 1], 2),
@@ -251,9 +271,13 @@ def test_hom_from_images_degenerate_generators_match_reference():
             for images in itertools.product(range(dst.order), repeat=len(src.generators)):
                 accepted += _assert_same_hom(src, dst, images)
         assert accepted
-    # a given image for an ignored generator need not agree with the others
-    assert hom_from_images(sources[0], c4, [1, 3]).image == (0, 1, 2, 3)
-    assert hom_from_images(sources[1], c4, [2, 1]).image == (0, 1, 2, 3)
+    # a given image that disagrees is rejected, one that agrees is kept
+    for src, images in ((sources[0], [1, 3]), (sources[1], [2, 1]), (sources[2], [1, 1, 0])):
+        with pytest.raises(ImagesInconsistent):
+            hom_from_images(src, c4, images)
+    assert hom_from_images(sources[0], c4, [1, 1]).image == (0, 1, 2, 3)
+    assert hom_from_images(sources[1], c4, [0, 1]).image == (0, 1, 2, 3)
+    assert hom_from_images(sources[2], c4, [1, 3, 0]).image == (0, 1, 2, 3)
 
 
 def test_words_are_normal_forms():
