@@ -15,7 +15,14 @@ Isomorph-free enumeration rests on one canonical labelling: an
 individualisation-refinement search whose key is the least leaf.  Leaves
 with equal keys reveal automorphisms, and a child whose subtree is the
 image of an already-searched sibling under them is skipped (McKay and
-Piperno, "Practical graph isomorphism, II", 2014).
+Piperno, "Practical graph isomorphism, II", 2014).  The automorphisms it
+keeps generate the whole automorphism group, and the enumeration
+deduplicates by their orbits rather than by a search per candidate
+(McKay, "Isomorph-free exhaustive generation", 1998): a simple graph
+grows by one new edge per orbit of its non-edges and one pendant vertex
+per orbit of its vertices, each child's search gives its canonical state
+and its automorphisms, and of the edge-multiplicity and loop
+decorations of a simple graph only the least of each orbit is kept.
 """
 
 from __future__ import annotations
@@ -345,13 +352,26 @@ def _leaf_key(n: int, adj, loops, colors):
     return (n, loop_t, tuple(edges))
 
 
-def _canon_key(n: int, adj, loops):
-    """Canonical form by individualisation-refinement: the least leaf key.
+def _canon_search(n: int, adj, loops):
+    """Canonical form and automorphism group by individualisation-refinement.
 
-    Two leaves with equal keys differ by an automorphism, which is kept.
-    A child is skipped when kept automorphisms fixing the node's
-    individualised vertices pointwise map a searched sibling onto it: its
-    subtree is that sibling's image and holds the same keys.
+    Returns ``(key, auts, canon_auts)``.  ``key`` is the least leaf key.
+    Two leaves with equal keys differ by an automorphism, which is kept in
+    ``auts`` as the list of each vertex's image; ``canon_auts`` holds the
+    same automorphisms conjugated to canonical labels, so they act on the
+    graph that ``key`` spells out.  A child is skipped when kept
+    automorphisms fixing the node's individualised vertices pointwise map a
+    searched sibling onto it: its subtree is that sibling's image and holds
+    the same keys.
+
+    The kept automorphisms generate all of Aut(G).  An automorphism g sends
+    the least leaf to a leaf with the same key.  If that leaf was searched,
+    it is the least leaf (g = 1) or a later one, which recorded g: a
+    discrete leaf fixes the permutation, and no leaf searched before the
+    least one has its key.  Otherwise the leaf lies in a skipped subtree,
+    which some h in the group the kept automorphisms generate maps from a
+    searched sibling's subtree, and h^-1 g sends the least leaf there.
+    Descending the tree, g is a product of kept automorphisms.
     """
     best = None  # (key, discrete colors) of the least leaf so far
     auts: list = []
@@ -371,18 +391,27 @@ def _canon_key(n: int, adj, loops):
             return
         fresh = max(colors) + 1
         searched: list = []
+        stabiliser: list = []
+        scanned = 0  # auts[:scanned] are sorted into the stabiliser
+        roots = None
         for v in range(n):
             if colors[v] != target:
                 continue
-            stabiliser = [p for p in auts if all(p[x] == x for x in fixed)]
-            roots = _component_roots(range(n), ((u, p[u]) for p in stabiliser for u in range(n)))
-            if any(roots[s] == roots[v] for s in searched):
+            if scanned < len(auts):  # orbits change only with a new automorphism
+                new = [p for p in auts[scanned:] if all(p[x] == x for x in fixed)]
+                scanned = len(auts)
+                if new:
+                    stabiliser += new
+                    roots = _component_roots(range(n), ((u, p[u]) for p in stabiliser for u in range(n)))
+            if roots is not None and any(roots[s] == roots[v] for s in searched):
                 continue
             search(tuple(fresh if u == v else c for u, c in enumerate(colors)), fixed + (v,))
             searched.append(v)
 
     search(tuple([0] * n), ())
-    return best[0]
+    key, label = best
+    order = sorted(range(n), key=label.__getitem__)
+    return key, auts, [[label[p[v]] for v in order] for p in auts]
 
 
 def canonical_form(g: Graph):
@@ -398,25 +427,57 @@ def canonical_form(g: Graph):
             a, b = idx[u], idx[v]
             adj[a][b] += 1
             adj[b][a] += 1
-    return _canon_key(n, adj, tuple(loops))
+    return _canon_search(n, adj, tuple(loops))[0]
 
 
-def _connected_simple_graphs(max_edges: int, max_vertices: int):
-    """Connected loopless simple graphs up to isomorphism, as canonical
-    (n, edge tuple) states, grouped by edge count."""
-    levels: list[set] = [{(1, ())}]
+def _orbit_representatives(points, gens, act) -> Iterator:
+    """The first of each orbit among ``points``, in their order, under the
+    group generated by ``gens``, where ``act(p, x)`` is the image of x
+    under p and every orbit lies in ``points``: each unseen point is
+    yielded and its orbit, a BFS over the generators, marked seen."""
+    seen: set = set()
+    for x in points:
+        if x in seen:
+            continue
+        yield x
+        seen.add(x)
+        queue = [x]
+        for y in queue:  # the queue grows while it is read
+            for p in gens:
+                z = act(p, y)
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+
+
+def _connected_simple_graphs(max_edges: int, max_vertices: int) -> list:
+    """Connected loopless simple graphs up to isomorphism, grouped by edge
+    count: each level maps canonical (n, edge tuple) states to generators
+    of their automorphism groups.
+
+    Every graph with m edges grows from one with m - 1 by a new edge or a
+    new pendant vertex.  Automorphisms of the parent carry a child to an
+    isomorphic child, so a parent grows only by one non-edge per orbit of
+    its non-edges and one pendant per orbit of its vertices; the canonical
+    search of each child names its state and hands out its automorphisms.
+    """
+    levels: list[dict] = [{(1, ()): []}]
     for m in range(1, max_edges + 1):
-        nxt: set = set()
-        for n, edges in levels[m - 1]:
-            grown = [(n, (u, v)) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        nxt: dict = {}
+        for (n, edges), auts in levels[m - 1].items():
+            present = set(edges)
+            absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+            grown = [
+                (n, e) for e in _orbit_representatives(absent, auts, lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))
+            ]
             if n < max_vertices:
-                grown += [(n + 1, (u, n)) for u in range(n)]
+                grown += [(n + 1, (u, n)) for u in _orbit_representatives(range(n), auts, lambda p, u: p[u])]
             for size, new in grown:
                 adj = [[0] * size for _ in range(size)]
                 for u, v in edges + (new,):
                     adj[u][v] = adj[v][u] = 1
-                key = _canon_key(size, adj, (0,) * size)
-                nxt.add((size, tuple((u, v) for u, v, _ in key[2])))
+                key, _, canon_auts = _canon_search(size, adj, (0,) * size)
+                nxt.setdefault((size, tuple((u, v) for u, v, _ in key[2])), canon_auts)
         levels.append(nxt)
     return levels
 
@@ -432,14 +493,23 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
+def _move_decoration(move, decoration):
+    """The image of (mults, loops) under an automorphism given by preimages."""
+    (edge_pre, vertex_pre), (mults, loops) = move, decoration
+    return tuple(mults[i] for i in edge_pre), tuple(loops[v] for v in vertex_pre)
+
+
 def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterator[Graph]:
     """All connected multigraphs with loops, up to isomorphism.
 
     Realised as isomorph-free connected simple graphs decorated with edge
-    multiplicities and per-vertex loop counts.  A decoration is kept when
-    its multigraph's canonical key is new for the simple graph.  An
-    automorphism keeps the edge total and the loop total, and decorations
-    come in lexicographic order within each pair of totals, so each
+    multiplicities and per-vertex loop counts.  Two decorations of one
+    simple graph give isomorphic multigraphs exactly when an automorphism
+    of the simple graph carries one to the other, since an isomorphism of
+    the multigraphs is one of their supports.  Decorations are walked in
+    lexicographic order within each pair of edge and loop totals, which
+    automorphisms keep; each unseen one is yielded and its whole orbit
+    under the simple graph's automorphism generators marked seen, so each
     isomorphism class is represented by its least decoration.
     """
     if max_edges > 8:
@@ -449,20 +519,20 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
     levels = _connected_simple_graphs(max_edges, max_vertices)
     for k in range(0, max_edges + 1):
         for n, edges in sorted(levels[k]):
-            if n > max_vertices:
-                continue
-            seen: set = set()
-            for total in range(k, max_edges + 1):
-                for mults in _compositions(total, k, 1):
-                    adj = [[0] * n for _ in range(n)]
-                    for (u, v), m in zip(edges, mults):
-                        adj[u][v] = adj[v][u] = m
-                    for loop_total in range(0, max_edges - total + 1):
-                        for loops in _compositions(loop_total, n, 0):
-                            key = _canon_key(n, adj, loops)
-                            if key not in seen:
-                                seen.add(key)
-                                yield _build_decorated(n, edges, mults, loops)
+            index = {e: i for i, e in enumerate(edges)}
+            moves = []  # each automorphism as the preimages of the edge and the vertex slots
+            for p in levels[k][(n, edges)]:
+                image = [index[tuple(sorted((p[u], p[v])))] for u, v in edges]
+                moves.append((sorted(range(k), key=image.__getitem__), sorted(range(n), key=p.__getitem__)))
+            decorations = (
+                (mults, loops)
+                for total in range(k, max_edges + 1)
+                for mults in _compositions(total, k, 1)
+                for loop_total in range(0, max_edges - total + 1)
+                for loops in _compositions(loop_total, n, 0)
+            )
+            for mults, loops in _orbit_representatives(decorations, moves, _move_decoration):
+                yield _build_decorated(n, edges, mults, loops)
 
 
 def _build_decorated(n, edge_list, mults, loops) -> Graph:

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -13,6 +13,8 @@ from gogends.graphs import (
     CountingReport,
     Graph,
     GraphError,
+    _canon_search,
+    _connected_simple_graphs,
     canonical_form,
     counting_report,
     enumerate_connected_multigraphs,
@@ -24,6 +26,8 @@ from gogends.graphs import (
     valence_two_segment_bound,
     verify_counting_lemma,
 )
+
+from graph_reference import enumerate_reference
 
 
 def _cycle(n):
@@ -220,6 +224,21 @@ def _labeled_count(n, m):
     return count
 
 
+def _matrices(g):
+    """(n, adjacency multiplicities, loop counts) on vertex indices."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices)
+    adj = [[0] * n for _ in range(n)]
+    loops = [0] * n
+    for _, u, v in g.edges:
+        if u == v:
+            loops[idx[u]] += 1
+        else:
+            adj[idx[u]][idx[v]] += 1
+            adj[idx[v]][idx[u]] += 1
+    return n, adj, tuple(loops)
+
+
 def _automorphism_count(n, adj, loops):
     """|Aut| by testing every one of the n! vertex permutations."""
     return sum(
@@ -236,17 +255,77 @@ def test_enumeration_double_count_oracle():
             for g in enumerate_connected_multigraphs(m, n):
                 if len(g.vertices) != n or len(g.edges) != m:
                     continue
-                idx = {v: i for i, v in enumerate(g.vertices)}
-                adj = [[0] * n for _ in range(n)]
-                loops = [0] * n
-                for _, u, v in g.edges:
-                    if u == v:
-                        loops[idx[u]] += 1
-                    else:
-                        adj[idx[u]][idx[v]] += 1
-                        adj[idx[v]][idx[u]] += 1
-                class_sum += factorial(n) // _automorphism_count(n, adj, loops)
+                class_sum += factorial(n) // _automorphism_count(*_matrices(g))
             assert class_sum == _labeled_count(n, m), (n, m)
+
+
+def _is_automorphism(p, n, adj, loops):
+    return sorted(p) == list(range(n)) and all(
+        loops[p[u]] == loops[u] and all(adj[p[u]][p[v]] == adj[u][v] for v in range(n)) for u in range(n)
+    )
+
+
+def _group_order(n, gens):
+    """Order of the permutation group generated by ``gens``: close the
+    identity under composition with each generator."""
+    group = {tuple(range(n))}
+    queue = list(group)
+    for g in queue:
+        for p in gens:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                queue.append(h)
+    return len(group)
+
+
+def _canonical_matrices(key):
+    n, loops, edges = key
+    adj = [[0] * n for _ in range(n)]
+    for a, b, m in edges:
+        adj[a][b] = adj[b][a] = m
+    return n, adj, loops
+
+
+def _check_search_automorphisms(n, adj, loops, order):
+    key, auts, canon_auts = _canon_search(n, adj, loops)
+    canon = _canonical_matrices(key)
+    assert all(_is_automorphism(p, n, adj, loops) for p in auts)
+    assert all(_is_automorphism(q, *canon) for q in canon_auts)
+    assert _group_order(n, auts) == _group_order(n, canon_auts) == order
+    return key
+
+
+def test_search_automorphisms_generate_the_automorphism_group():
+    rng = random.Random(10)
+    levels = _connected_simple_graphs(15, 6)
+    # connected graphs on at most 6 vertices: 1 + 1 + 2 + 6 + 21 + 112 = 143
+    assert [len(level) for level in levels] == [1, 1, 1, 3, 5, 12, 19, 23, 24, 21, 15, 9, 5, 2, 1, 1]
+    for level in levels:
+        for (n, edges), stored in level.items():
+            adj = [[0] * n for _ in range(n)]
+            for u, v in edges:
+                adj[u][v] = adj[v][u] = 1
+            order = _automorphism_count(n, adj, (0,) * n)
+            assert all(_is_automorphism(q, n, adj, (0,) * n) for q in stored)
+            assert _group_order(n, stored) == order
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = [[adj[perm[u]][perm[v]] for v in range(n)] for u in range(n)]
+            key = _check_search_automorphisms(n, shuffled, (0,) * n, order)
+            assert tuple((u, v) for u, v, _ in key[2]) == edges
+    spokes = tuple((i - 1, 0, i) for i in range(1, 6))
+    looped_star = Graph(tuple(range(6)), spokes + tuple((5 + i, i, i) for i in range(6)))
+    k4 = Graph(tuple(range(4)), tuple((i, u, v) for i, (u, v) in enumerate(combinations(range(4), 2))))
+    for g, order in ((looped_star, 120), (k4, 24)):
+        _check_search_automorphisms(*_matrices(g), order)
+        assert _automorphism_count(*_matrices(g)) == order
+
+
+@pytest.mark.parametrize("max_edges", range(8))
+def test_enumeration_matches_generate_and_dedupe_reference(max_edges):
+    got = list(enumerate_connected_multigraphs(max_edges, max_edges + 1))
+    assert got == list(enumerate_reference(max_edges, max_edges + 1))
 
 
 def test_canonical_form_is_relabel_invariant():
