@@ -22,9 +22,7 @@ from .fplinalg import (
     KERNEL,
     FpMatrix,
     NoSolution,
-    NotASubspace,
     Subspace,
-    quotient_dim,
     rank_profile,
     solve,
 )
@@ -35,9 +33,7 @@ __all__ = [
     "KERNEL",
     "FpMatrix",
     "Subspace",
-    "NotASubspace",
     "NoSolution",
-    "quotient_dim",
     "rank_profile",
     "solve",
     "__version__",

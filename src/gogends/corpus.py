@@ -57,6 +57,3 @@ def load_fixture(name: str) -> GraphOfGroups:
 def witness_bound(name: str) -> int:
     return FIXTURES[name]
 
-
-def corpus() -> dict[str, GraphOfGroups]:
-    return {name: load_fixture(name) for name in FIXTURES}

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fplinalg import FpMatrix, rank
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
-from .gog import presentation, validate
+from .gog import presentation
 from .graphs import _component_roots, maximum_matching
 
 
@@ -223,25 +223,3 @@ def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
         target_dim=mv.target_dim,
         ends_signature=(mv.kernel_dim, mv.h1_dim),
     )
-
-
-@dataclass(frozen=True)
-class PropMoreReport:
-    ok: bool
-    h1_dim: int
-    level: int
-
-    def to_json(self) -> dict:
-        return {"check": "h1_nonvanishing", "ok": self.ok, "h1_dim": self.h1_dim, "level": self.level}
-
-
-def prop_more_check(gog: GraphOfGroups, witness: ProperWitness) -> PropMoreReport:
-    """Nonvanishing of the level-P module of ends for a reduced splitting
-    with at least one edge."""
-    report = validate(gog)
-    if not report.reduced:
-        raise GogError("graph of groups must be reduced")
-    if not gog.graph.edges:
-        raise GogError("need at least one edge")
-    mv = mv_h0_map(gog, witness)
-    return PropMoreReport(ok=mv.h1_dim > 0, h1_dim=mv.h1_dim, level=witness.quotient.order)

@@ -139,9 +139,6 @@ class FiniteGroup:
 
     # -- basic arithmetic ------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
@@ -160,16 +157,6 @@ class FiniteGroup:
                 orders.append(k)
             self._orders = orders
         return self._orders[x]
-
-    def evaluate_word(self, word) -> int:
-        x = 0
-        for gi in word:
-            x = int(self.mult[x, self.generators[gi]])
-        return x
-
-    def center(self) -> tuple[int, ...]:
-        eq = self.mult == self.mult.T
-        return tuple(int(x) for x in np.nonzero(eq.all(axis=1))[0])
 
     def __eq__(self, other) -> bool:
         """Structural equality: same prime, table, and generating set."""
@@ -468,14 +455,6 @@ def hom_from_images(src: FiniteGroup, dst: FiniteGroup, gen_images) -> GroupHom:
 
 def is_injective(hom: GroupHom) -> bool:
     return len(set(hom.image)) == hom.source.order
-
-
-def kernel_elements(hom: GroupHom) -> tuple[int, ...]:
-    return tuple(x for x, y in enumerate(hom.image) if y == 0)
-
-
-def identity_hom(group: FiniteGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(range(group.order)))
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:

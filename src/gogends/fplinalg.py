@@ -19,10 +19,6 @@ KERNEL = "python"
 _PRIMES = frozenset({2, 3, 5, 7, 11, 13})
 
 
-class NotASubspace(ValueError):
-    """Raised when a claimed subspace containment fails."""
-
-
 class NoSolution(ValueError):
     """Raised by ``solve`` when the linear system is inconsistent."""
 
@@ -174,10 +170,6 @@ class Subspace:
     def zero(cls, ambient_dim: int, prime: int) -> "Subspace":
         return cls.from_vectors([], ambient_dim, prime)
 
-    @classmethod
-    def full(cls, ambient_dim: int, prime: int) -> "Subspace":
-        return cls.from_vectors(np.eye(ambient_dim, dtype=np.uint8), ambient_dim, prime)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -196,9 +188,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,11 +243,3 @@ def solve(m: FpMatrix, rhs) -> np.ndarray:
         x[c] = aug[i, -1]
     return x
 
-
-def quotient_dim(space: Subspace, sub: Subspace) -> int:
-    """dim(space) - dim(sub), after verifying sub is inside space."""
-    if space.ambient_dim != sub.ambient_dim or space.prime != sub.prime:
-        raise NotASubspace("ambient mismatch")
-    if not space.contains_subspace(sub):
-        raise NotASubspace("claimed subspace is not contained in the space")
-    return space.dim - sub.dim

@@ -4,13 +4,13 @@ Carries the regular bimodule, norm elements of subgroups, action-closed
 submodules, and the local-ring generator count: F_p[P] is local with the
 augmentation ideal as maximal ideal, so the minimal number of module
 generators equals the dimension of the module modulo the augmentation
-ideal (Nakayama).  A brute-force generating-set search doubles as the
-independent oracle for that count.
+ideal (Nakayama).  The brute-force generating-set search that checks
+that count, and the test modules it runs on, live in
+``tests/module_reference.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,7 @@ class GModule:
     absent.  Matrices act on column vectors.
     """
 
-    __slots__ = ("group", "prime", "dim", "left", "right", "_lcache", "_rcache")
+    __slots__ = ("group", "prime", "dim", "left", "right", "_lcache")
 
     def __init__(self, group: FiniteGroup, dim: int,
                  left: list[FpMatrix] | None = None,
@@ -60,7 +60,6 @@ class GModule:
         self.left = left
         self.right = right
         self._lcache: dict[int, FpMatrix] = {}
-        self._rcache: dict[int, FpMatrix] = {}
 
     def actions(self, side: str) -> list[FpMatrix]:
         acts = self.left if side == "left" else self.right
@@ -76,38 +75,6 @@ class GModule:
                 m = m.matmul(acts[gi])
             self._lcache[x] = m
         return self._lcache[x]
-
-    def right_action_of(self, x: int) -> FpMatrix:
-        if x not in self._rcache:
-            acts = self.actions("right")
-            m = FpMatrix.identity(self.dim, self.prime)
-            for gi in self.group.words[x]:
-                m = acts[gi].matmul(m)
-            self._rcache[x] = m
-        return self._rcache[x]
-
-    def check_action_consistency(self):
-        """Verify the generator matrices respect the whole multiplication
-        table, and that two-sided actions commute.  Intended for tests."""
-        G = self.group
-        for side in SIDES:
-            if (self.left if side == "left" else self.right) is None:
-                continue
-            of = self.left_action_of if side == "left" else self.right_action_of
-            for gi, g in enumerate(G.generators):
-                for x in G.elements():
-                    gx = int(G.mult[g, x])
-                    if side == "left":
-                        got = self.actions("left")[gi].matmul(of(x))
-                    else:
-                        got = of(x).matmul(self.actions("right")[gi])
-                    if got != of(gx):
-                        raise ModuleError(f"{side} action violates the table at ({g},{x})")
-        if self.left is not None and self.right is not None:
-            for a in self.left:
-                for b in self.right:
-                    if a.matmul(b) != b.matmul(a):
-                        raise ModuleError("left and right actions do not commute")
 
 
 @dataclass(frozen=True)
@@ -134,31 +101,6 @@ def regular_bimodule(P: FiniteGroup) -> GModule:
         left.append(FpMatrix(lm, p))
         right.append(FpMatrix(rm, p))
     return GModule(P, n, left=left, right=right)
-
-
-def trivial_module(P: FiniteGroup, dim: int = 1) -> GModule:
-    eye = [FpMatrix.identity(dim, P.prime) for _ in P.generators]
-    return GModule(P, dim, left=list(eye), right=list(eye))
-
-
-def direct_sum(a: GModule, b: GModule) -> GModule:
-    if a.group != b.group:
-        raise ModuleError("summands must share the group")
-
-    def block(side):
-        xs = a.left if side == "left" else a.right
-        ys = b.left if side == "left" else b.right
-        if xs is None or ys is None:
-            return None
-        out = []
-        for x, y in zip(xs, ys):
-            m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=np.uint8)
-            m[: a.dim, : a.dim] = x.data
-            m[a.dim :, a.dim :] = y.data
-            out.append(FpMatrix(m, a.prime))
-        return out
-
-    return GModule(a.group, a.dim + b.dim, left=block("left"), right=block("right"))
 
 
 def norm_element(K: Subgroup, P: FiniteGroup) -> NormVector:
@@ -214,29 +156,6 @@ def augmentation_submodule(module: GModule, side: str = "right") -> Subspace:
 def min_generators(module: GModule, side: str = "right") -> int:
     """Nakayama count: dim of the module modulo the augmentation ideal."""
     return module.dim - augmentation_submodule(module, side).dim
-
-
-def min_generators_bruteforce(module: GModule, side: str = "right", max_size: int = 4) -> int:
-    """Smallest generating-set size found by exhaustive search (oracle)."""
-    total = module.prime**module.dim
-    if total > 4096:
-        raise ModuleError("module too large for brute force")
-    if module.dim == 0:
-        return 0
-    vectors = []
-    for code in range(1, total):
-        v = np.zeros(module.dim, dtype=np.uint8)
-        c = code
-        for i in range(module.dim):
-            v[i] = c % module.prime
-            c //= module.prime
-        vectors.append(v)
-    for k in range(1, max_size + 1):
-        for combo in itertools.combinations(range(len(vectors)), k):
-            seeds = [vectors[i] for i in combo]
-            if submodule_generated(module, side, seeds).dim == module.dim:
-                return k
-    raise ModuleError(f"no generating set of size <= {max_size} found")
 
 
 def quotient_module(module: GModule, side: str, image: Subspace) -> tuple[GModule, "QuotientMap"]:

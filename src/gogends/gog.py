@@ -1,10 +1,11 @@
 """Graphs of finite p-groups.
 
-Covers structural validation (reduced/connected), collapsing of
-isomorphism edges, the fundamental-group presentation over a BFS
-spanning tree, the mod-p first Betti number b1 = dim Hom(G, F_p), and
-the search for a finite p-group quotient in which every vertex group
-injects (the finite-level properness certificate).
+Covers structural validation (connected, injective edge maps), the
+reducedness test and the collapse of isomorphism edges, the
+fundamental-group presentation over a BFS spanning tree, the mod-p first
+Betti number b1 = dim Hom(G, F_p), and the search for a finite p-group
+quotient in which every vertex group injects (the finite-level
+properness certificate).
 
 b1 is computed from the abelianised relator matrix mod p.  Vertex-group
 relators are the generator rows of the multiplication table,
@@ -84,21 +85,13 @@ class GraphOfGroups:
         raise GogError(f"no edge {eid!r}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    reduced: bool
-
-
-def validate(gog: GraphOfGroups) -> ValidationReport:
-    """Reduced means no non-loop edge map is bijective."""
-    reduced = True
+def _iso_edge(gog: GraphOfGroups):
+    """The first non-loop edge whose map to an endpoint is bijective, or
+    None: a graph of groups is reduced when it has none."""
     for eid, u, v in gog.graph.edges:
-        if u == v:
-            continue
-        ge = gog.edge_groups[eid]
-        if ge.order == gog.vertex_groups[u].order or ge.order == gog.vertex_groups[v].order:
-            reduced = False
-    return ValidationReport(reduced=reduced)
+        if u != v and gog.edge_groups[eid].order in (gog.vertex_groups[u].order, gog.vertex_groups[v].order):
+            return eid
+    return None
 
 
 def _inverse_hom(hom: GroupHom) -> GroupHom:
@@ -151,16 +144,9 @@ def collapse_iso_edge(gog: GraphOfGroups, eid) -> GraphOfGroups:
 
 def reduce_gog(gog: GraphOfGroups) -> GraphOfGroups:
     """Collapse isomorphism edges until the graph of groups is reduced."""
-    while True:
-        for eid, u, v in gog.graph.edges:
-            if u == v:
-                continue
-            ge = gog.edge_groups[eid]
-            if ge.order in (gog.vertex_groups[u].order, gog.vertex_groups[v].order):
-                gog = collapse_iso_edge(gog, eid)
-                break
-        else:
-            return gog
+    while (eid := _iso_edge(gog)) is not None:
+        gog = collapse_iso_edge(gog, eid)
+    return gog
 
 
 def _bfs_tree(graph: Graph):
@@ -275,12 +261,6 @@ def b1(gog: GraphOfGroups) -> int:
             rows[ri, index[sym]] += exp
     mat = FpMatrix(rows % gog.prime, gog.prime)
     return len(pres.symbols) - rank(mat)
-
-
-def leaf_bound(gog: GraphOfGroups) -> int:
-    """#leaves + 1 - Euler characteristic; a lower bound for b1."""
-    stats = graph_stats(gog.graph)
-    return stats.leaves + 1 - stats.euler_char
 
 
 @dataclass

@@ -8,8 +8,7 @@ is vacuous for a single loop) while conflicting with every other edge at
 its vertex.  Maximum matchings run Edmonds' blossom algorithm (Edmonds,
 "Paths, trees, and flowers", 1965) on integer vertex indices after
 rewriting each loop as a pendant edge to a fresh vertex, a
-transformation that preserves the conflict structure exactly; an
-exhaustive search, ``matching_bruteforce``, is the independent oracle.
+transformation that preserves the conflict structure exactly.
 
 Isomorph-free enumeration rests on one canonical labelling: an
 individualisation-refinement search whose key is the least leaf.  Leaves
@@ -185,31 +184,6 @@ def _augment(root: int, nbrs: list, mate: list) -> None:
                 return
 
 
-def matching_bruteforce(g: Graph) -> tuple:
-    """Exhaustive maximum conflict-free edge set; oracle for the blossom
-    route.  Limited to 20 edges."""
-    if len(g.edges) > 20:
-        raise GraphError("too large for brute force")
-    edges = list(g.edges)
-    best: list = []
-
-    def rec(i: int, used: set, chosen: list):
-        nonlocal best
-        if len(chosen) + (len(edges) - i) <= len(best):
-            return
-        if i == len(edges):
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        e, u, v = edges[i]
-        if u not in used and v not in used:
-            rec(i + 1, used | {u, v}, chosen + [e])
-        rec(i + 1, used, chosen)
-
-    rec(0, set(), [])
-    return tuple(sorted(best, key=str))
-
-
 @dataclass(frozen=True)
 class CountingReport:
     edge_count: int
@@ -236,11 +210,11 @@ class CountingReport:
         }
 
 
-def counting_report(g: Graph) -> CountingReport:
-    """Edge-count bound evaluation.  ``exceptional`` marks the families
-    where the bound's segment decomposition degenerates: disconnected,
-    edgeless, or every vertex of valence exactly 2."""
-    stats = graph_stats(g)
+def counting_report(g: Graph, stats: GraphStats) -> CountingReport:
+    """Edge-count bound evaluation, given ``graph_stats(g)``.
+    ``exceptional`` marks the families where the bound's segment
+    decomposition degenerates: disconnected, edgeless, or every vertex of
+    valence exactly 2."""
     m = len(maximum_matching(g))
     t = stats.leaves - stats.euler_char
     bound = 2 * m + 9 * t
@@ -262,26 +236,25 @@ def counting_report(g: Graph) -> CountingReport:
     )
 
 
-def valence_two_segment_bound(g: Graph) -> int:
+def valence_two_segment_bound(g: Graph, valences: dict) -> int:
     """Sum of floor(|ES_i| / 2) over components S_i of the subgraph
     spanned by valence-2 vertices (a lower bound for M(X) on the
-    non-exceptional family)."""
-    stats = graph_stats(g)
-    two = {v for v in g.vertices if stats.valences[v] == 2}
+    non-exceptional family); ``valences`` as in ``graph_stats(g)``."""
+    two = {v for v in g.vertices if valences[v] == 2}
     inner = [(u, v) for _, u, v in g.edges if u in two and v in two]
     roots = _component_roots(two, inner)
     comp_edges = Counter(roots[u] for u, _ in inner)
     return sum(k // 2 for k in comp_edges.values())
 
 
-def suppressed_graph(g: Graph) -> Graph:
-    """Smooth every maximal valence-2 chain into a single edge.
+def suppressed_graph(g: Graph, valences: dict) -> Graph:
+    """Smooth every maximal valence-2 chain into a single edge;
+    ``valences`` as in ``graph_stats(g)``.
 
     Requires at least one vertex of valence != 2; loops arising from
     chains that return to their start are retained.
     """
-    stats = graph_stats(g)
-    keep = [v for v in g.vertices if stats.valences[v] != 2]
+    keep = [v for v in g.vertices if valences[v] != 2]
     if not keep:
         raise GraphError("all valences are 2; suppression undefined")
     slots: dict = {v: [] for v in g.vertices}
@@ -414,22 +387,6 @@ def _canon_search(n: int, adj, loops):
     return key, auts, [[label[p[v]] for v in order] for p in auts]
 
 
-def canonical_form(g: Graph):
-    """Hashable canonical key; equal exactly for isomorphic multigraphs."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    adj = [[0] * n for _ in range(n)]
-    loops = [0] * n
-    for _, u, v in g.edges:
-        if u == v:
-            loops[idx[u]] += 1
-        else:
-            a, b = idx[u], idx[v]
-            adj[a][b] += 1
-            adj[b][a] += 1
-    return _canon_search(n, adj, tuple(loops))[0]
-
-
 def _orbit_representatives(points, gens, act) -> Iterator:
     """The first of each orbit among ``points``, in their order, under the
     group generated by ``gens``, where ``act(p, x)`` is the image of x
@@ -524,12 +481,13 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
             for p in levels[k][(n, edges)]:
                 image = [index[tuple(sorted((p[u], p[v])))] for u, v in edges]
                 moves.append((sorted(range(k), key=image.__getitem__), sorted(range(n), key=p.__getitem__)))
+            loop_counts = [tuple(_compositions(loop_total, n, 0)) for loop_total in range(max_edges - k + 1)]
             decorations = (
                 (mults, loops)
                 for total in range(k, max_edges + 1)
                 for mults in _compositions(total, k, 1)
                 for loop_total in range(0, max_edges - total + 1)
-                for loops in _compositions(loop_total, n, 0)
+                for loops in loop_counts[loop_total]
             )
             for mults, loops in _orbit_representatives(decorations, moves, _move_decoration):
                 yield _build_decorated(n, edges, mults, loops)
@@ -591,7 +549,8 @@ def verify_counting_lemma(max_edges: int, max_vertices: int | None = None) -> Co
         max_vertices = max_edges + 1
     out = CountingVerification()
     for g in enumerate_connected_multigraphs(max_edges, max_vertices):
-        rep = counting_report(g)
+        stats = graph_stats(g)
+        rep = counting_report(g, stats)
         out.total += 1
         if not rep.holds:
             if rep.exceptional:
@@ -599,9 +558,9 @@ def verify_counting_lemma(max_edges: int, max_vertices: int | None = None) -> Co
             else:
                 out.violations.append(rep)
         if not rep.exceptional and g.edges:
-            if rep.matching_size < valence_two_segment_bound(g):
+            if rep.matching_size < valence_two_segment_bound(g, stats.valences):
                 out.intermediate_failures.append(rep)
-            y = suppressed_graph(g)
+            y = suppressed_graph(g, stats.valences)
             ys = graph_stats(y)
             t_y = ys.leaves - ys.euler_char
             if len(y.edges) > 3 * t_y:

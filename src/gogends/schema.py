@@ -1,4 +1,4 @@
-"""The graph-of-groups JSON document: its one reader and its writer.
+"""The graph-of-groups JSON document and its one reader.
 
 A document has ``prime`` (the int 2 or 3), ``vertices`` (``id``,
 ``group``) and ``edges`` (``id``, ``from``, ``to``, ``group``, ``inj0``,
@@ -140,29 +140,3 @@ def gog_from_json(data) -> GraphOfGroups:
     except (graphs.GraphError, GogError) as exc:
         raise InputError(str(exc)) from exc
 
-
-def gog_to_json(g: GraphOfGroups) -> dict:
-    def spec_of(grp):
-        if grp.spec is not None:
-            return grp.spec
-        return {
-            "name": grp.name,
-            "table": [list(map(int, row)) for row in grp.mult],
-            "generators": list(grp.generators),
-        }
-
-    return {
-        "prime": g.prime,
-        "vertices": [{"id": v, "group": spec_of(g.vertex_groups[v])} for v in g.graph.vertices],
-        "edges": [
-            {
-                "id": e,
-                "from": u,
-                "to": v,
-                "group": spec_of(g.edge_groups[e]),
-                "inj0": [g.inj0[e].image[x] for x in g.edge_groups[e].generators],
-                "inj1": [g.inj1[e].image[x] for x in g.edge_groups[e].generators],
-            }
-            for e, u, v in g.graph.edges
-        ],
-    }

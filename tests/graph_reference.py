@@ -1,4 +1,10 @@
-"""Generate-and-dedupe enumeration: the reference for ``graphs``.
+"""Generate-and-dedupe enumeration and exhaustive matching: the
+references for ``graphs``.
+
+``canonical_form`` is the canonical key of a ``Graph``, equal exactly for
+isomorphic multigraphs.  ``matching_bruteforce`` tries every edge subset
+for a maximum conflict-free set, the oracle for the blossom route of
+``graphs.maximum_matching``.
 
 ``connected_simple_graphs_reference`` grows every connected simple graph
 by every non-edge and every pendant vertex and keeps the canonical state
@@ -11,7 +17,47 @@ whole decoration orbits seen; tests compare it against this.  It has no
 edge cap, so it can also count the 9-edge graphs.
 """
 
-from gogends.graphs import _build_decorated, _canon_search, _compositions
+from gogends.graphs import GraphError, _build_decorated, _canon_search, _compositions
+
+
+def canonical_form(g):
+    """Hashable canonical key; equal exactly for isomorphic multigraphs."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices)
+    adj = [[0] * n for _ in range(n)]
+    loops = [0] * n
+    for _, u, v in g.edges:
+        if u == v:
+            loops[idx[u]] += 1
+        else:
+            a, b = idx[u], idx[v]
+            adj[a][b] += 1
+            adj[b][a] += 1
+    return _key(n, adj, tuple(loops))
+
+
+def matching_bruteforce(g):
+    """Exhaustive maximum conflict-free edge set.  Limited to 20 edges."""
+    if len(g.edges) > 20:
+        raise GraphError("too large for brute force")
+    edges = list(g.edges)
+    best: list = []
+
+    def rec(i: int, used: set, chosen: list):
+        nonlocal best
+        if len(chosen) + (len(edges) - i) <= len(best):
+            return
+        if i == len(edges):
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        e, u, v = edges[i]
+        if u not in used and v not in used:
+            rec(i + 1, used | {u, v}, chosen + [e])
+        rec(i + 1, used, chosen)
+
+    rec(0, set(), [])
+    return tuple(sorted(best, key=str))
 
 
 def _key(n, adj, loops):

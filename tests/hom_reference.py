@@ -12,7 +12,7 @@ maps and stable letters on every catalog quotient.
 ``gog.injective_homs`` and ``gog.proper_quotient_search`` prune as they
 go; tests compare them against these.  ``associative`` is the one-array
 check of every triple that ``fpcore.direct_product`` skips at
-construction.
+construction, and ``identity_hom`` builds the identity map of a group.
 """
 
 import itertools
@@ -110,3 +110,7 @@ def associative(group) -> bool:
     """(a*b)*c == a*(b*c) over every triple, as one n^3 comparison."""
     table = group.mult
     return bool(np.array_equal(table[table], table[:, table]))
+
+
+def identity_hom(group):
+    return GroupHom(group, group, tuple(range(group.order)))

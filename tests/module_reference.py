@@ -1,0 +1,146 @@
+"""Test modules and brute-force module checks: the references for
+``gmodules`` and ``cohomology``.
+
+``trivial_module`` and ``direct_sum`` build test inputs beyond the
+regular bimodule.  ``min_generators_bruteforce`` tries every generating
+set of each size, the oracle for the Nakayama count
+``gmodules.min_generators`` on the small modules of
+``nakayama_modules``.  ``right_action_of`` multiplies out the right
+action of an element, and ``check_action_consistency`` checks the
+generator matrices of both sides against the whole multiplication table.
+``d1_full`` is the coboundary map d1 over all pairs (g, h), whose
+nullspace is the Z^1 that ``CochainComplexSlice.cocycles`` solves over
+the generator values.
+"""
+
+import itertools
+
+import numpy as np
+
+from gogends.fpcore import cyclic, dihedral8, elementary_abelian, subgroup_generated
+from gogends.fplinalg import FpMatrix
+from gogends.gmodules import (
+    SIDES,
+    GModule,
+    ModuleError,
+    norm_element,
+    quotient_module,
+    regular_bimodule,
+    submodule_generated,
+)
+
+
+def trivial_module(P, dim=1):
+    eye = [FpMatrix.identity(dim, P.prime) for _ in P.generators]
+    return GModule(P, dim, left=list(eye), right=list(eye))
+
+
+def direct_sum(a, b):
+    if a.group != b.group:
+        raise ModuleError("summands must share the group")
+
+    def block(xs, ys):
+        if xs is None or ys is None:
+            return None
+        out = []
+        for x, y in zip(xs, ys):
+            m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=np.uint8)
+            m[: a.dim, : a.dim] = x.data
+            m[a.dim :, a.dim :] = y.data
+            out.append(FpMatrix(m, a.prime))
+        return out
+
+    return GModule(a.group, a.dim + b.dim, left=block(a.left, b.left), right=block(a.right, b.right))
+
+
+def min_generators_bruteforce(module, side="right", max_size=4):
+    """Smallest generating-set size found by exhaustive search."""
+    total = module.prime**module.dim
+    if total > 4096:
+        raise ModuleError("module too large for brute force")
+    if module.dim == 0:
+        return 0
+    vectors = []
+    for code in range(1, total):
+        v = np.zeros(module.dim, dtype=np.uint8)
+        c = code
+        for i in range(module.dim):
+            v[i] = c % module.prime
+            c //= module.prime
+        vectors.append(v)
+    for k in range(1, max_size + 1):
+        for combo in itertools.combinations(range(len(vectors)), k):
+            seeds = [vectors[i] for i in combo]
+            if submodule_generated(module, side, seeds).dim == module.dim:
+                return k
+    raise ModuleError(f"no generating set of size <= {max_size} found")
+
+
+def nakayama_modules():
+    """Right modules of dimension <= 6 over groups of order <= 8."""
+    c2, c4, c3 = cyclic(2, 1), cyclic(2, 2), cyclic(3, 1)
+    r2, r3, reg4 = regular_bimodule(c2), regular_bimodule(c3), regular_bimodule(c4)
+    # F_2[C4] modulo its norm ideal: cyclic of dimension 3
+    norm_span = submodule_generated(reg4, "right", [norm_element(subgroup_generated(c4, [1]), c4).vector])
+    return [
+        r2,
+        direct_sum(r2, r2),
+        direct_sum(direct_sum(r2, r2), r2),
+        reg4,
+        regular_bimodule(elementary_abelian(2, 2)),
+        r3,
+        direct_sum(r3, r3),
+        trivial_module(c2, 1),
+        trivial_module(dihedral8(), 2),
+        direct_sum(r2, trivial_module(c2, 1)),
+        quotient_module(reg4, "right", norm_span)[0],
+    ]
+
+
+def right_action_of(module, x):
+    """R(x) = R(s_k) ... R(s_1) for the normal form word s_1 ... s_k of x."""
+    acts = module.actions("right")
+    m = FpMatrix.identity(module.dim, module.prime)
+    for gi in module.group.words[x]:
+        m = acts[gi].matmul(m)
+    return m
+
+
+def check_action_consistency(module):
+    """Verify the generator matrices respect the whole multiplication
+    table, and that two-sided actions commute."""
+    G = module.group
+    for side in SIDES:
+        if (module.left if side == "left" else module.right) is None:
+            continue
+        for gi, g in enumerate(G.generators):
+            for x in G.elements():
+                gx = int(G.mult[g, x])
+                if side == "left":
+                    got, want = module.left[gi].matmul(module.left_action_of(x)), module.left_action_of(gx)
+                else:
+                    got, want = right_action_of(module, x).matmul(module.right[gi]), right_action_of(module, gx)
+                if got != want:
+                    raise ModuleError(f"{side} action violates the table at ({g},{x})")
+    if module.left is not None and module.right is not None:
+        for a in module.left:
+            for b in module.right:
+                if a.matmul(b) != b.matmul(a):
+                    raise ModuleError("left and right actions do not commute")
+
+
+def d1_full(slice_):
+    """d1 over all pairs (g, h) of a ``CochainComplexSlice``."""
+    K, M, hom = slice_.group, slice_.module, slice_.hom
+    n, d, p = K.order, M.dim, M.prime
+    eye = np.eye(d, dtype=np.int64)
+    out = np.zeros((n * n * d, n * d), dtype=np.int64)
+    for g in K.elements():
+        a_g = M.left_action_of(g if hom is None else hom.image[g]).data.astype(np.int64)
+        for h in K.elements():
+            r = (g * n + h) * d
+            gh = int(K.mult[g, h])
+            out[r : r + d, h * d : (h + 1) * d] += a_g
+            out[r : r + d, gh * d : (gh + 1) * d] -= eye
+            out[r : r + d, g * d : (g + 1) * d] += eye
+    return FpMatrix(out % p, p)

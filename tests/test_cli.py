@@ -12,7 +12,9 @@ from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bo
 from gogends.fpcore import cyclic, direct_product, group_from_table
 from gogends.gog import GraphOfGroups
 from gogends.graphs import Graph
-from gogends.schema import InputError, gog_from_json, gog_to_json
+from gogends.schema import InputError, gog_from_json
+
+from schema_reference import gog_to_json
 
 
 MINIMAL = {

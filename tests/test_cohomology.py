@@ -26,8 +26,10 @@ from gogends.fpcore import (
     subgroup_generated,
     trivial,
 )
-from gogends.fplinalg import Subspace, rank, rank_profile
-from gogends.gmodules import GModule, regular_bimodule, trivial_module
+from gogends.fplinalg import rank_profile
+from gogends.gmodules import regular_bimodule
+
+from module_reference import d1_full, trivial_module
 
 
 def test_h0_trivial_group_full_module():
@@ -35,44 +37,43 @@ def test_h0_trivial_group_full_module():
     t = trivial(2)
     hom = hom_from_images(t, cyclic(2, 2), [])
     # need K's action through a hom into the module's group
-    res = h0(t, m, hom)
-    assert res.dimension == 4
+    assert h0(t, m, hom).dim == 4
 
 
 def test_h0_c2_regular():
     c2 = cyclic(2, 1)
-    res = h0(c2, regular_bimodule(c2))
-    assert res.dimension == 1
-    assert np.array_equal(res.representatives.data, [[1, 1]])
+    fixed = h0(c2, regular_bimodule(c2))
+    assert fixed.dim == 1
+    assert np.array_equal(fixed.basis.data, [[1, 1]])
 
 
 def test_h0_subgroup_of_c4():
     c4 = cyclic(2, 2)
     sub = subgroup_generated(c4, [2])
     grp, incl = subgroup_as_group(sub)
-    res = h0(grp, regular_bimodule(c4), incl)
-    assert res.dimension == 2
+    fixed = h0(grp, regular_bimodule(c4), incl)
+    assert fixed.dim == 2
     # fixed space is spanned by 1+g^2 and g+g^3
     expected = {(1, 0, 1, 0), (0, 1, 0, 1)}
-    assert {tuple(row) for row in res.representatives.data} == expected
+    assert {tuple(row) for row in fixed.basis.data} == expected
 
 
 def test_h1_trivial_group():
     t = trivial(2)
-    assert h1(t, regular_bimodule(t)).dimension == 0
+    assert h1(t, regular_bimodule(t)) == 0
     c4 = cyclic(2, 2)
     hom = hom_from_images(t, c4, [])
-    assert h1(t, regular_bimodule(c4), hom).dimension == 0
+    assert h1(t, regular_bimodule(c4), hom) == 0
 
 
 def test_h1_c2_regular_vanishes():
     c2 = cyclic(2, 1)
-    assert h1(c2, regular_bimodule(c2)).dimension == 0
+    assert h1(c2, regular_bimodule(c2)) == 0
 
 
 def test_h1_c2_trivial_coefficients():
     c2 = cyclic(2, 1)
-    assert h1(c2, trivial_module(c2)).dimension == 1
+    assert h1(c2, trivial_module(c2)) == 1
 
 
 def test_action_mismatch_raises():
@@ -88,9 +89,9 @@ def test_d1_after_d0_is_zero():
         (cyclic(2, 1), trivial_module(cyclic(2, 1), 2)),
     ):
         slc = CochainComplexSlice(grp, module, None)
-        assert not slc.d1_full().matmul(slc.d0).data.any()
-        coboundaries = Subspace.from_vectors(slc.d0.transpose().data, slc.d0.rows, module.prime)
-        assert slc.cocycles().contains_subspace(coboundaries)
+        assert not d1_full(slc).matmul(slc.d0).data.any()
+        cocycles = slc.cocycles()
+        assert all(cocycles.contains(column) for column in slc.d0.transpose().data)
 
 
 def test_restricted_d1_kernel_equals_full_kernel():
@@ -100,7 +101,7 @@ def test_restricted_d1_kernel_equals_full_kernel():
         (cyclic(3, 1), regular_bimodule(cyclic(3, 1))),
     ):
         slc = CochainComplexSlice(grp, module, None)
-        assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace
+        assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace
 
 
 def test_generator_value_cocycles_match_full_d1_over_catalog():
@@ -110,7 +111,7 @@ def test_generator_value_cocycles_match_full_d1_over_catalog():
                 for K in all_subgroups(G):
                     grp, incl = subgroup_as_group(K)
                     slc = CochainComplexSlice(grp, module, incl)
-                    assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace, (G.name, K.elements)
+                    assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace, (G.name, K.elements)
 
 
 def test_generator_value_cocycles_with_identity_or_repeated_generator():
@@ -124,7 +125,7 @@ def test_generator_value_cocycles_with_identity_or_repeated_generator():
             (trivial_module(grp, 2), trivial_module(base, 2)),
         ):
             slc = CochainComplexSlice(grp, module, None)
-            assert slc.cocycles() == rank_profile(slc.d1_full()).nullspace
+            assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace
             assert slc.cocycles() == CochainComplexSlice(base, plain, None).cocycles()
 
 
@@ -140,7 +141,7 @@ def _h1_dim_bruteforce(K, module, hom=None):
     def is_cocycle(f):
         for g in K.elements():
             for h_ in K.elements():
-                gh = K.mul(g, h_)
+                gh = K.mult[g, h_]
                 val = (act[g] @ f[h_] - f[gh] + f[g]) % p
                 if val.any():
                     return False
@@ -177,18 +178,7 @@ def test_h1_matches_bruteforce_enumeration():
     cases.append((grp, regular_bimodule(c4), incl))  # 8 coordinates
     for K, module, hom in cases:
         assert K.order * module.dim <= 16
-        assert h1(K, module, hom).dimension == _h1_dim_bruteforce(K, module, hom)
-
-
-def test_h1_representatives_are_independent_cocycles():
-    c2 = cyclic(2, 1)
-    module = trivial_module(c2, 2)
-    res = h1(c2, module)
-    slc = CochainComplexSlice(c2, module, None)
-    for row in res.representatives.data:
-        assert not slc.d1_full().mul_vec(row).any()
-    assert res.dimension == res.representatives.rows
-    assert rank(res.representatives) == res.dimension
+        assert h1(K, module, hom) == _h1_dim_bruteforce(K, module, hom)
 
 
 def test_h0_monotone_under_subgroup_growth():
@@ -198,7 +188,7 @@ def test_h0_monotone_under_subgroup_growth():
         dims = {}
         for K in subs:
             grp, incl = subgroup_as_group(K)
-            dims[K.elements] = h0(grp, reg, incl).dimension
+            dims[K.elements] = h0(grp, reg, incl).dim
         for K in subs:
             for L in subs:
                 if set(K.elements) <= set(L.elements):

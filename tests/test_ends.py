@@ -9,14 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gogends import ends, gog as gogmod
-from gogends.corpus import corpus, fixture_names, load_fixture, witness_bound
+from gogends.corpus import fixture_names, load_fixture, witness_bound
 from gogends.ends import (
     OracleMismatch,
     WellDefinednessViolation,
     ends_level,
     h1_via_fox,
     mv_h0_map,
-    prop_more_check,
 )
 from gogends.fpcore import (
     catalog_groups,
@@ -25,7 +24,6 @@ from gogends.fpcore import (
     direct_product,
     elementary_abelian,
     hom_from_images,
-    identity_hom,
     trivial,
 )
 from gogends.fplinalg import rank
@@ -33,17 +31,17 @@ from gogends.gog import (
     GogError,
     GraphOfGroups,
     NotFoundWithinBound,
+    _iso_edge,
     ProperWitness,
     collapse_iso_edge,
     free_kernel_rank,
     injective_homs,
     presentation,
     proper_quotient_search,
-    validate,
 )
 from gogends.graphs import Graph
 
-from hom_reference import witness_search_reference
+from hom_reference import identity_hom, witness_search_reference
 from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
 
 
@@ -168,18 +166,22 @@ def test_known_family_free_ranks():
 
 
 def test_corpus_oracle_equivalence_and_kernel():
-    for name, g in corpus().items():
+    for name in fixture_names():
+        g = load_fixture(name)
         w = proper_quotient_search(g, witness_bound(name))
         assert w.is_surjective(g), name
         rep = ends_level(g, w)  # raises OracleMismatch on disagreement
         assert rep.h1_dim == rep.fox_h1_dim
+        # every fixture is reduced and has an edge, so the module of ends is nonzero
+        assert _iso_edge(g) is None and g.graph.edges and rep.h1_dim > 0, name
         assert rep.kernel_dim == 1, name
         assert rep.gen_count <= rep.h1_dim
         assert rep.gen_count <= rep.edge_count
 
 
 def test_corpus_second_level_where_available():
-    for name, g in corpus().items():
+    for name in fixture_names():
+        g = load_fixture(name)
         base = proper_quotient_search(g, witness_bound(name)).quotient.order
         target = base * g.prime
         if target > 64:
@@ -191,22 +193,6 @@ def test_corpus_second_level_where_available():
         if w.quotient.order == base:
             continue  # witness shrank back to the minimal level
         ends_level(g, w)  # oracle equality asserted inside
-
-
-def test_prop_more_on_corpus():
-    for name, g in corpus().items():
-        w = proper_quotient_search(g, witness_bound(name))
-        rep = prop_more_check(g, w)
-        assert rep.ok and rep.h1_dim > 0, name
-
-
-def test_prop_more_rejects_non_reduced():
-    c2 = cyclic(2, 1)
-    h = identity_hom(c2)
-    g = mk(("u", "w"), (("e", "u", "w"),), {"u": c2, "w": c2}, {"e": c2}, {"e": h}, {"e": h})
-    w = ProperWitness(c2, {"u": h, "w": h}, {"e": 0})
-    with pytest.raises(GogError):
-        prop_more_check(g, w)
 
 
 def test_collapse_invariance_at_common_witness():
@@ -231,7 +217,7 @@ def test_collapse_invariance_at_common_witness():
     assert mv_full.h1_dim == mv_small.h1_dim
     assert mv_full.gen_count == mv_small.gen_count
     # the iso edge gives W a unit row, so gen_count is |E| - 1, not |E|
-    assert not validate(g).reduced
+    assert _iso_edge(g) == "e"
     assert mv_full.gen_count == gen_count_closed_form(g) == len(g.graph.edges) - 1
 
 

@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from gogends.fplinalg import (
     FpMatrix,
     NoSolution,
-    NotASubspace,
-    Subspace,
-    quotient_dim,
     rank_profile,
     rref,
     solve,
@@ -65,22 +62,6 @@ def test_solve_underdetermined_verified_by_substitution():
 def test_solve_inconsistent():
     with pytest.raises(NoSolution):
         solve(FpMatrix.zeros(2, 2, 2), [1, 0])
-
-
-def test_quotient_dim_examples():
-    full = Subspace.full(4, 2)
-    zero = Subspace.zero(4, 2)
-    assert quotient_dim(full, zero) == 4
-    assert quotient_dim(full, full) == 0
-    sub = Subspace.from_vectors([[1, 1, 0]], 3, 2)
-    assert quotient_dim(Subspace.full(3, 2), sub) == 2
-
-
-def test_quotient_dim_rejects_non_subspace():
-    a = Subspace.from_vectors([[1, 0, 0]], 3, 2)
-    b = Subspace.from_vectors([[0, 1, 0]], 3, 2)
-    with pytest.raises(NotASubspace):
-        quotient_dim(a, b)
 
 
 def _bruteforce_rank(rows, p):

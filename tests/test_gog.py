@@ -1,11 +1,11 @@
-"""Graph-of-groups structure: validation, collapse, presentation, b1,
+"""Graph-of-groups structure: reducedness, collapse, presentation, b1,
 witness search, free kernel rank."""
 
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hom_reference import injective_homs_reference
+from hom_reference import identity_hom, injective_homs_reference
 
 from gogends import corpus
 from gogends import gog as gogmod
@@ -15,7 +15,6 @@ from gogends.fpcore import (
     dihedral8,
     group_from_table,
     hom_from_images,
-    identity_hom,
     is_injective,
     quaternion8,
     trivial,
@@ -23,6 +22,7 @@ from gogends.fpcore import (
 from gogends.gog import (
     GogError,
     GraphOfGroups,
+    _iso_edge,
     NonIntegral,
     NotFoundWithinBound,
     ProperWitness,
@@ -30,11 +30,9 @@ from gogends.gog import (
     collapse_iso_edge,
     free_kernel_rank,
     injective_homs,
-    leaf_bound,
     presentation,
     proper_quotient_search,
     reduce_gog,
-    validate,
 )
 from gogends.graphs import Graph
 
@@ -84,19 +82,18 @@ def c4_amalgam():
 def test_validate_loop_is_exempt():
     t = trivial(2)
     g = mk(("v",), (("e", "v", "v"),), {"v": t}, {"e": t}, {"e": triv_hom(t)}, {"e": triv_hom(t)})
-    rep = validate(g)
-    assert rep.reduced
+    assert _iso_edge(g) is None
 
 
 def test_validate_identity_edge_not_reduced():
     c2 = cyclic(2, 1)
     h = identity_hom(c2)
     g = mk(("u", "w"), (("e", "u", "w"),), {"u": c2, "w": c2}, {"e": c2}, {"e": h}, {"e": h})
-    assert not validate(g).reduced
+    assert _iso_edge(g) == "e"
 
 
 def test_validate_proper_inclusion_reduced():
-    assert validate(c4_amalgam()).reduced
+    assert _iso_edge(c4_amalgam()) is None
 
 
 def test_structural_rejects_noninjective_edge_map():
@@ -146,7 +143,7 @@ def test_reduce_gog_reaches_fixpoint():
            {"a": c2, "b": c2, "c": c2}, {"e0": c2, "e1": c2},
            {"e0": iso, "e1": iso}, {"e0": iso, "e1": iso})
     out = reduce_gog(g)
-    assert validate(out).reduced
+    assert _iso_edge(out) is None
     assert b1(out) == b1(g)
 
 
@@ -206,20 +203,6 @@ def test_b1_examples():
     assert b1(c2_star_c2()) == 2
     single_c4 = mk(("v",), (), {"v": cyclic(2, 2)}, {}, {}, {})
     assert b1(single_c4) == 1  # dim Hom(C4, F_2)
-
-
-def test_leaf_bound_examples():
-    single = mk(("v",), (), {"v": trivial(2)}, {}, {}, {})
-    assert leaf_bound(single) == 0
-    c4 = cyclic(2, 2)
-    c2 = cyclic(2, 1)
-    inc = hom_from_images(c2, c4, [2])
-    path = mk(("a", "b", "c"), (("e0", "a", "b"), ("e1", "b", "c")),
-              {"a": c4, "b": c4, "c": c4}, {"e0": c2, "e1": c2},
-              {"e0": inc, "e1": inc}, {"e0": inc, "e1": inc})
-    assert leaf_bound(path) == 2
-    assert leaf_bound(bouquet(2)) == 2
-    assert b1(path) >= leaf_bound(path)
 
 
 def test_witness_search_c2_star_c2():

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gogends.corpus import fixture_json
 from gogends.gog import GraphOfGroups
-from gogends.schema import InputError, gog_from_json, gog_to_json, group_from_json
+from gogends.schema import InputError, gog_from_json, group_from_json
+
+from schema_reference import gog_to_json
 
 C2 = {"type": "cyclic", "params": [2, 1]}
 C2_TABLE = {"name": "C2-table", "table": [[0, 1], [1, 0]], "generators": [1]}
