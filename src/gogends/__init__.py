@@ -6,7 +6,7 @@ Submodules:
 - ``fplinalg``   dense exact linear algebra over GF(p): one in-place numpy
                  elimination kernel on uint8 residues, p <= 16
 - ``gmodules``   modules over the group algebra, Nakayama counts
-- ``cohomology`` H^0/H^1 via explicit cochains, lemma checks
+- ``cohomology`` H^0 and dim H^1 from ranks over the generators, lemma checks
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
 - ``gog``        graphs of groups, presentations, witness search
 - ``ends``       level-wise module of ends, Fox-calculus oracle

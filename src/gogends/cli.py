@@ -95,19 +95,10 @@ def run_verify_lemmas(cfg: WorkbenchConfig) -> tuple[int, dict]:
     findings = []
     checks = 0
     for G in fpcore.catalog_groups(cfg.prime, max_order):
-        rep = cohomology.check_h1_regular_vanishes(G)
-        checks += 1
-        if not rep.ok:
-            findings.append(rep.to_json())
-        for K in fpcore.all_subgroups(G):
-            for check in (
-                cohomology.check_h0_norm_formula(K, G),
-                cohomology.check_shapiro_dims(K, G, 0),
-                cohomology.check_shapiro_dims(K, G, 1),
-            ):
-                checks += 1
-                if not check.ok:
-                    findings.append(check.to_json())
+        for rep in cohomology.lemma_reports(G):
+            checks += 1
+            if not rep.ok:
+                findings.append(rep.to_json())
     report = {
         "suite": "verify-lemmas",
         "prime": cfg.prime,

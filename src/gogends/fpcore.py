@@ -10,7 +10,7 @@ capped at 256.
 Every constructed group is checked for an in-range table, a p-power
 order, identity at index 0, two-sided inverses and generation.  Tables
 built from a formula or given by the caller (cyclic, elementary abelian,
-D8, Q8, Heisenberg, ``group_from_table``, subgroups) are also checked for
+D8, Q8, Heisenberg, explicit tables, subgroups) are also checked for
 associativity, an O(n^3) scan.  ``direct_product`` skips that scan: the
 componentwise product of two associative tables is associative, and its
 factors were checked when they were built.
@@ -52,7 +52,7 @@ class FiniteGroup:
     """
 
     __slots__ = (
-        "name", "prime", "order", "mult", "inverses", "generators", "words", "spec",
+        "name", "prime", "order", "mult", "inverses", "generators", "words",
         "_bfs_order", "_rows", "_orders", "_hash",
     )
 
@@ -77,7 +77,6 @@ class FiniteGroup:
         self.inverses = self._compute_inverses()
         self._rows = None
         self.words, self._bfs_order = self._bfs_words()
-        self.spec = None  # JSON-serialisable construction recipe, if known
         self._orders = None
         self._hash = None
 
@@ -215,9 +214,7 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 
 def trivial(prime: int) -> FiniteGroup:
-    g = FiniteGroup("C1", [[0]], [], prime)
-    g.spec = {"type": "trivial", "params": [prime]}
-    return g
+    return FiniteGroup("C1", [[0]], [], prime)
 
 
 def _catalog_order(prime: int, k: int) -> int:
@@ -235,11 +232,8 @@ def cyclic(prime: int, k: int) -> FiniteGroup:
         raise GroupError("cyclic exponent must be nonnegative")
     n = _catalog_order(prime, k)
     if n == 1:
-        g = trivial(prime)
-    else:
-        g = FiniteGroup(f"C{n}", _cyclic_table(n), [1], prime)
-    g.spec = {"type": "cyclic", "params": [prime, k]}
-    return g
+        return trivial(prime)
+    return FiniteGroup(f"C{n}", _cyclic_table(n), [1], prime)
 
 
 def elementary_abelian(prime: int, k: int) -> FiniteGroup:
@@ -251,9 +245,7 @@ def elementary_abelian(prime: int, k: int) -> FiniteGroup:
     summed = (digits[:, None, :] + digits[None, :, :]) % prime
     table = (summed * np.array([prime**i for i in range(k)])).sum(axis=2)
     gens = [prime**i for i in range(k)]
-    g = FiniteGroup(f"E{prime}^{k}", table, gens, prime)
-    g.spec = {"type": "elementary_abelian", "params": [prime, k]}
-    return g
+    return FiniteGroup(f"E{prime}^{k}", table, gens, prime)
 
 
 def dihedral8() -> FiniteGroup:
@@ -266,9 +258,7 @@ def dihedral8() -> FiniteGroup:
             i2, j2 = divmod(b, 2)
             i = (i1 + (i2 if j1 == 0 else -i2)) % 4
             table[a, b] = 2 * i + (j1 ^ j2)
-    g = FiniteGroup("D8", table, [2, 1], 2)
-    g.spec = {"type": "dihedral8"}
-    return g
+    return FiniteGroup("D8", table, [2, 1], 2)
 
 
 def quaternion8() -> FiniteGroup:
@@ -290,9 +280,7 @@ def quaternion8() -> FiniteGroup:
             sign, axis = prod[(ax_a, ax_b)]
             neg = (neg_a + neg_b + (1 if sign < 0 else 0)) % 2
             table[a, b] = 2 * axis + neg
-    g = FiniteGroup("Q8", table, [2, 4], 2)
-    g.spec = {"type": "quaternion8"}
-    return g
+    return FiniteGroup("Q8", table, [2, 4], 2)
 
 
 def heisenberg(prime: int) -> FiniteGroup:
@@ -309,9 +297,7 @@ def heisenberg(prime: int) -> FiniteGroup:
             a, b = (a1 + a2) % p, (b1 + b2) % p
             c = (c1 + c2 + a1 * b2) % p
             table[x, y] = a * p * p + b * p + c
-    g = FiniteGroup(f"Heis{p}", table, [p * p, p], p)
-    g.spec = {"type": "heisenberg", "params": [p]}
-    return g
+    return FiniteGroup(f"Heis{p}", table, [p * p, p], p)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -326,19 +312,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     # associative because both factors are: only the cheap checks run
     g = FiniteGroup.__new__(FiniteGroup)
     g._build(f"{a.name}x{b.name}", table, gens, a.prime, check_associativity=False)
-    if a.spec is not None and b.spec is not None:
-        g.spec = {"type": "direct_product", "params": [a.spec, b.spec]}
-    return g
-
-
-def group_from_table(name: str, table, generators, prime: int) -> FiniteGroup:
-    """Explicit-table escape hatch (validated like catalog groups)."""
-    g = FiniteGroup(name, table, generators, prime)
-    g.spec = {
-        "name": name,
-        "table": [list(map(int, row)) for row in g.mult],
-        "generators": list(g.generators),
-    }
     return g
 
 

@@ -166,10 +166,6 @@ class Subspace:
         basis = FpMatrix(reduced.data[: len(pivots)], prime)
         return cls(prime, ambient_dim, basis, tuple(pivots))
 
-    @classmethod
-    def zero(cls, ambient_dim: int, prime: int) -> "Subspace":
-        return cls.from_vectors([], ambient_dim, prime)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -205,14 +201,12 @@ class Subspace:
 class RankProfile:
     rank: int
     nullspace: Subspace
-    row_space: Subspace
 
 
 def rank_profile(m: FpMatrix) -> RankProfile:
-    """Rank plus canonical echelon bases of nullspace and row space."""
+    """Rank plus the canonical echelon basis of the nullspace."""
     reduced, pivots = rref(m)
     rank = len(pivots)
-    row_space = Subspace(m.prime, m.cols, FpMatrix(reduced.data[:rank], m.prime), tuple(pivots))
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     k = len(free_cols)
@@ -221,7 +215,7 @@ def rank_profile(m: FpMatrix) -> RankProfile:
     null_vectors[:, pivots] = (m.prime - reduced.data[:rank, free_cols].T) % m.prime
     nullspace = Subspace.from_vectors(null_vectors, m.cols, m.prime)
     assert rank + nullspace.dim == m.cols
-    return RankProfile(rank, nullspace, row_space)
+    return RankProfile(rank, nullspace)
 
 
 def rank(m: FpMatrix) -> int:

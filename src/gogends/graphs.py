@@ -475,17 +475,22 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
         raise GraphError("need at least one vertex")
     levels = _connected_simple_graphs(max_edges, max_vertices)
     for k in range(0, max_edges + 1):
+        # the decorations of a simple graph depend only on its edge and vertex counts
+        mult_counts = [tuple(_compositions(total, k, 1)) for total in range(k, max_edges + 1)]
+        loop_counts_of = {}
         for n, edges in sorted(levels[k]):
+            if n not in loop_counts_of:
+                loop_counts_of[n] = [tuple(_compositions(total, n, 0)) for total in range(max_edges - k + 1)]
+            loop_counts = loop_counts_of[n]
             index = {e: i for i, e in enumerate(edges)}
             moves = []  # each automorphism as the preimages of the edge and the vertex slots
             for p in levels[k][(n, edges)]:
                 image = [index[tuple(sorted((p[u], p[v])))] for u, v in edges]
                 moves.append((sorted(range(k), key=image.__getitem__), sorted(range(n), key=p.__getitem__)))
-            loop_counts = [tuple(_compositions(loop_total, n, 0)) for loop_total in range(max_edges - k + 1)]
             decorations = (
                 (mults, loops)
-                for total in range(k, max_edges + 1)
-                for mults in _compositions(total, k, 1)
+                for total, mult_total in enumerate(mult_counts, k)
+                for mults in mult_total
                 for loop_total in range(0, max_edges - total + 1)
                 for loops in loop_counts[loop_total]
             )

@@ -79,7 +79,7 @@ def group_from_json(spec, prime: int, where: str = "group") -> fpcore.FiniteGrou
                 raise InputError(f"{where}.prime: {spec['prime']!r} differs from file prime {prime}")
             table = _table(spec["table"], f"{where}.table")
             gens = _ints(spec.get("generators", []), f"{where}.generators")
-            grp = fpcore.group_from_table(name, table, gens, prime)
+            grp = fpcore.FiniteGroup(name, table, gens, prime)
         elif kind == "direct_product":
             factors = spec.get("params")
             if not isinstance(factors, list) or len(factors) != 2:

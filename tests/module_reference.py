@@ -8,9 +8,9 @@ set of each size, the oracle for the Nakayama count
 ``nakayama_modules``.  ``right_action_of`` multiplies out the right
 action of an element, and ``check_action_consistency`` checks the
 generator matrices of both sides against the whole multiplication table.
-``d1_full`` is the coboundary map d1 over all pairs (g, h), whose
-nullspace is the Z^1 that ``CochainComplexSlice.cocycles`` solves over
-the generator values.
+``d0_full`` and ``d1_full`` are the coboundary maps d0 over all
+elements and d1 over all pairs (g, h): dim ker d1 - rank d0 is the
+dim H^1 that ``cohomology.h1`` computes from the generator values.
 """
 
 import itertools
@@ -129,14 +129,23 @@ def check_action_consistency(module):
                     raise ModuleError("left and right actions do not commute")
 
 
-def d1_full(slice_):
-    """d1 over all pairs (g, h) of a ``CochainComplexSlice``."""
-    K, M, hom = slice_.group, slice_.module, slice_.hom
+def _element_actions(K, M, hom):
+    """A_g for every element g of K, through ``hom`` when given."""
+    return [M.left_action_of(g if hom is None else hom.image[g]).data.astype(np.int64) for g in K.elements()]
+
+
+def d0_full(K, M, hom=None):
+    """d0: m -> (g -> A_g m - m) over all elements g of K."""
+    eye = np.eye(M.dim, dtype=np.int64)
+    return FpMatrix(np.concatenate([a - eye for a in _element_actions(K, M, hom)]) % M.prime, M.prime)
+
+
+def d1_full(K, M, hom=None):
+    """d1 over all pairs (g, h): f -> ((g, h) -> A_g f(h) - f(gh) + f(g))."""
     n, d, p = K.order, M.dim, M.prime
     eye = np.eye(d, dtype=np.int64)
     out = np.zeros((n * n * d, n * d), dtype=np.int64)
-    for g in K.elements():
-        a_g = M.left_action_of(g if hom is None else hom.image[g]).data.astype(np.int64)
+    for g, a_g in zip(K.elements(), _element_actions(K, M, hom)):
         for h in K.elements():
             r = (g * n + h) * d
             gh = int(K.mult[g, h])

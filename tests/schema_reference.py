@@ -1,16 +1,13 @@
 """The graph-of-groups document writer: the inverse of ``schema.gog_from_json``.
 
-``gog_to_json`` writes each group as the spec it was built from, or as
-its explicit table when it has none, and each edge map as the images of
-the edge group's generators.  Round-trip tests read its output back
+``gog_to_json`` writes each group as its explicit table and generators,
+and each edge map as the images of the edge group's generators.  Round-trip tests read its output back
 with the one reader and compare.
 """
 
 
 def gog_to_json(g) -> dict:
     def spec_of(grp):
-        if grp.spec is not None:
-            return grp.spec
         return {
             "name": grp.name,
             "table": [list(map(int, row)) for row in grp.mult],

@@ -9,9 +9,7 @@ import pytest
 from gogends import cli
 from gogends.cli import WorkbenchConfig, canonical_json, parse_input, run_suite
 from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
-from gogends.fpcore import cyclic, direct_product, group_from_table
-from gogends.gog import GraphOfGroups
-from gogends.graphs import Graph
+from gogends.fpcore import FiniteGroup, cyclic, direct_product
 from gogends.schema import InputError, gog_from_json
 
 from schema_reference import gog_to_json
@@ -69,13 +67,12 @@ def test_parse_unknown_vertex_reference():
 
 def test_roundtrip_all_fixtures():
     for name in fixture_names():
-        data = fixture_json(name)
-        g = gog_from_json(data)
+        g = gog_from_json(fixture_json(name))
         again = gog_to_json(g)
-        assert canonical_json(again) == canonical_json(data), name
         # parse(serialize(g)) is structurally identical
         g2 = gog_from_json(again)
-        assert canonical_json(gog_to_json(g2)) == canonical_json(again)
+        assert g2.vertex_groups == g.vertex_groups and g2.edge_groups == g.edge_groups, name
+        assert canonical_json(gog_to_json(g2)) == canonical_json(again), name
 
 
 def test_table_form_group_roundtrip(tmp_path):
@@ -100,15 +97,17 @@ def test_table_form_group_roundtrip(tmp_path):
 
 
 def test_nested_table_group_roundtrip():
-    # the writer emits a table factor inside direct_product without a "prime" key
-    c2 = group_from_table("C2-table", [[0, 1], [1, 0]], [1], 2)
-    grp = direct_product(c2, cyclic(2, 1))
-    g = GraphOfGroups(Graph(("v0",), ()), 2, {"v0": grp}, {}, {}, {})
-    data = gog_to_json(g)
-    assert data["vertices"][0]["group"]["params"][0] == c2.spec
-    again = gog_from_json(data)
+    # a table factor inside direct_product needs no "prime" key
+    table_c2 = {"name": "C2-table", "table": [[0, 1], [1, 0]], "generators": [1]}
+    group = {"type": "direct_product", "params": [table_c2, {"type": "cyclic", "params": [2, 1]}]}
+    data = {"prime": 2, "vertices": [{"id": "v0", "group": group}], "edges": []}
+    grp = direct_product(FiniteGroup("C2-table", table_c2["table"], [1], 2), cyclic(2, 1))
+    g = gog_from_json(data)
+    assert g.vertex_groups["v0"] == grp
+    written = gog_to_json(g)
+    again = gog_from_json(written)
     assert again.vertex_groups["v0"] == grp
-    assert canonical_json(gog_to_json(again)) == canonical_json(data)
+    assert canonical_json(gog_to_json(again)) == canonical_json(written)
 
 
 def test_parse_input_file_errors(tmp_path):

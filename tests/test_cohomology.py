@@ -5,14 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+from gogends import cohomology
 from gogends.cohomology import (
     ActionError,
-    CochainComplexSlice,
-    check_h0_norm_formula,
-    check_h1_regular_vanishes,
-    check_shapiro_dims,
+    _cocycle_constraints,
+    _generator_actions,
+    _invariant_constraints,
     h0,
     h1,
+    lemma_reports,
 )
 from gogends.fpcore import (
     FiniteGroup,
@@ -26,10 +27,10 @@ from gogends.fpcore import (
     subgroup_generated,
     trivial,
 )
-from gogends.fplinalg import rank_profile
-from gogends.gmodules import regular_bimodule
+from gogends.fplinalg import Subspace, rank
+from gogends.gmodules import regular_bimodule, submodule_generated
 
-from module_reference import d1_full, trivial_module
+from module_reference import d0_full, d1_full, trivial_module
 
 
 def test_h0_trivial_group_full_module():
@@ -81,6 +82,12 @@ def test_action_mismatch_raises():
         h0(cyclic(2, 1), regular_bimodule(cyclic(2, 2)))
 
 
+def _h1_full(K, module, hom=None):
+    """dim ker d1 - rank d0 over all elements and pairs of K."""
+    d1 = d1_full(K, module, hom)
+    return d1.cols - rank(d1) - rank(d0_full(K, module, hom))
+
+
 def test_d1_after_d0_is_zero():
     for grp, module in (
         (cyclic(2, 1), regular_bimodule(cyclic(2, 1))),
@@ -88,20 +95,21 @@ def test_d1_after_d0_is_zero():
         (cyclic(3, 1), regular_bimodule(cyclic(3, 1))),
         (cyclic(2, 1), trivial_module(cyclic(2, 1), 2)),
     ):
-        slc = CochainComplexSlice(grp, module, None)
-        assert not d1_full(slc).matmul(slc.d0).data.any()
-        cocycles = slc.cocycles()
-        assert all(cocycles.contains(column) for column in slc.d0.transpose().data)
+        assert not d1_full(grp, module).matmul(d0_full(grp, module)).data.any()
+        assert h1(grp, module) == _h1_full(grp, module)
 
 
 def test_restricted_d1_kernel_equals_full_kernel():
+    # dim Z^1 = dim ker C over the generator values, and rank d0 = rank D
     for grp, module in (
         (cyclic(2, 2), regular_bimodule(cyclic(2, 2))),
         (dihedral8(), trivial_module(dihedral8(), 1)),
         (cyclic(3, 1), regular_bimodule(cyclic(3, 1))),
     ):
-        slc = CochainComplexSlice(grp, module, None)
-        assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace
+        acts = _generator_actions(grp, module, None)
+        p, d1 = module.prime, d1_full(grp, module)
+        assert len(acts) * module.dim - rank(_cocycle_constraints(grp, acts, p)) == d1.cols - rank(d1)
+        assert rank(_invariant_constraints(acts, p)) == rank(d0_full(grp, module))
 
 
 def test_generator_value_cocycles_match_full_d1_over_catalog():
@@ -110,8 +118,7 @@ def test_generator_value_cocycles_match_full_d1_over_catalog():
             for module in (regular_bimodule(G), trivial_module(G, 2)):
                 for K in all_subgroups(G):
                     grp, incl = subgroup_as_group(K)
-                    slc = CochainComplexSlice(grp, module, incl)
-                    assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace, (G.name, K.elements)
+                    assert h1(grp, module, incl) == _h1_full(grp, module, incl), (G.name, K.elements)
 
 
 def test_generator_value_cocycles_with_identity_or_repeated_generator():
@@ -124,9 +131,7 @@ def test_generator_value_cocycles_with_identity_or_repeated_generator():
             (regular_bimodule(grp), regular_bimodule(base)),
             (trivial_module(grp, 2), trivial_module(base, 2)),
         ):
-            slc = CochainComplexSlice(grp, module, None)
-            assert slc.cocycles() == rank_profile(d1_full(slc)).nullspace
-            assert slc.cocycles() == CochainComplexSlice(base, plain, None).cocycles()
+            assert h1(grp, module) == _h1_full(grp, module) == h1(base, plain)
 
 
 def _h1_dim_bruteforce(K, module, hom=None):
@@ -195,35 +200,61 @@ def test_h0_monotone_under_subgroup_growth():
                     assert dims[L.elements] <= dims[K.elements]
 
 
+def _report(G, name, subgroup_order=None, degree=None):
+    """The one report of ``lemma_reports(G)`` with these keys."""
+    (rep,) = [
+        r for r in lemma_reports(G)
+        if r.name == name and r.details.get("subgroup_order") == subgroup_order and r.details.get("degree") == degree
+    ]
+    return rep
+
+
 def test_h1_regular_vanishes_spec_examples():
-    assert check_h1_regular_vanishes(cyclic(2, 1)).ok
-    assert check_h1_regular_vanishes(quaternion8()).ok
-    assert check_h1_regular_vanishes(trivial(2)).ok
+    for G in (cyclic(2, 1), quaternion8(), trivial(2)):
+        assert _report(G, "h1_regular_vanishes").ok
 
 
 def test_norm_formula_spec_examples():
     c4 = cyclic(2, 2)
-    assert check_h0_norm_formula(subgroup_generated(c4, [0]), c4).ok
-    assert check_h0_norm_formula(subgroup_generated(c4, [2]), c4).ok
-    c2 = cyclic(2, 1)
-    rep = check_h0_norm_formula(subgroup_generated(c2, [1]), c2)
+    assert _report(c4, "h0_norm_formula", 1).ok
+    assert _report(c4, "h0_norm_formula", 2).ok
+    rep = _report(cyclic(2, 1), "h0_norm_formula", 2)
     assert rep.ok and rep.details["fixed_dim"] == 1
 
 
 def test_shapiro_spec_examples():
     c4 = cyclic(2, 2)
-    assert check_shapiro_dims(subgroup_generated(c4, [0]), c4, 0).ok
-    assert check_shapiro_dims(subgroup_generated(c4, [2]), c4, 0).ok
-    d8 = dihedral8()
-    rep = check_shapiro_dims(subgroup_generated(d8, [4]), d8, 1)
-    assert rep.ok and rep.details["big_dim"] == 0
+    assert _report(c4, "shapiro_dims", 1, 0).ok
+    assert _report(c4, "shapiro_dims", 2, 0).ok
+    # D8 has five subgroups of order 2, among them <r^2> = {0, 4}
+    reps = [r for r in lemma_reports(dihedral8()) if (r.details.get("subgroup_order"), r.details.get("degree")) == (2, 1)]
+    assert len(reps) == 5 and all(r.ok and r.details["big_dim"] == 0 for r in reps)
 
 
 def test_lemma_suite_small_catalog():
     # order <= 8 here; the full acceptance run covers 16 and 27
     for G in catalog_groups(2, 8):
-        assert check_h1_regular_vanishes(G).ok
+        reports = list(lemma_reports(G))
+        expected = [("h1_regular_vanishes", None, None)]
         for K in all_subgroups(G):
-            assert check_h0_norm_formula(K, G).ok
-            assert check_shapiro_dims(K, G, 0).ok
-            assert check_shapiro_dims(K, G, 1).ok
+            expected += [("h0_norm_formula", K.order, None), ("shapiro_dims", K.order, 0), ("shapiro_dims", K.order, 1)]
+        assert [(r.name, r.details.get("subgroup_order"), r.details.get("degree")) for r in reports] == expected
+        assert all(r.ok for r in reports), G.name
+
+
+def test_lemma_reports_compare_independently_computed_values(monkeypatch):
+    # a norm span of the right dimension but the wrong subspace fails the
+    # norm check, and an H^1 that does not scale with the index fails Shapiro
+    c4 = cyclic(2, 2)
+
+    def wrong_span(module, side, seeds):
+        dim = submodule_generated(module, side, seeds).dim
+        return Subspace.from_vectors(np.eye(module.dim, dtype=np.uint8)[:dim], module.dim, module.prime)
+
+    monkeypatch.setattr(cohomology, "submodule_generated", wrong_span)
+    norm = [r for r in lemma_reports(c4) if r.name == "h0_norm_formula"]
+    assert sorted(r.details["subgroup_order"] for r in norm if not r.ok) == [2, 4]
+    monkeypatch.undo()
+    monkeypatch.setattr(cohomology, "h1", lambda *args: 1)
+    shapiro = [r for r in lemma_reports(c4) if r.details.get("degree") == 1]
+    assert sorted(r.details["coset_count"] for r in shapiro if not r.ok) == [2, 4]

@@ -10,10 +10,10 @@ from hom_reference import identity_hom, injective_homs_reference
 from gogends import corpus
 from gogends import gog as gogmod
 from gogends.fpcore import (
+    FiniteGroup,
     catalog_groups,
     cyclic,
     dihedral8,
-    group_from_table,
     hom_from_images,
     is_injective,
     quaternion8,
@@ -334,7 +334,7 @@ def test_injective_homs_degenerate_generators_same_homs():
     # already has, so neither the reference nor the pruned search repeats
     # a hom
     c4, d8 = cyclic(2, 2), dihedral8()
-    sources = [group_from_table("C4r", c4.mult, [1, 1], 2), group_from_table("D8e", d8.mult, [2, 0, 1], 2)]
+    sources = [FiniteGroup("C4r", c4.mult, [1, 1], 2), FiniteGroup("D8e", d8.mult, [2, 0, 1], 2)]
     for src in sources:
         for dst in (c4, d8, quaternion8(), cyclic(2, 3)):
             for constraints in ((), ((1, 0),), ((src.generators[-1], dst.order - 1),)):
