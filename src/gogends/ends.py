@@ -29,6 +29,13 @@ Each side of each edge must be edge-invariant and each coset labelling
 stable under the right action, or ``WellDefinednessViolation`` is raised.
 Fox calculus on the fundamental-group presentation is an independent
 elimination oracle for h1_dim; a disagreement raises rather than reports.
+It reads no level-graph data and never builds the whole relators x
+symbols matrix over F_p[P].  The killer of a spanning-tree letter is the
+identity on that letter's block and adds |P| to the rank.  A vertex
+group's relators, image H_v, are block diagonal over the right cosets
+H_v c, as F_p[P] is a free F_p[H_v]-module on them (Brown, *Cohomology
+of Groups*, III.5-6): they are eliminated once over F_p[H_v] and the
+basis is translated to every coset.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fplinalg import FpMatrix, rank
+from .fplinalg import FpMatrix, rank, rref
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
 from .gog import presentation
 from .graphs import _component_roots, maximum_matching
@@ -124,6 +131,71 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
     )
 
 
+def _symbol_elements(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -> dict:
+    """The element of P that each presentation symbol maps to."""
+    out = {}
+    for sym in pres.symbols:
+        kind = pres.kinds[sym]
+        if kind[0] == "v":
+            _, vid, gi = kind
+            out[sym] = witness.vertex_maps[vid].image[gog.vertex_groups[vid].generators[gi]]
+        else:
+            out[sym] = witness.stable_images[kind[1]]
+    return out
+
+
+def _fox_rows(words, col: dict, elements: dict, P, zs: np.ndarray, width: int) -> np.ndarray:
+    """Fox-derivative rows of the words over the elements ``zs`` of P,
+    which left multiplication by every prefix of every word must map onto
+    themselves.  Row r * len(zs) + i is (word r, zs[i]), column
+    col[s] + j is (s, zs[j]); a letter whose symbol is not in ``col``
+    adds nothing but still moves the prefix."""
+    p, m = P.prime, len(zs)
+    pos = np.empty(P.order, dtype=np.intp)
+    pos[zs] = np.arange(m)
+    out = np.zeros((len(words) * m, width), dtype=np.uint8)
+    for ri, word in enumerate(words):
+        prefix = 0
+        for sym, exp in word:
+            x = elements[sym]
+            if exp == 1:
+                rows, step = ri * m + pos[P.mult[prefix, zs]], 1
+                prefix = int(P.mult[prefix, x])
+            elif exp == -1:
+                prefix = int(P.mult[prefix, P.inv(x)])
+                rows, step = ri * m + pos[P.mult[prefix, zs]], p - 1
+            else:
+                raise GogError("relator letters must have exponent +-1")
+            if sym in col:
+                cols = col[sym] + np.arange(m)
+                out[rows, cols] = (out[rows, cols] + step) % p
+    return out
+
+
+def _vertex_rows(words, col: dict, elements: dict, P, image, width: int) -> np.ndarray:
+    """A basis of the row space of the words' Fox rows over all of P,
+    when every letter of every word lies in the subgroup H = ``image``.
+
+    The prefixes lie in H, so the rows at a right coset Hc touch only
+    the columns (s, z) with z in Hc, and they are the rows at H with
+    every h moved to hc.  The RREF basis of the block at H, translated
+    to each coset representative c, spans them all."""
+    image = np.asarray(image, dtype=np.intp)
+    m = len(image)
+    used = {sym for word in words for sym, _ in word}
+    syms = [s for s in col if s in used]
+    block = _fox_rows(words, {s: i * m for i, s in enumerate(syms)}, elements, P, image, len(syms) * m)
+    reduced, pivots = rref(FpMatrix(block, P.prime))
+    basis = reduced.data[: len(pivots)]
+    reps, _ = _coset_structure(P, image)
+    # cols[c, (s, i)] is the column (s, image[i] * reps[c])
+    offsets = np.array([col[s] for s in syms], dtype=np.intp)
+    cols = (offsets[None, :, None] + P.mult[np.ix_(image, reps)].T[:, None, :]).reshape(len(reps), -1)
+    out = np.zeros((len(reps), len(basis), width), dtype=np.uint8)
+    out[np.arange(len(reps))[:, None, None], np.arange(len(basis))[None, :, None], cols[:, None, :]] = basis
+    return out.reshape(-1, width)
+
+
 def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -> int:
     """dim H^1(G, F_p[P]) from the presentation by Fox calculus.
 
@@ -131,46 +203,47 @@ def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -
     relators (prefix elements acting by left multiplication on F_p[P]);
     coboundaries are the image of m -> ((g - 1) m)_g over the
     presentation generators.
+
+    The relator matrix is never built whole.  A one-letter relator (the
+    killer of a spanning-tree letter) is invertible on its symbol's
+    block, so it adds |P| to the rank and that symbol's columns leave
+    every other row.  The relators of a vertex group, image H_v in P,
+    split over the right cosets H_v c, on which F_p[P] is a free
+    F_p[H_v]-module (Shapiro's lemma; Brown, *Cohomology of Groups*,
+    III.5-6): they are eliminated once over F_p[H_v] and the basis is
+    translated to each coset (``_vertex_rows``).  Edge relators keep
+    their |P| rows, and one rank runs over all the stacked rows.
     """
     P = witness.quotient
-    p = gog.prime
     n = P.order
-    mult = P.mult.astype(np.intp)
+    elements = _symbol_elements(pres, gog, witness)
+    killed = {word[0][0] for word in pres.relators if len(word) == 1}
+    col = {sym: i * n for i, sym in enumerate(s for s in pres.symbols if s not in killed)}
+    width = len(col) * n
+    by_vertex: dict = {}
+    rest = []
+    for word in pres.relators:
+        if len(word) == 1:
+            continue
+        (kind, owner), *others = {pres.kinds[sym][:2] for sym, _ in word}
+        if kind == "v" and not others:
+            by_vertex.setdefault(owner, []).append(word)
+        else:
+            rest.append(word)
+    blocks = [
+        _vertex_rows(words, col, elements, P, witness.vertex_maps[vid].image, width)
+        for vid, words in by_vertex.items()
+    ]
+    blocks.append(_fox_rows(rest, col, elements, P, np.arange(n), width))
+    z1_dim = width - rank(FpMatrix(np.concatenate(blocks), P.prime))
+
     z = np.arange(n)
-
-    def symbol_element(sym) -> int:
-        kind = pres.kinds[sym]
-        if kind[0] == "v":
-            _, vid, gi = kind
-            grp = gog.vertex_groups[vid]
-            return witness.vertex_maps[vid].image[grp.generators[gi]]
-        return witness.stable_images[kind[1]]
-
-    col = {sym: i * n for i, sym in enumerate(pres.symbols)}
-    total_cols = len(col) * n
-
-    fox = np.zeros((len(pres.relators) * n, total_cols), dtype=np.uint8)
-    for ri, word in enumerate(pres.relators):
-        prefix = 0
-        for sym, exp in word:
-            x = symbol_element(sym)
-            if exp == 1:
-                rows, step = ri * n + mult[prefix], 1
-                prefix = int(mult[prefix, x])
-            elif exp == -1:
-                prefix = int(mult[prefix, P.inv(x)])
-                rows, step = ri * n + mult[prefix], p - 1
-            else:
-                raise GogError("relator letters must have exponent +-1")
-            cols = col[sym] + z
-            fox[rows, cols] = (fox[rows, cols] + step) % p
-    z1_dim = total_cols - rank(FpMatrix(fox, p))
-
-    coboundary = np.zeros((total_cols, n), dtype=np.uint8)
-    for sym, off in col.items():
-        coboundary[off + mult[symbol_element(sym)], z] = 1
-        coboundary[off + z, z] = (coboundary[off + z, z] + p - 1) % p
-    return z1_dim - rank(FpMatrix(coboundary, p))
+    coboundary = np.zeros((len(pres.symbols) * n, n), dtype=np.uint8)
+    for i, sym in enumerate(pres.symbols):
+        off = i * n
+        coboundary[off + P.mult[elements[sym]], z] = 1
+        coboundary[off + z, z] = (coboundary[off + z, z] + P.prime - 1) % P.prime
+    return z1_dim - rank(FpMatrix(coboundary, P.prime))
 
 
 @dataclass(frozen=True)

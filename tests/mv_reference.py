@@ -6,8 +6,12 @@ cosets, from the coset label arrays.  ``cokernel_reference`` builds
 T / im F as a right module and takes its dimension and Nakayama count
 with ``gmodules``.  ``gen_count_closed_form`` reads |E| - rank_p(W) off a
 graph, with no elimination.  ``ends.mv_h0_map`` computes none of these
-matrices; tests compare it against them.  ``lifted_witness`` gives the
-second level the tests check next to the minimal witness.
+matrices; tests compare it against them.  ``fox_matrix_reference`` is
+the whole (relators * |P|) x (symbols * |P|) Fox matrix, and
+``h1_via_fox_reference`` reads dim H^1 off it and the coboundary matrix;
+``ends.h1_via_fox`` never builds it, and tests compare the two.
+``lifted_witness`` gives the second level the tests check next to the
+minimal witness.
 """
 
 import itertools
@@ -15,7 +19,7 @@ import itertools
 import numpy as np
 
 from gogends import ends, fpcore, gmodules, gog as gogmod, graphs
-from gogends.fplinalg import FpMatrix, Subspace
+from gogends.fplinalg import FpMatrix, Subspace, rank
 
 
 def boundary_map(gog, witness):
@@ -85,6 +89,55 @@ def gen_count_closed_form(gog):
     roots = graphs._component_roots([*gog.graph.vertices, ground], joins)
     rank_w = len(gog.graph.vertices) + 1 - len(set(roots.values()))
     return len(gog.graph.edges) - rank_w
+
+
+def _symbol_element(pres, gog, witness, sym):
+    kind = pres.kinds[sym]
+    if kind[0] == "v":
+        _, vid, gi = kind
+        return witness.vertex_maps[vid].image[gog.vertex_groups[vid].generators[gi]]
+    return witness.stable_images[kind[1]]
+
+
+def fox_matrix_reference(pres, gog, witness):
+    """The Fox matrix: row (relator r, z) and column (symbol s, z') hold
+    the coefficient of z' in the left action of dr/ds on z, over all of P."""
+    P = witness.quotient
+    p = gog.prime
+    n = P.order
+    mult = P.mult.astype(np.intp)
+    z = np.arange(n)
+    col = {sym: i * n for i, sym in enumerate(pres.symbols)}
+    fox = np.zeros((len(pres.relators) * n, len(col) * n), dtype=np.uint8)
+    for ri, word in enumerate(pres.relators):
+        prefix = 0
+        for sym, exp in word:
+            x = _symbol_element(pres, gog, witness, sym)
+            if exp == 1:
+                rows, step = ri * n + mult[prefix], 1
+                prefix = int(mult[prefix, x])
+            else:
+                prefix = int(mult[prefix, P.inv(x)])
+                rows, step = ri * n + mult[prefix], p - 1
+            cols = col[sym] + z
+            fox[rows, cols] = (fox[rows, cols] + step) % p
+    return FpMatrix(fox, p)
+
+
+def h1_via_fox_reference(pres, gog, witness):
+    """dim H^1(G, F_p[P]): the kernel of the whole Fox matrix minus the
+    rank of m -> ((g - 1) m)_g over the presentation generators."""
+    P = witness.quotient
+    p = gog.prime
+    n = P.order
+    z = np.arange(n)
+    z1_dim = len(pres.symbols) * n - rank(fox_matrix_reference(pres, gog, witness))
+    coboundary = np.zeros((len(pres.symbols) * n, n), dtype=np.uint8)
+    for i, sym in enumerate(pres.symbols):
+        off = i * n
+        coboundary[off + P.mult[_symbol_element(pres, gog, witness, sym)], z] = 1
+        coboundary[off + z, z] = (coboundary[off + z, z] + p - 1) % p
+    return z1_dim - rank(FpMatrix(coboundary, p))
 
 
 def _all_homs_to_cp(src, cp):

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,18 @@ from gogends.ends import (
     mv_h0_map,
 )
 from gogends.fpcore import (
+    FiniteGroup,
     catalog_groups,
     cyclic,
     dihedral8,
     direct_product,
     elementary_abelian,
+    heisenberg,
     hom_from_images,
+    quaternion8,
     trivial,
 )
-from gogends.fplinalg import rank
+from gogends.fplinalg import Subspace, rank
 from gogends.gog import (
     GogError,
     GraphOfGroups,
@@ -42,7 +46,14 @@ from gogends.gog import (
 from gogends.graphs import Graph
 
 from hom_reference import identity_hom, witness_search_reference
-from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
+from mv_reference import (
+    boundary_map,
+    cokernel_reference,
+    fox_matrix_reference,
+    gen_count_closed_form,
+    h1_via_fox_reference,
+    lifted_witness,
+)
 
 
 def triv_hom(dst, prime=2):
@@ -179,6 +190,66 @@ def test_corpus_oracle_equivalence_and_kernel():
         assert rep.gen_count <= rep.edge_count
 
 
+def test_fox_blocks_match_the_full_matrix_on_the_corpus():
+    primes = set()
+    for name in fixture_names():
+        g = load_fixture(name)
+        pres = presentation(g)
+        w = proper_quotient_search(g, witness_bound(name))
+        lifted = lifted_witness(g, w)
+        assert lifted is not None and lifted.quotient.order == w.quotient.order * g.prime, name
+        for witness in (w, lifted):
+            assert h1_via_fox(pres, g, witness) == h1_via_fox_reference(pres, g, witness), name
+        primes.add(g.prime)
+    assert primes == {2, 3}
+
+
+def _metacyclic(name, n, a):
+    """<x, y | x^n, y^2 = x^a, y x y^-1 = x^-1> of order 2n, with x^i y^j
+    numbered i + n*j: dihedral for a = 0, generalised quaternion for a = n/2."""
+    table = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for i, j, k, m in itertools.product(range(n), range(2), range(n), range(2)):
+        # x^i y^j x^k y^m = x^(i + (-1)^j k) y^(j + m), and y^2 = x^a
+        power = i + (-1) ** j * k + (a if j + m == 2 else 0)
+        table[i + n * j, k + n * m] = power % n + n * ((j + m) % 2)
+    return FiniteGroup(name, table, [1, n], 2)
+
+
+def _one_vertex(group, P, hom):
+    g = mk(("v",), (), {"v": group}, {}, {}, {}, group.prime)
+    return g, ProperWitness(P, {"v": hom}, {})
+
+
+def test_translated_vertex_bases_span_the_full_vertex_block():
+    # the translates of the block at H must give the row space of the
+    # vertex relators over all of P, not just one of the same dimension;
+    # in the direct products every right coset of H has a central least
+    # element, so D32 and Q32, where <x^4, y> is not normal, are the
+    # inputs where h -> hc and h -> ch differ
+    d8, q8, heis3 = dihedral8(), quaternion8(), heisenberg(3)
+    d32, q32 = _metacyclic("D32", 16, 0), _metacyclic("Q32", 16, 8)
+    cases = [(heis3, direct_product(heis3, cyclic(3, 2)), 2)]
+    for P in (direct_product(d8, cyclic(2, 2)), direct_product(d8, elementary_abelian(2, 2)), d32):
+        cases.append((d8, P, 4))
+    for P in (direct_product(q8, cyclic(2, 2)), direct_product(q8, elementary_abelian(2, 2)), q32):
+        cases.append((q8, P, 4))
+    noncentral = 0
+    for group, P, count in cases:
+        # every seventh embedding, so the images are not all one subgroup
+        for hom in itertools.islice(injective_homs(group, P), 0, 7 * count, 7):
+            g, w = _one_vertex(group, P, hom)
+            pres = presentation(g)
+            n, width = P.order, len(pres.symbols) * P.order
+            col = {sym: i * n for i, sym in enumerate(pres.symbols)}
+            elements = ends._symbol_elements(pres, g, w)
+            translated = ends._vertex_rows(pres.relators, col, elements, P, hom.image, width)
+            full = fox_matrix_reference(pres, g, w)
+            assert Subspace.from_vectors(translated, width, P.prime) == Subspace.from_vectors(full.data, width, P.prime)
+            reps, _ = ends._coset_structure(P, hom.image)
+            noncentral += any((P.mult[c] != P.mult[:, c]).any() for c in reps)
+    assert noncentral
+
+
 def test_corpus_second_level_where_available():
     for name in fixture_names():
         g = load_fixture(name)
@@ -270,7 +341,8 @@ def test_coset_labels_that_are_not_right_cosets_are_rejected(monkeypatch):
 
 def test_ends_level_makes_four_eliminations(monkeypatch):
     # W in MV, two Fox ranks, and b1, which calls rank from gog: no
-    # |P|-sized rank in MV
+    # |P|-sized rank in MV (Fox's per-vertex rref calls are pinned in
+    # test_fox_never_eliminates_the_whole_relator_matrix)
     g = load_fixture("hnn_c4_c2")
     w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
     for witness in (w, lifted_witness(g, w)):
@@ -289,6 +361,33 @@ def test_ends_level_makes_four_eliminations(monkeypatch):
         assert len(shapes) == 4, shapes
         assert shapes[0] == ("gogends.ends", len(g.graph.edges), len(g.graph.vertices))
         assert [name for name, _, _ in shapes].count("gogends.ends") == 3
+
+
+def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
+    # heis3_heis3_over_center at 243: 58 relators, so the whole Fox matrix
+    # has 58 * 243 = 14,094 rows and 5 * 243 = 1,215 columns
+    g = load_fixture("heis3_heis3_over_center")
+    w = proper_quotient_search(g, witness_bound("heis3_heis3_over_center"))
+    w = lifted_witness(g, lifted_witness(g, w))
+    pres = presentation(g)
+    assert w.quotient.order == 243 and len(pres.relators) == 58
+    expected = mv_h0_map(g, w).h1_dim
+    shapes = []
+
+    def recorded(real):
+        def eliminate(m):
+            shapes.append((real.__name__, m.rows, m.cols))
+            return real(m)
+        return eliminate
+
+    for name in ("rank", "rref"):
+        monkeypatch.setattr(ends, name, recorded(getattr(ends, name)))
+    assert h1_via_fox(pres, g, w) == expected
+    # one Heis3 block per vertex (28 relators x 27, 2 generators x 27); the
+    # stacked rows, 28 basis rows x 9 cosets per vertex and one edge
+    # relator x 243, over the 4 vertex symbols; the coboundary
+    assert shapes == [("rref", 756, 54), ("rref", 756, 54), ("rank", 747, 972), ("rank", 1215, 243)]
+    assert all(rows < len(pres.relators) * 243 for _, rows, _ in shapes)
 
 
 SMALL_GROUPS = catalog_groups(2, 4)
@@ -326,7 +425,8 @@ def test_level_graph_route_on_random_graphs_of_groups(g):
     except NotFoundWithinBound:
         assume(False)
     mv = mv_h0_map(g, w)
-    assert mv.h1_dim == h1_via_fox(presentation(g), g, w) == free_kernel_rank(g, w)
+    pres = presentation(g)
+    assert mv.h1_dim == h1_via_fox(pres, g, w) == h1_via_fox_reference(pres, g, w) == free_kernel_rank(g, w)
     assert mv.kernel_dim == 1
     fmap, right_perms = boundary_map(g, w)
     assert rank(fmap) == mv.rank
