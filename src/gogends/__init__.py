@@ -5,8 +5,10 @@ Submodules:
 - ``fpcore``     finite p-groups as multiplication tables
 - ``fplinalg``   dense exact linear algebra over GF(p): one in-place numpy
                  elimination kernel on uint8 residues, p <= 16
-- ``gmodules``   modules over the group algebra, Nakayama counts
-- ``cohomology`` H^0 and dim H^1 from ranks over the generators, lemma checks
+- ``gmodules``   modules over the group algebra, Nakayama counts; no
+                 subcommand imports it, only the benchmark probes and tests
+- ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
+                 lemma checks on F_p[G] read off the multiplication table
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
 - ``gog``        graphs of groups, presentations, witness search
 - ``ends``       level-wise module of ends, Fox-calculus oracle

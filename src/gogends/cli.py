@@ -52,6 +52,8 @@ class WorkbenchConfig:
                 raise InputError(f"{name} must be at least 1")
         if self.order_bound < 1:
             raise InputError("--order-bound must be at least 1")
+        if (self.max_order or 0) > fpcore.MAX_ORDER:
+            raise InputError(f"--max-order must be at most {fpcore.MAX_ORDER}, the catalog cap")
 
 
 # -- input ---------------------------------------------------------------

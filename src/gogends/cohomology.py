@@ -1,5 +1,10 @@
 """Degree-0 and degree-1 cohomology of finite groups, plus lemma checks.
 
+A module M of dimension d is given by the left actions A_s of K's
+generators, one int64 array of shape (r, d, d).  The lemma checks read
+them off the multiplication table: F_p[G] and F_p[K] are permutation
+modules, A_s sending the basis element z to s z.
+
 Cochains are indexed by all group elements: coordinate h*d + i of a
 1-cochain f is the i-th entry of f(h).  The cocycle space Z^1 is not cut
 out of all n*d cochain coordinates; it is solved over the generator
@@ -28,43 +33,24 @@ the reference for both ranks and for d1 . d0 = 0, live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .fpcore import FiniteGroup, GroupHom, all_subgroups, subgroup_as_group
+from .fpcore import FiniteGroup, all_subgroups, right_cosets, subgroup_as_group
 from .fplinalg import FpMatrix, Subspace, rank, rank_profile
-from .gmodules import GModule, norm_element, regular_bimodule, submodule_generated
 
 
-class ActionError(ValueError):
-    """The acting group does not match the module (directly or via a hom)."""
-
-
-def _generator_actions(K: FiniteGroup, module: GModule, hom: Optional[GroupHom]) -> list[np.ndarray]:
-    """Left action matrices A_s of K's generators on the module, possibly
-    through a hom, as int64 arrays."""
-    if hom is None:
-        if K != module.group:
-            raise ActionError("module group differs; supply a homomorphism")
-        images = K.generators
-    else:
-        if hom.source != K or hom.target != module.group:
-            raise ActionError("homomorphism endpoints do not match")
-        images = [hom.image[s] for s in K.generators]
-    return [module.left_action_of(x).data.astype(np.int64) for x in images]
-
-
-def _invariant_constraints(acts: list[np.ndarray], p: int) -> FpMatrix:
+def _invariant_constraints(acts: np.ndarray, p: int) -> FpMatrix:
     """D: the blocks A_s - I stacked over the generators; ker D = M^K."""
-    eye = np.eye(acts[0].shape[0], dtype=np.int64)
-    return FpMatrix(np.concatenate([a - eye for a in acts]) % p, p)
+    d = acts.shape[1]
+    return FpMatrix(((acts - np.eye(d, dtype=np.int64)) % p).reshape(-1, d), p)
 
 
-def _cocycle_constraints(K: FiniteGroup, acts: list[np.ndarray], p: int) -> FpMatrix:
+def _cocycle_constraints(K: FiniteGroup, acts: np.ndarray, p: int) -> FpMatrix:
     """C: the non-tree edge equations on the generator values, as the
     module docstring describes; ``values[h]`` is F_h."""
-    n, r, d = K.order, len(acts), acts[0].shape[0]
+    n, (r, d, _) = K.order, acts.shape
     unit = np.eye(r * d, dtype=np.int64).reshape(r, d, r * d)  # unit[i] = E_i
     values = np.zeros((n, d, r * d), dtype=np.int64)
     tree = np.zeros((r, n), dtype=bool)  # tree[i, h]: edge (s_i, h) is in the tree
@@ -86,23 +72,33 @@ def _cocycle_constraints(K: FiniteGroup, acts: list[np.ndarray], p: int) -> FpMa
     return FpMatrix(np.concatenate(rows) % p, p)
 
 
-def h0(K: FiniteGroup, module: GModule, hom: Optional[GroupHom] = None) -> Subspace:
-    """Invariants: joint fixed space of the generator actions."""
-    acts = _generator_actions(K, module, hom)
-    d, p = module.dim, module.prime
-    if not acts:  # the identity matrix is already a canonical basis
-        return Subspace(p, d, FpMatrix.identity(d, p), tuple(range(d)))
-    return rank_profile(_invariant_constraints(acts, p)).nullspace
+def h0(K: FiniteGroup, acts: np.ndarray) -> Subspace:
+    """Invariants: joint fixed space of the generator actions ``acts``,
+    an int64 array of shape (r, d, d) with ``acts[i]`` the left action of
+    ``K.generators[i]``."""
+    r, d, _ = acts.shape
+    if not r:  # the identity matrix is already a canonical basis
+        return Subspace(K.prime, d, FpMatrix.identity(d, K.prime), tuple(range(d)))
+    return rank_profile(_invariant_constraints(acts, K.prime)).nullspace
 
 
-def h1(K: FiniteGroup, module: GModule, hom: Optional[GroupHom] = None) -> int:
-    """dim H^1 = dim Z^1 - dim B^1 = (r*d - rank C) - rank D."""
-    acts = _generator_actions(K, module, hom)
-    if not acts:  # K is trivial: f(e) = 0, so Z^1 = 0
+def h1(K: FiniteGroup, acts: np.ndarray) -> int:
+    """dim H^1 = dim Z^1 - dim B^1 = (r*d - rank C) - rank D, for the
+    generator actions ``acts`` as in ``h0``."""
+    r, d, _ = acts.shape
+    if not r:  # K is trivial: f(e) = 0, so Z^1 = 0
         return 0
-    p = module.prime
-    free = len(acts) * module.dim - rank(_cocycle_constraints(K, acts, p))
-    return free - rank(_invariant_constraints(acts, p))
+    free = r * d - rank(_cocycle_constraints(K, acts, K.prime))
+    return free - rank(_invariant_constraints(acts, K.prime))
+
+
+def _left_translations(G: FiniteGroup, xs) -> np.ndarray:
+    """Left multiplication by each x in ``xs`` on F_p[G], read off the
+    table: ``a[i]`` sends the basis element z to xs[i] * z."""
+    xs = np.asarray(xs, dtype=np.intp)
+    a = np.zeros((len(xs), G.order, G.order), dtype=np.int64)
+    a[np.arange(len(xs))[:, None], G.mult[xs], np.arange(G.order)] = 1
+    return a
 
 
 @dataclass(frozen=True)
@@ -121,17 +117,22 @@ def lemma_reports(G: FiniteGroup) -> Iterator[LemmaReport]:
     First H^1(G, F_p[G]) = 0.  Then for each subgroup K: the left
     K-invariants of F_p[G] equal N_K * F_p[G], of dimension |K\\G|; and
     Shapiro, dim H^k(K, F_p[G]) = dim H^k(K, F_p[K]) * |K\\G| for k = 0, 1.
-    F_p[G] is built once, and K, F_p[K] and H^0(K, F_p[G]) once per K.
+    The actions of K on F_p[G] and on F_p[K] are read off the tables once
+    per K.  N_K * g is the indicator vector of the right coset Kg, so
+    N_K * F_p[G] is spanned by those vectors (Brown, *Cohomology of
+    Groups*, III.5).
     """
-    reg = regular_bimodule(G)
-    dim = h1(G, reg)
+    dim = h1(G, _left_translations(G, G.generators))
     yield LemmaReport("h1_regular_vanishes", dim == 0, {"group": G.name, "order": G.order, "h1_dim": dim})
     for K in all_subgroups(G):
         k_group, incl = subgroup_as_group(K)
-        k_reg = regular_bimodule(k_group)
+        on_g = _left_translations(G, [incl.image[s] for s in k_group.generators])
+        on_k = _left_translations(k_group, k_group.generators)
         index = G.order // K.order
-        fixed = h0(k_group, reg, incl)
-        norm_span = submodule_generated(reg, "right", [norm_element(K, G).vector])
+        fixed = h0(k_group, on_g)
+        reps, labels = right_cosets(G, K.elements)
+        cosets = (labels == np.arange(len(reps))[:, None]).astype(np.uint8)
+        norm_span = Subspace.from_vectors(cosets, G.order, G.prime)
         yield LemmaReport(
             "h0_norm_formula",
             fixed == norm_span and fixed.dim == index,
@@ -144,8 +145,8 @@ def lemma_reports(G: FiniteGroup) -> Iterator[LemmaReport]:
             },
         )
         for degree, big, small in (
-            (0, fixed.dim, h0(k_group, k_reg).dim),
-            (1, h1(k_group, reg, incl), h1(k_group, k_reg)),
+            (0, fixed.dim, h0(k_group, on_k).dim),
+            (1, h1(k_group, on_g), h1(k_group, on_k)),
         ):
             yield LemmaReport(
                 "shapiro_dims",

@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .fpcore import right_cosets
 from .fplinalg import FpMatrix, rank, rref
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
 from .gog import presentation
@@ -57,14 +58,6 @@ class WellDefinednessViolation(RuntimeError):
 
 class OracleMismatch(RuntimeError):
     """Mayer-Vietoris h1 dimension disagrees with the Fox oracle."""
-
-
-def _coset_structure(P, subgroup_elements) -> tuple[np.ndarray, np.ndarray]:
-    """Right cosets K\\P of the subgroup: the least element of each coset,
-    ascending, and the coset label of every element of P."""
-    least = P.mult[np.asarray(subgroup_elements, dtype=np.intp)].min(axis=0)
-    reps, labels = np.unique(least, return_inverse=True)
-    return reps.astype(np.intp), labels
 
 
 def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:
@@ -95,13 +88,13 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
 
     vertex_labels, col_off, src = {}, {}, 0
     for vid in gog.graph.vertices:
-        reps, vertex_labels[vid] = _coset_structure(P, witness.vertex_maps[vid].image)
+        reps, vertex_labels[vid] = right_cosets(P, witness.vertex_maps[vid].image)
         col_off[vid], src = src, src + len(reps)
 
     joins, tgt = [], 0
     for eid, u, v in gog.graph.edges:
         image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
-        reps, labels = _coset_structure(P, image)
+        reps, labels = right_cosets(P, image)
         # the source coset of every x in F_p[P]: of x at d0, of t^-1 x at d1
         lab0 = vertex_labels[u]
         lab1 = vertex_labels[v][mult[P.inv(witness.stable_images[eid])]]
@@ -187,7 +180,7 @@ def _vertex_rows(words, col: dict, elements: dict, P, image, width: int) -> np.n
     block = _fox_rows(words, {s: i * m for i, s in enumerate(syms)}, elements, P, image, len(syms) * m)
     reduced, pivots = rref(FpMatrix(block, P.prime))
     basis = reduced.data[: len(pivots)]
-    reps, _ = _coset_structure(P, image)
+    reps, _ = right_cosets(P, image)
     # cols[c, (s, i)] is the column (s, image[i] * reps[c])
     offsets = np.array([col[s] for s in syms], dtype=np.intp)
     cols = (offsets[None, :, None] + P.mult[np.ix_(image, reps)].T[:, None, :]).reshape(len(reps), -1)

@@ -430,17 +430,23 @@ def is_injective(hom: GroupHom) -> bool:
     return len(set(hom.image)) == hom.source.order
 
 
+def right_cosets(P, subgroup_elements) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets K\\P of the subgroup: the least element of each coset,
+    ascending, and the coset label of every element of P."""
+    least = P.mult[np.asarray(subgroup_elements, dtype=np.intp)].min(axis=0)
+    reps, labels = np.unique(least, return_inverse=True)
+    return reps.astype(np.intp), labels
+
+
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing the lattice under element joins."""
+    """Every subgroup, found by closing the lattice under joins with one
+    element per right coset: <H, hg> = <H, g>."""
     seen = {(0,)}
     frontier = [(0,)]
     while frontier:
         elems = frontier.pop()
-        present = set(elems)
-        for g in range(1, group.order):
-            if g in present:
-                continue
-            bigger = subgroup_generated(group, set(elems) | {g}).elements
+        for g in right_cosets(group, elems)[0][1:].tolist():
+            bigger = subgroup_generated(group, elems + (g,)).elements
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)
@@ -451,15 +457,12 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Abstract group on the subgroup's elements plus the inclusion hom."""
     parent = sub.parent
     elems = list(sub.elements)
-    local = {g: i for i, g in enumerate(elems)}
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.uint16)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            prod = int(parent.mult[a, b])
-            if prod not in local:
-                raise GroupError("element set is not closed under multiplication")
-            table[i, j] = local[prod]
+    local = np.full(parent.order, -1, dtype=np.intp)
+    local[elems] = np.arange(n)
+    table = local[parent.mult[np.ix_(elems, elems)]]
+    if (table < 0).any():
+        raise GroupError("element set is not closed under multiplication")
     gens: list[int] = []
     closure = {0}
     for i in range(1, n):

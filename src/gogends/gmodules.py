@@ -1,12 +1,14 @@
 """Modules over F_p[P] for a finite p-group P.
 
-Carries the regular bimodule, norm elements of subgroups, action-closed
-submodules, and the local-ring generator count: F_p[P] is local with the
-augmentation ideal as maximal ideal, so the minimal number of module
-generators equals the dimension of the module modulo the augmentation
-ideal (Nakayama).  The brute-force generating-set search that checks
-that count, and the test modules it runs on, live in
-``tests/module_reference.py``.
+Carries the regular bimodule, action-closed submodules, quotients, and
+the local-ring generator count: F_p[P] is local with the augmentation
+ideal as maximal ideal, so the minimal number of module generators
+equals the dimension of the module modulo the augmentation ideal
+(Nakayama).  No subcommand imports this module: ``cohomology`` and
+``ends`` read F_p[P] off the multiplication table.  It is reached only
+by the benchmark's probes (``perfbench/spans.PROBES``) and by the tests,
+whose brute-force generating-set search, word-composed actions and test
+modules live in ``tests/module_reference.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpcore import FiniteGroup, Subgroup
+from .fpcore import FiniteGroup
 from .fplinalg import FpMatrix, Subspace, rank
 
 SIDES = ("left", "right")
@@ -39,7 +41,7 @@ class GModule:
     absent.  Matrices act on column vectors.
     """
 
-    __slots__ = ("group", "prime", "dim", "left", "right", "_lcache")
+    __slots__ = ("group", "prime", "dim", "left", "right")
 
     def __init__(self, group: FiniteGroup, dim: int,
                  left: list[FpMatrix] | None = None,
@@ -59,33 +61,12 @@ class GModule:
                     raise ModuleError(f"{side} action matrix is singular")
         self.left = left
         self.right = right
-        self._lcache: dict[int, FpMatrix] = {}
 
     def actions(self, side: str) -> list[FpMatrix]:
         acts = self.left if side == "left" else self.right
         if acts is None:
             raise ModuleError(f"module has no {side} action")
         return acts
-
-    def left_action_of(self, x: int) -> FpMatrix:
-        if x not in self._lcache:
-            acts = self.actions("left")
-            m = FpMatrix.identity(self.dim, self.prime)
-            for gi in self.group.words[x]:
-                m = m.matmul(acts[gi])
-            self._lcache[x] = m
-        return self._lcache[x]
-
-
-@dataclass(frozen=True)
-class NormVector:
-    """Sum of the elements of a finite subgroup inside F_p[P]."""
-
-    subgroup: Subgroup
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.ascontiguousarray(self.vector, dtype=np.uint8))
 
 
 def regular_bimodule(P: FiniteGroup) -> GModule:
@@ -101,15 +82,6 @@ def regular_bimodule(P: FiniteGroup) -> GModule:
         left.append(FpMatrix(lm, p))
         right.append(FpMatrix(rm, p))
     return GModule(P, n, left=left, right=right)
-
-
-def norm_element(K: Subgroup, P: FiniteGroup) -> NormVector:
-    if K.parent != P:
-        raise ModuleError("subgroup does not live in the given group")
-    v = np.zeros(P.order, dtype=np.uint8)
-    for k in K.elements:
-        v[k] = 1 % P.prime
-    return NormVector(K, v)
 
 
 def submodule_generated(module: GModule, side: str, seeds) -> Subspace:

@@ -13,13 +13,24 @@ maps and stable letters on every catalog quotient.
 go; tests compare them against these.  ``associative`` is the one-array
 check of every triple that ``fpcore.direct_product`` skips at
 construction, and ``identity_hom`` builds the identity map of a group.
+``all_subgroups_reference`` closes the subgroup lattice under joins with
+every element outside a subgroup; ``fpcore.all_subgroups`` joins with
+one element per right coset.
 """
 
 import itertools
 
 import numpy as np
 
-from gogends.fpcore import GroupError, GroupHom, ImagesInconsistent, catalog_groups, is_injective
+from gogends.fpcore import (
+    GroupError,
+    GroupHom,
+    ImagesInconsistent,
+    Subgroup,
+    catalog_groups,
+    is_injective,
+    subgroup_generated,
+)
 from gogends.gog import ProperWitness, _bfs_tree
 
 
@@ -114,3 +125,19 @@ def associative(group) -> bool:
 
 def identity_hom(group):
     return GroupHom(group, group, tuple(range(group.order)))
+
+
+def all_subgroups_reference(group):
+    """Every subgroup, by joining each one found with every element outside it."""
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        elems = frontier.pop()
+        for g in range(1, group.order):
+            if g in elems:
+                continue
+            bigger = subgroup_generated(group, set(elems) | {g}).elements
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    return [Subgroup(group, e) for e in sorted(seen, key=lambda e: (len(e), e))]

@@ -5,10 +5,14 @@
 regular bimodule.  ``min_generators_bruteforce`` tries every generating
 set of each size, the oracle for the Nakayama count
 ``gmodules.min_generators`` on the small modules of
-``nakayama_modules``.  ``right_action_of`` multiplies out the right
-action of an element, and ``check_action_consistency`` checks the
-generator matrices of both sides against the whole multiplication table.
-``d0_full`` and ``d1_full`` are the coboundary maps d0 over all
+``nakayama_modules``.  ``left_action_of`` and ``right_action_of``
+multiply out the action of an element along its normal form word, and
+``check_action_consistency`` checks the generator matrices of both
+sides against the whole multiplication table.  ``generator_actions``
+stacks the word-composed left actions of K's generators, through a hom
+when given, into the (r, d, d) array that ``cohomology.h0`` and ``h1``
+take; ``cohomology._left_translations`` reads the same matrices off the
+table.  ``d0_full`` and ``d1_full`` are the coboundary maps d0 over all
 elements and d1 over all pairs (g, h): dim ker d1 - rank d0 is the
 dim H^1 that ``cohomology.h1`` computes from the generator values.
 """
@@ -17,13 +21,12 @@ import itertools
 
 import numpy as np
 
-from gogends.fpcore import cyclic, dihedral8, elementary_abelian, subgroup_generated
+from gogends.fpcore import cyclic, dihedral8, elementary_abelian
 from gogends.fplinalg import FpMatrix
 from gogends.gmodules import (
     SIDES,
     GModule,
     ModuleError,
-    norm_element,
     quotient_module,
     regular_bimodule,
     submodule_generated,
@@ -81,7 +84,7 @@ def nakayama_modules():
     c2, c4, c3 = cyclic(2, 1), cyclic(2, 2), cyclic(3, 1)
     r2, r3, reg4 = regular_bimodule(c2), regular_bimodule(c3), regular_bimodule(c4)
     # F_2[C4] modulo its norm ideal: cyclic of dimension 3
-    norm_span = submodule_generated(reg4, "right", [norm_element(subgroup_generated(c4, [1]), c4).vector])
+    norm_span = submodule_generated(reg4, "right", [np.ones(4, dtype=np.uint8)])
     return [
         r2,
         direct_sum(r2, r2),
@@ -95,6 +98,23 @@ def nakayama_modules():
         direct_sum(r2, trivial_module(c2, 1)),
         quotient_module(reg4, "right", norm_span)[0],
     ]
+
+
+def left_action_of(module, x):
+    """L(x) = L(s_1) ... L(s_k) for the normal form word s_1 ... s_k of x."""
+    acts = module.actions("left")
+    m = FpMatrix.identity(module.dim, module.prime)
+    for gi in module.group.words[x]:
+        m = m.matmul(acts[gi])
+    return m
+
+
+def generator_actions(K, module, hom=None):
+    """The left actions of K's generators on the module, through ``hom``
+    into the module's group when given, as one int64 array (r, d, d)."""
+    images = K.generators if hom is None else [hom.image[s] for s in K.generators]
+    acts = [left_action_of(module, x).data for x in images]
+    return np.array(acts, dtype=np.int64).reshape(len(images), module.dim, module.dim)
 
 
 def right_action_of(module, x):
@@ -117,7 +137,7 @@ def check_action_consistency(module):
             for x in G.elements():
                 gx = int(G.mult[g, x])
                 if side == "left":
-                    got, want = module.left[gi].matmul(module.left_action_of(x)), module.left_action_of(gx)
+                    got, want = module.left[gi].matmul(left_action_of(module, x)), left_action_of(module, gx)
                 else:
                     got, want = right_action_of(module, x).matmul(module.right[gi]), right_action_of(module, gx)
                 if got != want:
@@ -131,7 +151,7 @@ def check_action_consistency(module):
 
 def _element_actions(K, M, hom):
     """A_g for every element g of K, through ``hom`` when given."""
-    return [M.left_action_of(g if hom is None else hom.image[g]).data.astype(np.int64) for g in K.elements()]
+    return [left_action_of(M, g if hom is None else hom.image[g]).data.astype(np.int64) for g in K.elements()]
 
 
 def d0_full(K, M, hom=None):

@@ -30,13 +30,13 @@ def boundary_map(gog, witness):
 
     vertex_labels, col_off, src = {}, {}, 0
     for vid in gog.graph.vertices:
-        reps, vertex_labels[vid] = ends._coset_structure(P, witness.vertex_maps[vid].image)
+        reps, vertex_labels[vid] = fpcore.right_cosets(P, witness.vertex_maps[vid].image)
         col_off[vid], src = src, src + len(reps)
 
     blocks, tgt = [], 0
     for eid, u, v in gog.graph.edges:
         image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
-        reps, labels = ends._coset_structure(P, image)
+        reps, labels = fpcore.right_cosets(P, image)
         lab0 = vertex_labels[u]
         lab1 = vertex_labels[v][mult[P.inv(witness.stable_images[eid])]]
         coset_times_gen = tgt + labels[mult[np.ix_(reps, P.generators)]].T

@@ -395,11 +395,12 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     (["counting", "--max-edges", "257"], "capped at 256 edges and 257 vertices"),
     (["counting", "--max-edges", "9", "--max-vertices", "258"], "capped at 256 edges and 257 vertices"),
     (["verify-lemmas", "--max-order", "0"], "--max-order must be at least 1"),
+    (["verify-lemmas", "--max-order", "512"], "--max-order must be at most 256"),
     (["ends", "FIXTURE", "--order-bound", "-3"], "--order-bound must be at least 1"),
     (["analyze", "FIXTURE", "--order-bound", "0"], "--order-bound must be at least 1"),
 ], ids=["enumerate_9_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
         "sampled_counting_257_edges", "sampled_counting_258_vertices",
-        "lemmas_order_0", "ends_negative_bound", "analyze_zero_bound"])
+        "lemmas_order_0", "lemmas_order_512", "ends_negative_bound", "analyze_zero_bound"])
 def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # checked before any graph is built or any enumeration or search starts,
     # with no default swapped in

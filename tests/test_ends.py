@@ -28,6 +28,7 @@ from gogends.fpcore import (
     heisenberg,
     hom_from_images,
     quaternion8,
+    right_cosets,
     trivial,
 )
 from gogends.fplinalg import Subspace, rank
@@ -245,7 +246,7 @@ def test_translated_vertex_bases_span_the_full_vertex_block():
             translated = ends._vertex_rows(pres.relators, col, elements, P, hom.image, width)
             full = fox_matrix_reference(pres, g, w)
             assert Subspace.from_vectors(translated, width, P.prime) == Subspace.from_vectors(full.data, width, P.prime)
-            reps, _ = ends._coset_structure(P, hom.image)
+            reps, _ = right_cosets(P, hom.image)
             noncentral += any((P.mult[c] != P.mult[:, c]).any() for c in reps)
     assert noncentral
 
@@ -327,14 +328,12 @@ def test_coset_labels_that_are_not_right_cosets_are_rejected(monkeypatch):
         P, {"u": hom_from_images(c2, P, [1]), "w": hom_from_images(c2, P, [2])}, {"e": 0}
     )
     assert mv_h0_map(g, w).kernel_dim == 1
-    cosets = ends._coset_structure
-
     def one_and_the_rest(P, subgroup_elements):
         if len(subgroup_elements) > 1:
-            return cosets(P, subgroup_elements)
+            return right_cosets(P, subgroup_elements)
         return np.array([0, 1]), np.array([0, 1, 1, 1])
 
-    monkeypatch.setattr(ends, "_coset_structure", one_and_the_rest)
+    monkeypatch.setattr(ends, "right_cosets", one_and_the_rest)
     with pytest.raises(WellDefinednessViolation, match="right submodule"):
         mv_h0_map(g, w)
 

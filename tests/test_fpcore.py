@@ -4,13 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hom_reference import associative, hom_from_images_reference
+from hom_reference import all_subgroups_reference, associative, hom_from_images_reference
 
 from gogends import fpcore
 from gogends.fpcore import (
     FiniteGroup,
     GroupError,
     ImagesInconsistent,
+    Subgroup,
     all_subgroups,
     catalog_groups,
     cyclic,
@@ -144,6 +145,18 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(quaternion8())) == 6
     assert len(all_subgroups(cyclic(2, 2))) == 3
     assert len(all_subgroups(elementary_abelian(2, 2))) == 5
+
+
+def test_all_subgroups_matches_element_join_closure():
+    for p, bound in ((2, 32), (3, 27)):
+        for G in catalog_groups(p, bound):
+            assert all_subgroups(G) == all_subgroups_reference(G), G.name
+
+
+def test_subgroup_as_group_rejects_unclosed_set():
+    q8 = quaternion8()
+    with pytest.raises(GroupError, match="not closed"):
+        subgroup_as_group(Subgroup(q8, (0, 2)))  # i * i = -1 is missing
 
 
 def test_subgroup_as_group_roundtrip():
