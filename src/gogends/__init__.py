@@ -6,7 +6,7 @@ Submodules:
 - ``fplinalg``   dense exact linear algebra over GF(p): one in-place numpy
                  elimination kernel on uint8 residues, p <= 16
 - ``gmodules``   modules over the group algebra, Nakayama counts; no
-                 subcommand imports it, only the benchmark probes and tests
+                 subcommand calls it, only the benchmark probes and tests
 - ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
                  lemma checks on F_p[G] read off the multiplication table
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
@@ -17,9 +17,12 @@ Submodules:
 - ``cli``        subcommands and canonical JSON reports
 
 ``KERNEL`` names the row-reduction kernel for report provenance; it is
-always ``"python"``.
+always ``"python"``.  The package loads ``gmodules`` itself: the
+benchmark's probes wrap its functions, and a traced pass must not load a
+program module that the untraced program did not.
 """
 
+from . import gmodules  # noqa: F401  (goes with the gmodules probes)
 from .fplinalg import (
     KERNEL,
     FpMatrix,

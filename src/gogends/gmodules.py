@@ -4,11 +4,12 @@ Carries the regular bimodule, action-closed submodules, quotients, and
 the local-ring generator count: F_p[P] is local with the augmentation
 ideal as maximal ideal, so the minimal number of module generators
 equals the dimension of the module modulo the augmentation ideal
-(Nakayama).  No subcommand imports this module: ``cohomology`` and
-``ends`` read F_p[P] off the multiplication table.  It is reached only
-by the benchmark's probes (``perfbench/spans.PROBES``) and by the tests,
-whose brute-force generating-set search, word-composed actions and test
-modules live in ``tests/module_reference.py``.
+(Nakayama).  No subcommand calls this module: ``cohomology`` and
+``ends`` read F_p[P] off the multiplication table.  Only the package
+``__init__`` loads it, for the benchmark's probes
+(``perfbench/spans.PROBES``); they and the tests are all that reach it.
+The tests' brute-force generating-set search, word-composed actions and
+test modules live in ``tests/module_reference.py``.
 """
 
 from __future__ import annotations
