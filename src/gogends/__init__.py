@@ -3,8 +3,9 @@
 Submodules:
 
 - ``fpcore``     finite p-groups as multiplication tables
-- ``fplinalg``   dense exact linear algebra over GF(p): one in-place numpy
-                 elimination kernel on uint8 residues, p <= 16
+- ``fplinalg``   dense exact linear algebra over GF(p) on uint8 residues,
+                 p <= 16: one row reduction, XOR on packed columns at
+                 p = 2 and numpy Gauss-Jordan at odd p
 - ``gmodules``   modules over the group algebra, Nakayama counts; no
                  subcommand calls it, only the benchmark probes and tests
 - ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
@@ -16,10 +17,11 @@ Submodules:
 - ``corpus``     built-in fixtures
 - ``cli``        subcommands and canonical JSON reports
 
-``KERNEL`` names the row-reduction kernel for report provenance; it is
-always ``"python"``.  The package loads ``gmodules`` itself: the
-benchmark's probes wrap its functions, and a traced pass must not load a
-program module that the untraced program did not.
+``KERNEL`` names the row reduction for report provenance; it is always
+``"python"``, for both its paths, since nothing is compiled.  The
+package loads ``gmodules`` itself: the benchmark's probes wrap its
+functions, and a traced pass must not load a program module that the
+untraced program did not.
 """
 
 from . import gmodules  # noqa: F401  (goes with the gmodules probes)

@@ -3,8 +3,13 @@
 All quantities downstream (cohomology dimensions, module generator
 counts, Mayer-Vietoris ranks) are exact integers computed from the rank
 machinery here.  Matrices hold uint8 residues in [0, p) for a prime
-p <= 16.  One kernel does every row reduction: ``_rref_in_place``, a
-numpy Gauss-Jordan elimination that rewrites a uint8 array in place.
+p <= 16.  ``_rref_in_place`` does every row reduction, on one of two
+paths.  At p = 2, ``_gf2_pivots`` packs each column into a Python int
+and eliminates by XOR.  Odd p run ``_gauss_jordan``, a numpy
+elimination of the uint8 array in place.  The reduced row echelon form
+is unique, so both paths give the same array and pivots; ``rank`` at
+p = 2 skips writing the form back.  ``KERNEL`` names the pair for
+report provenance: ``"python"``, since nothing is compiled.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ _PRIMES = frozenset({2, 3, 5, 7, 11, 13})
 
 class NoSolution(ValueError):
     """Raised by ``solve`` when the linear system is inconsistent."""
+
+
+def _supported(prime: int) -> int:
+    if prime not in _PRIMES:
+        raise ValueError(f"modulus must be a prime <= 16, got {prime}")
+    return prime
 
 
 def _as_residues(data, prime: int) -> np.ndarray:
@@ -41,18 +52,25 @@ class FpMatrix:
     __slots__ = ("data", "prime")
 
     def __init__(self, data, prime: int):
-        if prime not in _PRIMES:
-            raise ValueError(f"modulus must be a prime <= 16, got {prime}")
-        self.prime = prime
+        self.prime = _supported(prime)
         self.data = _as_residues(data, prime)
 
     @classmethod
+    def _trusted(cls, data: np.ndarray, prime: int) -> "FpMatrix":
+        """Wrap a C-contiguous 2-d uint8 array of residues mod a supported
+        prime, built by this module, without the checks of ``__init__``."""
+        m = object.__new__(cls)
+        m.data = data
+        m.prime = prime
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, prime: int) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8), prime)
+        return cls._trusted(np.zeros((rows, cols), dtype=np.uint8), _supported(prime))
 
     @classmethod
     def identity(cls, n: int, prime: int) -> "FpMatrix":
-        return cls(np.eye(n, dtype=np.uint8), prime)
+        return cls._trusted(np.eye(n, dtype=np.uint8), _supported(prime))
 
     @classmethod
     def from_rows(cls, rows, prime: int, cols: int | None = None) -> "FpMatrix":
@@ -106,8 +124,44 @@ class FpMatrix:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.prime})"
 
 
-def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
-    """Reduce the uint8 array ``a`` to reduced row echelon form in place;
+def _gf2_pivots(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot columns of the GF(2) matrix ``a``, and every column of its
+    RREF as an int: bit k is the entry in row k.
+
+    Column j of ``a`` is packed into an int whose bit i is a[i, j], and
+    reduced by XOR against the earlier pivot columns, kept in echelon form
+    under their highest set bit.  A column that does not reduce to zero
+    is the next pivot column.  One that does is a sum of earlier pivot
+    columns, and the RREF column holds its coordinates over them, since
+    the RREF sends the k-th pivot column to the k-th unit vector.
+    ``a`` is left untouched.
+    """
+    packed = np.packbits(a.T, axis=1, bitorder="little")
+    echelon = [0] * (a.shape[0] + 1)  # by bit length: a reduced sum of pivot columns
+    coords = [0] * (a.shape[0] + 1)  # which pivot columns that sum takes
+    pivots: list[int] = []
+    columns: list[int] = []
+    for j, packed_col in enumerate(packed):
+        v = int.from_bytes(packed_col.tobytes(), "little")
+        c = 0
+        while v:
+            top = v.bit_length()
+            w = echelon[top]
+            if not w:
+                unit = 1 << len(pivots)
+                echelon[top] = v
+                coords[top] = c ^ unit
+                pivots.append(j)
+                c = unit
+                break
+            v ^= w
+            c ^= coords[top]
+        columns.append(c)
+    return pivots, columns
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
+    """Numpy Gauss-Jordan elimination of the uint8 array ``a`` in place;
     return its pivot columns.
 
     Row updates are vectorised; entries stay below 256 because
@@ -141,11 +195,26 @@ def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
+def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
+    """Reduce the uint8 array ``a`` to reduced row echelon form in place;
+    return its pivot columns.  p = 2 goes through ``_gf2_pivots`` and
+    odd p through ``_gauss_jordan``; both give the unique RREF.
+    """
+    if p != 2:
+        return _gauss_jordan(a, p)
+    rows, cols = a.shape
+    pivots, columns = _gf2_pivots(a)
+    width = (rows + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in columns), dtype=np.uint8)
+    a[...] = np.unpackbits(packed.reshape(cols, width), axis=1, count=rows, bitorder="little").T
+    return pivots
+
+
 def rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
     """Reduced row echelon form plus pivot columns (input untouched)."""
     work = m.copy_data()
     pivots = _rref_in_place(work, m.prime)
-    return FpMatrix(work, m.prime), pivots
+    return FpMatrix._trusted(work, m.prime), pivots
 
 
 @dataclass(frozen=True)
@@ -163,7 +232,7 @@ class Subspace:
         if mat.cols != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         reduced, pivots = rref(mat)
-        basis = FpMatrix(reduced.data[: len(pivots)], prime)
+        basis = FpMatrix._trusted(reduced.data[: len(pivots)], prime)
         return cls(prime, ambient_dim, basis, tuple(pivots))
 
     @property
@@ -219,6 +288,8 @@ def rank_profile(m: FpMatrix) -> RankProfile:
 
 
 def rank(m: FpMatrix) -> int:
+    if m.prime == 2:
+        return len(_gf2_pivots(m.data)[0])
     work = m.copy_data()
     return len(_rref_in_place(work, m.prime))
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gogends import fplinalg
 from gogends.fplinalg import (
     FpMatrix,
     NoSolution,
+    rank,
     rank_profile,
     rref,
     solve,
@@ -189,3 +191,75 @@ def test_rref_matches_reference():
         want, want_pivots = _reference_rref(data, p)
         assert pivots == want_pivots
         assert reduced.data.tolist() == want
+
+
+def _check_gf2_kernels(a):
+    """The packed and the numpy kernel give the reference RREF at p = 2,
+    and ``rank`` (which skips the write-back) leaves its input alone."""
+    packed, dense = a.copy(), a.copy()
+    pivots = fplinalg._rref_in_place(packed, 2)
+    assert fplinalg._gauss_jordan(dense, 2) == pivots
+    assert np.array_equal(packed, dense)
+    if a.shape[0]:  # the reference reads the width off the first row
+        want, want_pivots = _reference_rref(a.tolist(), 2)
+        assert pivots == want_pivots
+        assert packed.tolist() == want
+    m = FpMatrix(a, 2)
+    assert rank(m) == len(pivots)
+    assert np.array_equal(m.data, a)
+
+
+def _gf2_structured(rng):
+    """Sizes off multiples of 8, more than 64 columns, tall and wide,
+    zero, permutation and low-rank products, one random 300 x 200."""
+    def rand(rows, cols):
+        return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+
+    for rows, cols in ((1, 1), (7, 9), (9, 7), (13, 65), (65, 13), (3, 130), (130, 3), (100, 100)):
+        yield rand(rows, cols)
+    yield np.zeros((11, 67), dtype=np.uint8)
+    yield np.eye(67, dtype=np.uint8)[rng.permutation(67)]
+    for inner in (1, 5, 40):
+        yield (rand(45, inner).astype(np.int64) @ rand(inner, 77) % 2).astype(np.uint8)
+    yield rand(300, 200)
+
+
+def test_packed_gf2_matches_numpy_and_reference_on_structured_inputs():
+    for a in _gf2_structured(np.random.default_rng(20261018)):
+        _check_gf2_kernels(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=90),
+    st.integers(min_value=0, max_value=150),
+    st.integers(min_value=0, max_value=90),
+    st.randoms(use_true_random=False),
+)
+def test_packed_gf2_matches_numpy_and_reference(rows, cols, inner, rnd):
+    # a product through ``inner`` columns has rank at most ``inner``
+    rng = np.random.default_rng(rnd.getrandbits(64))
+    left = rng.integers(0, 2, size=(rows, inner), dtype=np.int64)
+    right = rng.integers(0, 2, size=(inner, cols), dtype=np.int64)
+    _check_gf2_kernels((left @ right % 2).astype(np.uint8))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (0, 70), (70, 0)])
+def test_matrices_without_rows_or_columns(p, shape):
+    m = FpMatrix.zeros(*shape, p)
+    reduced, pivots = rref(m)
+    assert reduced.data.shape == shape
+    assert pivots == []
+    assert rank(m) == 0
+    prof = rank_profile(m)
+    assert prof.rank == 0
+    assert prof.nullspace.dim == shape[1]
+    assert np.array_equal(solve(m, [0] * shape[0]), np.zeros(shape[1]))
+    if shape[0]:
+        with pytest.raises(NoSolution):
+            solve(m, [1] * shape[0])
+    for kernel in (fplinalg._rref_in_place, fplinalg._gauss_jordan):
+        a = np.zeros(shape, dtype=np.uint8)
+        assert kernel(a, p) == []
+        assert a.shape == shape
