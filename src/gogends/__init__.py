@@ -4,8 +4,9 @@ Submodules:
 
 - ``fpcore``     finite p-groups as multiplication tables
 - ``fplinalg``   dense exact linear algebra over GF(p) on uint8 residues,
-                 p <= 16: one row reduction, XOR on packed columns at
-                 p = 2 and numpy Gauss-Jordan at odd p
+                 p <= 16: one row reduction, on packed columns at
+                 p = 2 (XOR) and p = 3 (bit-sliced), numpy Gauss-Jordan
+                 at larger p
 - ``gmodules``   modules over the group algebra, Nakayama counts; no
                  subcommand calls it, only the benchmark probes and tests
 - ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
@@ -18,7 +19,7 @@ Submodules:
 - ``cli``        subcommands and canonical JSON reports
 
 ``KERNEL`` names the row reduction for report provenance; it is always
-``"python"``, for both its paths, since nothing is compiled.  The
+``"python"``, for all its paths, since nothing is compiled.  The
 package loads ``gmodules`` itself: the benchmark's probes wrap its
 functions, and a traced pass must not load a program module that the
 untraced program did not.

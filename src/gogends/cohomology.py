@@ -1,16 +1,19 @@
 """Degree-0 and degree-1 cohomology of finite groups, plus lemma checks.
 
-A module M of dimension d is given by the left actions A_s of K's
-generators, one int64 array of shape (r, d, d).  The lemma checks read
-them off the multiplication table: F_p[G] and F_p[K] are permutation
-modules, A_s sending the basis element z to s z.
+A module M of dimension d is a permutation module: the left action A_s
+of each of K's r generators permutes the basis.  It is given as one
+(r, d) index array ``src``, with (A_s v)[z] = v[src_s[z]], so applying
+A_s to a vector, or to the rows of a matrix, is a gather.  The lemma
+checks read the arrays off the multiplication table: F_p[G] and F_p[K]
+are permutation modules, A_s sending the basis element z to s z, so
+src_s[y] = s^-1 y (Brown, Cohomology of Groups, III.5).
 
 Cochains are indexed by all group elements: coordinate h*d + i of a
 1-cochain f is the i-th entry of f(h).  The cocycle space Z^1 is not cut
 out of all n*d cochain coordinates; it is solved over the generator
-values x = (f(s_1), ..., f(s_r)) in M^r (Brown, Cohomology of Groups,
-IV.2).  A BFS tree of the left Cayley graph from the identity sets
-f(e) = 0 and f(s h) = A_s f(h) + f(s) along its edges, so f(h) = F_h x
+values x = (f(s_1), ..., f(s_r)) in M^r (Brown, IV.2).  A BFS tree of
+the left Cayley graph from the identity sets f(e) = 0 and
+f(s h) = A_s f(h) + f(s) along its edges, so f(h) = F_h x
 for every h.  Each non-tree edge (s, h) adds the d rows
 F_{sh} - A_s F_h - E_s of a constraint matrix C, and Z^1 = {F x : x in
 ker C}.  Every cocycle satisfies these equations, so it lies in the
@@ -41,64 +44,62 @@ from .fpcore import FiniteGroup, all_subgroups, right_cosets, subgroup_as_group
 from .fplinalg import FpMatrix, Subspace, rank, rank_profile
 
 
-def _invariant_constraints(acts: np.ndarray, p: int) -> FpMatrix:
-    """D: the blocks A_s - I stacked over the generators; ker D = M^K."""
-    d = acts.shape[1]
-    return FpMatrix(((acts - np.eye(d, dtype=np.int64)) % p).reshape(-1, d), p)
+def _invariant_constraints(src: np.ndarray, p: int) -> FpMatrix:
+    """D: the blocks A_s - I stacked over the generators; ker D = M^K.
+    A_s is the identity with its rows gathered by src_s."""
+    eye = np.eye(src.shape[1], dtype=np.int8)
+    return FpMatrix((eye[src] - eye).reshape(-1, eye.shape[0]), p)
 
 
-def _cocycle_constraints(K: FiniteGroup, acts: np.ndarray, p: int) -> FpMatrix:
+def _cocycle_constraints(K: FiniteGroup, src: np.ndarray, p: int) -> FpMatrix:
     """C: the non-tree edge equations on the generator values, as the
-    module docstring describes; ``values[h]`` is F_h."""
-    n, (r, d, _) = K.order, acts.shape
-    unit = np.eye(r * d, dtype=np.int64).reshape(r, d, r * d)  # unit[i] = E_i
-    values = np.zeros((n, d, r * d), dtype=np.int64)
+    module docstring describes; ``values[h]`` is F_h, and A_s F_h is the
+    row gather F_h[src_s].  An entry of F_h counts tree edges, so it is
+    below the order of K and int16 holds it."""
+    n, (r, d) = K.order, src.shape
+    unit = np.eye(r * d, dtype=np.int16).reshape(r, d, r * d)  # unit[i] = E_i
+    values = np.zeros((n, d, r * d), dtype=np.int16)
     tree = np.zeros((r, n), dtype=bool)  # tree[i, h]: edge (s_i, h) is in the tree
-    seen = np.zeros(n, dtype=bool)
+    mult = K.mult.tolist()
+    seen = [False] * n
     seen[0] = True
     queue = [0]
     for h in queue:
         for i, s in enumerate(K.generators):
-            sh = int(K.mult[s, h])
+            sh = mult[s][h]
             if not seen[sh]:
                 seen[sh] = tree[i, h] = True
-                values[sh] = (acts[i] @ values[h] + unit[i]) % p
+                np.add(values[h][src[i]], unit[i], out=values[sh])
                 queue.append(sh)
-    rows = []
-    for i, s in enumerate(K.generators):
-        off = ~tree[i]
-        lhs = values[K.mult[s][off]]
-        rows.append((lhs - acts[i] @ values[off] - unit[i]).reshape(-1, r * d))
-    return FpMatrix(np.concatenate(rows) % p, p)
+    gen, off = np.nonzero(~tree)  # the non-tree edges (s_gen, off)
+    lhs = values[K.mult[np.asarray(K.generators)[gen], off]]
+    return FpMatrix((lhs - values[off[:, None], src[gen]] - unit[gen]).reshape(-1, r * d), p)
 
 
-def h0(K: FiniteGroup, acts: np.ndarray) -> Subspace:
-    """Invariants: joint fixed space of the generator actions ``acts``,
-    an int64 array of shape (r, d, d) with ``acts[i]`` the left action of
-    ``K.generators[i]``."""
-    r, d, _ = acts.shape
+def h0(K: FiniteGroup, src: np.ndarray) -> Subspace:
+    """Invariants: joint fixed space of the generator actions, given as
+    an (r, d) index array ``src``: the generator ``K.generators[i]``
+    sends v to the vector with entries (A v)[z] = v[src[i, z]]."""
+    r, d = src.shape
     if not r:  # the identity matrix is already a canonical basis
         return Subspace(K.prime, d, FpMatrix.identity(d, K.prime), tuple(range(d)))
-    return rank_profile(_invariant_constraints(acts, K.prime)).nullspace
+    return rank_profile(_invariant_constraints(src, K.prime)).nullspace
 
 
-def h1(K: FiniteGroup, acts: np.ndarray) -> int:
+def h1(K: FiniteGroup, src: np.ndarray) -> int:
     """dim H^1 = dim Z^1 - dim B^1 = (r*d - rank C) - rank D, for the
-    generator actions ``acts`` as in ``h0``."""
-    r, d, _ = acts.shape
+    generator actions ``src`` as in ``h0``."""
+    r, d = src.shape
     if not r:  # K is trivial: f(e) = 0, so Z^1 = 0
         return 0
-    free = r * d - rank(_cocycle_constraints(K, acts, K.prime))
-    return free - rank(_invariant_constraints(acts, K.prime))
+    free = r * d - rank(_cocycle_constraints(K, src, K.prime))
+    return free - rank(_invariant_constraints(src, K.prime))
 
 
 def _left_translations(G: FiniteGroup, xs) -> np.ndarray:
-    """Left multiplication by each x in ``xs`` on F_p[G], read off the
-    table: ``a[i]`` sends the basis element z to xs[i] * z."""
-    xs = np.asarray(xs, dtype=np.intp)
-    a = np.zeros((len(xs), G.order, G.order), dtype=np.int64)
-    a[np.arange(len(xs))[:, None], G.mult[xs], np.arange(G.order)] = 1
-    return a
+    """Left multiplication by each x in ``xs`` on F_p[G] as index arrays:
+    it sends the basis element z to x z, so (A v)[y] = v[x^-1 y]."""
+    return G.mult[G.inverses[np.asarray(xs, dtype=np.intp)]]
 
 
 @dataclass(frozen=True)

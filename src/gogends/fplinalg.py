@@ -3,12 +3,16 @@
 All quantities downstream (cohomology dimensions, module generator
 counts, Mayer-Vietoris ranks) are exact integers computed from the rank
 machinery here.  Matrices hold uint8 residues in [0, p) for a prime
-p <= 16.  ``_rref_in_place`` does every row reduction, on one of two
-paths.  At p = 2, ``_gf2_pivots`` packs each column into a Python int
-and eliminates by XOR.  Odd p run ``_gauss_jordan``, a numpy
-elimination of the uint8 array in place.  The reduced row echelon form
-is unique, so both paths give the same array and pivots; ``rank`` at
-p = 2 skips writing the form back.  ``KERNEL`` names the pair for
+p <= 16.  ``_rref_in_place`` does every row reduction and picks its
+path by the prime alone.  At p = 2 and p = 3 the columns are packed into
+Python ints (``_pack_columns``) and each is reduced against the earlier
+pivot columns: ``_gf2_pivots`` keeps one int per column and adds by
+XOR, ``_gf3_pivots`` keeps two, the masks of the 1s and of the 2s, and
+adds with a few bitwise operations.  Larger p run ``_gauss_jordan``, a
+numpy elimination of the uint8 array in place.  The reduced row echelon
+form is unique, so every path gives the same array and pivots.  ``rank``
+at p = 2 and 3 eliminates the shorter side, since rank A = rank A^T,
+and skips writing the form back.  ``KERNEL`` names the kernels for
 report provenance: ``"python"``, since nothing is compiled.
 """
 
@@ -124,6 +128,22 @@ class FpMatrix:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.prime})"
 
 
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """Column j of the 0/1 array ``bits`` as an int whose bit i is bits[i, j]."""
+    rows, cols = bits.shape
+    width = (rows + 7) // 8
+    packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[j * width : (j + 1) * width], "little") for j in range(cols)]
+
+
+def _unpack_columns(columns: list[int], rows: int) -> np.ndarray:
+    """The 0/1 uint8 array with ``rows`` rows whose column j holds the bits
+    of columns[j]: the inverse of ``_pack_columns``."""
+    width = (rows + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in columns), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(columns), width), axis=1, count=rows, bitorder="little").T
+
+
 def _gf2_pivots(a: np.ndarray) -> tuple[list[int], list[int]]:
     """Pivot columns of the GF(2) matrix ``a``, and every column of its
     RREF as an int: bit k is the entry in row k.
@@ -136,13 +156,11 @@ def _gf2_pivots(a: np.ndarray) -> tuple[list[int], list[int]]:
     the RREF sends the k-th pivot column to the k-th unit vector.
     ``a`` is left untouched.
     """
-    packed = np.packbits(a.T, axis=1, bitorder="little")
     echelon = [0] * (a.shape[0] + 1)  # by bit length: a reduced sum of pivot columns
     coords = [0] * (a.shape[0] + 1)  # which pivot columns that sum takes
     pivots: list[int] = []
     columns: list[int] = []
-    for j, packed_col in enumerate(packed):
-        v = int.from_bytes(packed_col.tobytes(), "little")
+    for j, v in enumerate(_pack_columns(a)):
         c = 0
         while v:
             top = v.bit_length()
@@ -158,6 +176,52 @@ def _gf2_pivots(a: np.ndarray) -> tuple[list[int], list[int]]:
             c ^= coords[top]
         columns.append(c)
     return pivots, columns
+
+
+def _gf3_pivots(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Pivot columns of the GF(3) matrix ``a``, and every column of its
+    RREF as two ints: the masks of its 1s and of its 2s.
+
+    ``_gf2_pivots`` with bit-sliced columns (Boothby and Bradshaw,
+    arXiv:0901.1413): a vector is the pair (ones, twos), its negation is
+    (twos, ones), and x + y is, with t = (x1 | y2) ^ (x2 | y1),
+    ((x2 | y2) ^ t, (x1 | y1) ^ t).  A pivot column is scaled so that its
+    entry at its highest row is 1, so a column whose entry there is 1
+    subtracts it and one whose entry is 2 adds it.  The coordinates of
+    the reduced column over the pivot columns change by the opposite
+    amount.  ``a`` is left untouched.
+    """
+    echelon: list = [None] * (a.shape[0] + 1)  # by highest row: (v1, v2, c1, c2)
+    pivots: list[int] = []
+    ones: list[int] = []
+    twos: list[int] = []
+    for j, (v1, v2) in enumerate(zip(_pack_columns(a == 1), _pack_columns(a == 2))):
+        c1 = c2 = 0  # the column is (v1, v2) plus (c1, c2) over the pivot columns
+        while v1 or v2:
+            top = (v1 | v2).bit_length()
+            lead_one = v1 >> (top - 1)
+            e = echelon[top]
+            if e is None:
+                unit = 1 << len(pivots)
+                # (v1, v2) is unit - c over the pivot columns, scaled by the lead
+                echelon[top] = (v1, v2, c2 | unit, c1) if lead_one else (v2, v1, c1, c2 | unit)
+                pivots.append(j)
+                c1, c2 = unit, 0
+                break
+            w1, w2, d1, d2 = e
+            if lead_one:  # v -= w, c += d
+                t = (v1 | w1) ^ (v2 | w2)
+                v1, v2 = (v2 | w1) ^ t, (v1 | w2) ^ t
+                t = (c1 | d2) ^ (c2 | d1)
+                c1, c2 = (c2 | d2) ^ t, (c1 | d1) ^ t
+            else:  # v += w, c -= d
+                t = (v1 | w2) ^ (v2 | w1)
+                v1, v2 = (v2 | w2) ^ t, (v1 | w1) ^ t
+                t = (c1 | d1) ^ (c2 | d2)
+                c1, c2 = (c2 | d1) ^ t, (c1 | d2) ^ t
+        ones.append(c1)
+        twos.append(c2)
+    return pivots, ones, twos
 
 
 def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
@@ -197,16 +261,19 @@ def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
 
 def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
     """Reduce the uint8 array ``a`` to reduced row echelon form in place;
-    return its pivot columns.  p = 2 goes through ``_gf2_pivots`` and
-    odd p through ``_gauss_jordan``; both give the unique RREF.
+    return its pivot columns.  p = 2 goes through ``_gf2_pivots``, p = 3
+    through ``_gf3_pivots`` and larger p through ``_gauss_jordan``; all
+    give the unique RREF.
     """
-    if p != 2:
-        return _gauss_jordan(a, p)
-    rows, cols = a.shape
-    pivots, columns = _gf2_pivots(a)
-    width = (rows + 7) // 8
-    packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in columns), dtype=np.uint8)
-    a[...] = np.unpackbits(packed.reshape(cols, width), axis=1, count=rows, bitorder="little").T
+    rows = a.shape[0]
+    if p == 2:
+        pivots, columns = _gf2_pivots(a)
+        a[...] = _unpack_columns(columns, rows)
+    elif p == 3:
+        pivots, ones, twos = _gf3_pivots(a)
+        a[...] = _unpack_columns(ones, rows) + 2 * _unpack_columns(twos, rows)
+    else:
+        pivots = _gauss_jordan(a, p)
     return pivots
 
 
@@ -273,25 +340,39 @@ class RankProfile:
 
 
 def rank_profile(m: FpMatrix) -> RankProfile:
-    """Rank plus the canonical echelon basis of the nullspace."""
-    reduced, pivots = rref(m)
+    """Rank plus the canonical echelon basis of the nullspace, from one
+    row reduction of m with its columns reversed.
+
+    In the reversed matrix a free column is a combination of the pivot
+    columns to its left, so in m each free column f is a combination of
+    pivot columns after f.  The null vector this gives has a 1 at f,
+    zeros at the other free columns and entries only at pivot columns
+    after f.  Taken in the order of f, these vectors are already the
+    RREF basis of the nullspace, with its pivots at the free columns.
+    """
+    n, p = m.cols, m.prime
+    reduced, pivots = rref(FpMatrix._trusted(np.ascontiguousarray(m.data[:, ::-1]), p))
     rank = len(pivots)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(n) if c not in pivot_set]
     k = len(free_cols)
-    null_vectors = np.zeros((k, m.cols), dtype=np.uint8)
+    null_vectors = np.zeros((k, n), dtype=np.uint8)
     null_vectors[np.arange(k), free_cols] = 1
-    null_vectors[:, pivots] = (m.prime - reduced.data[:rank, free_cols].T) % m.prime
-    nullspace = Subspace.from_vectors(null_vectors, m.cols, m.prime)
-    assert rank + nullspace.dim == m.cols
+    null_vectors[:, pivots] = (p - reduced.data[:rank, free_cols].T) % p
+    basis = FpMatrix._trusted(np.ascontiguousarray(null_vectors[::-1, ::-1]), p)
+    nullspace = Subspace(p, n, basis, tuple(n - 1 - c for c in reversed(free_cols)))
     return RankProfile(rank, nullspace)
 
 
 def rank(m: FpMatrix) -> int:
+    """Rank of m, from the shorter of its two sides at p = 2 and 3, since
+    rank m = rank m^T, and without writing the reduced form back."""
+    a = m.data if m.rows >= m.cols else m.data.T
     if m.prime == 2:
-        return len(_gf2_pivots(m.data)[0])
-    work = m.copy_data()
-    return len(_rref_in_place(work, m.prime))
+        return len(_gf2_pivots(a)[0])
+    if m.prime == 3:
+        return len(_gf3_pivots(a)[0])
+    return len(_rref_in_place(m.copy_data(), m.prime))
 
 
 def solve(m: FpMatrix, rhs) -> np.ndarray:

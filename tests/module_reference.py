@@ -8,13 +8,15 @@ set of each size, the oracle for the Nakayama count
 ``nakayama_modules``.  ``left_action_of`` and ``right_action_of``
 multiply out the action of an element along its normal form word, and
 ``check_action_consistency`` checks the generator matrices of both
-sides against the whole multiplication table.  ``generator_actions``
-stacks the word-composed left actions of K's generators, through a hom
-when given, into the (r, d, d) array that ``cohomology.h0`` and ``h1``
-take; ``cohomology._left_translations`` reads the same matrices off the
-table.  ``d0_full`` and ``d1_full`` are the coboundary maps d0 over all
-elements and d1 over all pairs (g, h): dim ker d1 - rank d0 is the
-dim H^1 that ``cohomology.h1`` computes from the generator values.
+sides against the whole multiplication table.  ``permutation_sources``
+turns a permutation matrix A into the index array src with
+(A v)[z] = v[src[z]], and ``generator_actions`` stacks those of the
+word-composed left actions of K's generators, through a hom when given,
+into the (r, d) array that ``cohomology.h0`` and ``h1`` take;
+``cohomology._left_translations`` reads the same arrays off the table.
+``d0_full`` and ``d1_full`` are the coboundary maps d0 over all elements
+and d1 over all pairs (g, h): dim ker d1 - rank d0 is the dim H^1 that
+``cohomology.h1`` computes from the generator values.
 """
 
 import itertools
@@ -109,12 +111,23 @@ def left_action_of(module, x):
     return m
 
 
+def permutation_sources(matrix):
+    """The index array src with (A v)[z] = v[src[z]] for the permutation
+    matrix A; raises if A is not one."""
+    a = np.asarray(matrix.data)
+    src = a.argmax(axis=1)
+    if not np.array_equal(a, np.eye(len(a), dtype=a.dtype)[src]) or len(set(src.tolist())) != len(src):
+        raise ModuleError("action is not a permutation matrix")
+    return src
+
+
 def generator_actions(K, module, hom=None):
     """The left actions of K's generators on the module, through ``hom``
-    into the module's group when given, as one int64 array (r, d, d)."""
+    into the module's group when given, as one (r, d) index array of
+    ``permutation_sources``."""
     images = K.generators if hom is None else [hom.image[s] for s in K.generators]
-    acts = [left_action_of(module, x).data for x in images]
-    return np.array(acts, dtype=np.int64).reshape(len(images), module.dim, module.dim)
+    srcs = [permutation_sources(left_action_of(module, x)) for x in images]
+    return np.array(srcs, dtype=np.intp).reshape(len(images), module.dim)
 
 
 def right_action_of(module, x):

@@ -1,5 +1,6 @@
 """CLI parsing, serialisation round-trips, subcommands, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,6 +203,15 @@ def test_main_verify_lemmas_small(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass" and rep["findings"] == []
+
+
+@pytest.mark.parametrize("prime, max_order, digest", [(2, 16, "5b8bcd3191cae0b3"), (3, 27, "84d6a39489feb6a7")])
+def test_verify_lemmas_reports_are_pinned(tmp_path, prime, max_order, digest):
+    # the lemma inputs of the benchmark; a kernel change that alters a
+    # report (718 and 227 checks, all passing) fails here
+    out = tmp_path / "lemmas.json"
+    assert cli.main(["verify-lemmas", "--prime", str(prime), "--max-order", str(max_order), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_main_byte_determinism(tmp_path):

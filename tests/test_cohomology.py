@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from gogends import cohomology
 from gogends.cohomology import (
@@ -26,10 +27,17 @@ from gogends.fpcore import (
     subgroup_generated,
     trivial,
 )
-from gogends.fplinalg import rank
-from gogends.gmodules import regular_bimodule
+from gogends.fplinalg import FpMatrix, rank
+from gogends.gmodules import ModuleError, regular_bimodule
 
-from module_reference import d0_full, d1_full, generator_actions, left_action_of, trivial_module
+from module_reference import (
+    d0_full,
+    d1_full,
+    generator_actions,
+    left_action_of,
+    permutation_sources,
+    trivial_module,
+)
 
 
 def test_h0_trivial_group_full_module():
@@ -263,4 +271,11 @@ def test_left_translations_match_word_composed_actions():
             reg = regular_bimodule(G)
             table = _left_translations(G, G.elements())
             for x in G.elements():
-                assert np.array_equal(table[x], left_action_of(reg, x).data), (G.name, x)
+                assert np.array_equal(table[x], permutation_sources(left_action_of(reg, x))), (G.name, x)
+
+
+def test_permutation_sources_rejects_other_matrices():
+    assert permutation_sources(FpMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)).tolist() == [1, 2, 0]
+    for data in ([[1, 1], [0, 1]], [[1, 0], [1, 0]], [[0, 0], [0, 1]], [[2, 0], [0, 1]]):
+        with pytest.raises(ModuleError):
+            permutation_sources(FpMatrix(data, 3))

@@ -12,6 +12,7 @@ from gogends import fplinalg
 from gogends.fplinalg import (
     FpMatrix,
     NoSolution,
+    Subspace,
     rank,
     rank_profile,
     rref,
@@ -180,68 +181,115 @@ def _structured_matrices(rnd):
         yield rand(40, 3), p
 
 
-def test_rref_matches_reference():
+def _reference_cases():
+    """The random and structured inputs of ``test_rref_matches_reference``,
+    as (rows as lists, p)."""
     rnd = random.Random(20240817)
-    cases = itertools.chain(
+    return itertools.chain(
         _random_matrices(rnd),
         ((np.asarray(m).tolist(), p) for m, p in _structured_matrices(rnd)),
     )
-    for data, p in cases:
+
+
+def test_rref_matches_reference():
+    for data, p in _reference_cases():
         reduced, pivots = rref(FpMatrix(data, p))
         want, want_pivots = _reference_rref(data, p)
         assert pivots == want_pivots
         assert reduced.data.tolist() == want
 
 
-def _check_gf2_kernels(a):
-    """The packed and the numpy kernel give the reference RREF at p = 2,
-    and ``rank`` (which skips the write-back) leaves its input alone."""
+def _two_pass_rank_profile(m):
+    """Rank and nullspace the long way: null vectors read off the RREF
+    of m, then row-reduced a second time into the canonical basis."""
+    reduced, pivots = rref(m)
+    rank_ = len(pivots)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    null = np.zeros((len(free), m.cols), dtype=np.uint8)
+    null[np.arange(len(free)), free] = 1
+    null[:, pivots] = (m.prime - reduced.data[:rank_, free].T) % m.prime
+    return rank_, Subspace.from_vectors(null, m.cols, m.prime)
+
+
+def test_rank_profile_matches_two_pass_route():
+    empty = (FpMatrix.zeros(*shape, p) for p in (2, 3, 5) for shape in ((0, 0), (0, 6), (6, 0)))
+    for m in itertools.chain((FpMatrix(data, p) for data, p in _reference_cases()), empty):
+        prof = rank_profile(m)
+        want_rank, want = _two_pass_rank_profile(m)
+        assert prof.rank == want_rank
+        assert prof.nullspace == want
+        assert prof.nullspace.pivots == want.pivots
+
+
+def _check_packed_kernels(a, p):
+    """The packed and the numpy kernel give the reference RREF at
+    p = 2 or 3, and ``rank`` (which eliminates the shorter side and skips
+    the write-back) agrees on m and its transpose and leaves m alone."""
     packed, dense = a.copy(), a.copy()
-    pivots = fplinalg._rref_in_place(packed, 2)
-    assert fplinalg._gauss_jordan(dense, 2) == pivots
+    pivots = fplinalg._rref_in_place(packed, p)
+    assert fplinalg._gauss_jordan(dense, p) == pivots
     assert np.array_equal(packed, dense)
     if a.shape[0]:  # the reference reads the width off the first row
-        want, want_pivots = _reference_rref(a.tolist(), 2)
+        want, want_pivots = _reference_rref(a.tolist(), p)
         assert pivots == want_pivots
         assert packed.tolist() == want
-    m = FpMatrix(a, 2)
-    assert rank(m) == len(pivots)
-    assert np.array_equal(m.data, a)
+    before = a.copy()
+    m = FpMatrix(a, p)
+    assert rank(m) == rank(m.transpose()) == len(pivots)
+    assert np.array_equal(m.data, before)
 
 
-def _gf2_structured(rng):
+def _packed_structured(rng, p):
     """Sizes off multiples of 8, more than 64 columns, tall and wide,
     zero, permutation and low-rank products, one random 300 x 200."""
     def rand(rows, cols):
-        return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        return rng.integers(0, p, size=(rows, cols), dtype=np.uint8)
 
     for rows, cols in ((1, 1), (7, 9), (9, 7), (13, 65), (65, 13), (3, 130), (130, 3), (100, 100)):
         yield rand(rows, cols)
     yield np.zeros((11, 67), dtype=np.uint8)
     yield np.eye(67, dtype=np.uint8)[rng.permutation(67)]
     for inner in (1, 5, 40):
-        yield (rand(45, inner).astype(np.int64) @ rand(inner, 77) % 2).astype(np.uint8)
+        yield (rand(45, inner).astype(np.int64) @ rand(inner, 77) % p).astype(np.uint8)
     yield rand(300, 200)
 
 
 def test_packed_gf2_matches_numpy_and_reference_on_structured_inputs():
-    for a in _gf2_structured(np.random.default_rng(20261018)):
-        _check_gf2_kernels(a)
+    for a in _packed_structured(np.random.default_rng(20261018), 2):
+        _check_packed_kernels(a, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def test_packed_gf3_matches_numpy_and_reference_on_structured_inputs():
+    for a in _packed_structured(np.random.default_rng(20261019), 3):
+        _check_packed_kernels(a, 3)
+
+
+def _low_rank_product(rows, cols, inner, rnd, p):
+    """A product through ``inner`` columns: its rank is at most ``inner``."""
+    rng = np.random.default_rng(rnd.getrandbits(64))
+    left = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+    right = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+    return (left @ right % p).astype(np.uint8)
+
+
+_PRODUCT_SHAPES = (
     st.integers(min_value=0, max_value=90),
     st.integers(min_value=0, max_value=150),
     st.integers(min_value=0, max_value=90),
     st.randoms(use_true_random=False),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PRODUCT_SHAPES)
 def test_packed_gf2_matches_numpy_and_reference(rows, cols, inner, rnd):
-    # a product through ``inner`` columns has rank at most ``inner``
-    rng = np.random.default_rng(rnd.getrandbits(64))
-    left = rng.integers(0, 2, size=(rows, inner), dtype=np.int64)
-    right = rng.integers(0, 2, size=(inner, cols), dtype=np.int64)
-    _check_gf2_kernels((left @ right % 2).astype(np.uint8))
+    _check_packed_kernels(_low_rank_product(rows, cols, inner, rnd, 2), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PRODUCT_SHAPES)
+def test_packed_gf3_matches_numpy_and_reference(rows, cols, inner, rnd):
+    _check_packed_kernels(_low_rank_product(rows, cols, inner, rnd, 3), 3)
 
 
 @pytest.mark.parametrize("p", [2, 3])
