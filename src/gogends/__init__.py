@@ -3,10 +3,9 @@
 Submodules:
 
 - ``fpcore``     finite p-groups as multiplication tables
-- ``fplinalg``   dense exact linear algebra over GF(p) on uint8 residues,
-                 p <= 16: one row reduction, on packed columns at
-                 p = 2 (XOR) and p = 3 (bit-sliced), numpy Gauss-Jordan
-                 at larger p
+- ``fplinalg``   dense exact linear algebra over GF(p) on uint8 residues
+                 for p in ``PRIMES`` = (2, 3): one row reduction on
+                 packed columns, XOR at p = 2 and bit-sliced at p = 3
 - ``gmodules``   modules over the group algebra, Nakayama counts; no
                  subcommand calls it, only the benchmark probes and tests
 - ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
@@ -19,7 +18,7 @@ Submodules:
 - ``cli``        subcommands and canonical JSON reports
 
 ``KERNEL`` names the row reduction for report provenance; it is always
-``"python"``, for all its paths, since nothing is compiled.  The
+``"python"``, at both primes, since nothing is compiled.  The
 package loads ``gmodules`` itself: the benchmark's probes wrap its
 functions, and a traced pass must not load a program module that the
 untraced program did not.

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import cohomology, ends, fpcore, gog as gogmod, graphs
+from .fplinalg import PRIMES
 from .schema import InputError, gog_from_json
 
 DEFAULT_LEMMA_ORDER = {2: 16, 3: 27}
@@ -36,8 +37,8 @@ class WorkbenchConfig:
     witness_out: str | None = None
 
     def __post_init__(self):
-        if self.prime not in (2, 3):
-            raise InputError("prime must be 2 or 3")
+        if self.prime not in PRIMES:
+            raise InputError(f"prime must be {' or '.join(map(str, PRIMES))}")
         if self.max_edges < 0:
             raise InputError("--max-edges must be at least 0")
         if self.subcommand == "enumerate" and self.max_edges > 8:
@@ -114,25 +115,16 @@ def run_verify_lemmas(cfg: WorkbenchConfig) -> tuple[int, dict]:
 
 def run_counting(cfg: WorkbenchConfig) -> tuple[int, dict]:
     if cfg.max_edges <= 8:
-        result = graphs.verify_counting_lemma(cfg.max_edges, cfg.max_vertices)
-        report = result.to_json()
-        report.update({"suite": "counting", "mode": "exhaustive", "max_edges": cfg.max_edges})
-        return (0 if result.ok else 1), report
-    # sampled mode beyond the exhaustive cap
-    rng = random.Random(cfg.seed)
-    out = graphs.CountingVerification()
-    for _ in range(2000):
-        g = graphs.random_multigraph(rng, cfg.max_edges, _max_vertices(cfg))
-        stats = graphs.graph_stats(g)
-        if not stats.connected:
-            continue
-        rep = graphs.counting_report(g, stats)
-        out.total += 1
-        if not rep.holds:
-            (out.exceptional_findings if rep.exceptional else out.violations).append(rep)
-    report = out.to_json()
-    report.update({"suite": "counting", "mode": "sampled", "max_edges": cfg.max_edges, "seed": cfg.seed})
-    return (0 if out.ok else 1), report
+        candidates = graphs.enumerate_connected_multigraphs(cfg.max_edges, _max_vertices(cfg))
+        mode = {"mode": "exhaustive"}
+    else:  # sampled beyond the exhaustive cap
+        rng = random.Random(cfg.seed)
+        candidates = (graphs.random_multigraph(rng, cfg.max_edges, _max_vertices(cfg)) for _ in range(2000))
+        mode = {"mode": "sampled", "seed": cfg.seed}
+    result = graphs.verify_counting_lemma(candidates)
+    report = result.to_json()
+    report.update(mode, suite="counting", max_edges=cfg.max_edges)
+    return (0 if result.ok else 1), report
 
 
 def _max_vertices(cfg: WorkbenchConfig) -> int:
@@ -204,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="cohomology lemma suite over the group catalog")
     common(p)
-    p.add_argument("--prime", type=int, default=2, choices=(2, 3))
+    p.add_argument("--prime", type=int, default=2, choices=PRIMES)
     p.add_argument("--max-order", type=int, default=None)
 
     p = sub.add_parser(

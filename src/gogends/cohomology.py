@@ -27,10 +27,10 @@ f(s_i) = x_i.  Hence dim Z^1 = dim ker C = r*d - rank C.
 The coboundary d0 sends m to (g -> A_g m - m).  Its kernel is M^K, the
 joint kernel of the stacked blocks D = (A_s - I) over the generators,
 so dim B^1 = rank d0 = d - dim M^K = rank D.  ``h0`` returns ker D as a
-subspace, and ``h1`` returns (r*d - rank C) - rank D: two eliminations
-with r*d and d columns.  The full d0 and d1 over all elements and pairs,
-the reference for both ranks and for d1 . d0 = 0, live in
-``tests/module_reference.py``.
+subspace, and ``h1`` takes it and returns (r*d - rank C) - (d - dim M^K):
+one elimination with r*d columns beyond the one in ``h0``.  The full d0
+and d1 over all elements and pairs, the reference for both ranks and for
+d1 . d0 = 0, live in ``tests/module_reference.py``.
 """
 
 from __future__ import annotations
@@ -86,14 +86,14 @@ def h0(K: FiniteGroup, src: np.ndarray) -> Subspace:
     return rank_profile(_invariant_constraints(src, K.prime)).nullspace
 
 
-def h1(K: FiniteGroup, src: np.ndarray) -> int:
+def h1(K: FiniteGroup, src: np.ndarray, fixed: Subspace) -> int:
     """dim H^1 = dim Z^1 - dim B^1 = (r*d - rank C) - rank D, for the
-    generator actions ``src`` as in ``h0``."""
+    generator actions ``src`` as in ``h0``; ``fixed`` is ``h0(K, src)``,
+    and rank D = d - dim M^K."""
     r, d = src.shape
     if not r:  # K is trivial: f(e) = 0, so Z^1 = 0
         return 0
-    free = r * d - rank(_cocycle_constraints(K, src, K.prime))
-    return free - rank(_invariant_constraints(src, K.prime))
+    return r * d - rank(_cocycle_constraints(K, src, K.prime)) - (d - fixed.dim)
 
 
 def _left_translations(G: FiniteGroup, xs) -> np.ndarray:
@@ -123,14 +123,15 @@ def lemma_reports(G: FiniteGroup) -> Iterator[LemmaReport]:
     N_K * F_p[G] is spanned by those vectors (Brown, *Cohomology of
     Groups*, III.5).
     """
-    dim = h1(G, _left_translations(G, G.generators))
+    on_g = _left_translations(G, G.generators)
+    dim = h1(G, on_g, h0(G, on_g))
     yield LemmaReport("h1_regular_vanishes", dim == 0, {"group": G.name, "order": G.order, "h1_dim": dim})
     for K in all_subgroups(G):
         k_group, incl = subgroup_as_group(K)
         on_g = _left_translations(G, [incl.image[s] for s in k_group.generators])
         on_k = _left_translations(k_group, k_group.generators)
         index = G.order // K.order
-        fixed = h0(k_group, on_g)
+        fixed, fixed_k = h0(k_group, on_g), h0(k_group, on_k)
         reps, labels = right_cosets(G, K.elements)
         cosets = (labels == np.arange(len(reps))[:, None]).astype(np.uint8)
         norm_span = Subspace.from_vectors(cosets, G.order, G.prime)
@@ -146,8 +147,8 @@ def lemma_reports(G: FiniteGroup) -> Iterator[LemmaReport]:
             },
         )
         for degree, big, small in (
-            (0, fixed.dim, h0(k_group, on_k).dim),
-            (1, h1(k_group, on_g), h1(k_group, on_k)),
+            (0, fixed.dim, fixed_k.dim),
+            (1, h1(k_group, on_g, fixed), h1(k_group, on_k, fixed_k)),
         ):
             yield LemmaReport(
                 "shapiro_dims",

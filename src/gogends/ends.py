@@ -120,7 +120,7 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
         rank=src - components,
         kernel_dim=components,
         h1_dim=tgt - src + components,
-        gen_count=len(weights) - rank(FpMatrix(weights % gog.prime, gog.prime)),
+        gen_count=len(weights) - rank(FpMatrix(weights, gog.prime)),
     )
 
 
@@ -264,12 +264,13 @@ def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
     """Full level report: MV h1 and Nakayama generator count, Fox
     cross-check, and the edge-count bound 2*gen_count + 9*(b1 - 1)."""
     mv = mv_h0_map(gog, witness)
-    fox = h1_via_fox(presentation(gog), gog, witness)
+    pres = presentation(gog)
+    fox = h1_via_fox(pres, gog, witness)
     if fox != mv.h1_dim:
         raise OracleMismatch(
             f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {witness.quotient.order}"
         )
-    betti = gog_b1(gog)
+    betti = gog_b1(pres, gog.prime)
     edge_count = len(gog.graph.edges)
     bound_rhs = 2 * mv.gen_count + 9 * (betti - 1)
     matching = len(maximum_matching(gog.graph))

@@ -1,19 +1,18 @@
-"""Exact dense linear algebra over the prime field GF(p).
+"""Exact dense linear algebra over the prime field GF(p), p in ``PRIMES``.
 
 All quantities downstream (cohomology dimensions, module generator
 counts, Mayer-Vietoris ranks) are exact integers computed from the rank
-machinery here.  Matrices hold uint8 residues in [0, p) for a prime
-p <= 16.  ``_rref_in_place`` does every row reduction and picks its
-path by the prime alone.  At p = 2 and p = 3 the columns are packed into
-Python ints (``_pack_columns``) and each is reduced against the earlier
-pivot columns: ``_gf2_pivots`` keeps one int per column and adds by
-XOR, ``_gf3_pivots`` keeps two, the masks of the 1s and of the 2s, and
-adds with a few bitwise operations.  Larger p run ``_gauss_jordan``, a
-numpy elimination of the uint8 array in place.  The reduced row echelon
-form is unique, so every path gives the same array and pivots.  ``rank``
-at p = 2 and 3 eliminates the shorter side, since rank A = rank A^T,
-and skips writing the form back.  ``KERNEL`` names the kernels for
-report provenance: ``"python"``, since nothing is compiled.
+machinery here.  Matrices hold uint8 residues in [0, p).  Every row
+reduction packs the columns into Python ints (``_pack_columns``) and
+reduces each against the earlier pivot columns, in the kernel
+``_KERNELS`` holds for the prime: ``_gf2_pivots`` keeps one int per
+column and adds by XOR, ``_gf3_pivots`` keeps two, the masks of the 1s
+and of the 2s, and adds with a few bitwise operations.  ``PRIMES`` is
+the set of primes with a kernel, and the document reader and the command
+line accept exactly these.  ``rank`` eliminates the shorter side, since
+rank A = rank A^T, and skips writing the reduced form back.  ``KERNEL``
+names the kernels for report provenance: ``"python"``, since nothing is
+compiled.
 """
 
 from __future__ import annotations
@@ -24,17 +23,14 @@ import numpy as np
 
 KERNEL = "python"
 
-# the kernel keeps residues in uint8: (p-1)**2 + (p-1) < 256 needs p <= 16
-_PRIMES = frozenset({2, 3, 5, 7, 11, 13})
-
 
 class NoSolution(ValueError):
     """Raised by ``solve`` when the linear system is inconsistent."""
 
 
 def _supported(prime: int) -> int:
-    if prime not in _PRIMES:
-        raise ValueError(f"modulus must be a prime <= 16, got {prime}")
+    if prime not in PRIMES:
+        raise ValueError(f"modulus must be a prime in {PRIMES}, got {prime}")
     return prime
 
 
@@ -224,56 +220,17 @@ def _gf3_pivots(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     return pivots, ones, twos
 
 
-def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
-    """Numpy Gauss-Jordan elimination of the uint8 array ``a`` in place;
-    return its pivot columns.
-
-    Row updates are vectorised; entries stay below 256 because
-    (p-1)**2 + (p-1) < 256 for p <= 16.
-    """
-    rows, cols = a.shape
-    inv = [0] * p
-    for x in range(1, p):
-        inv[x] = pow(x, -1, p)
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], col:] = a[[piv, r], col:]
-        f = inv[int(a[r, col])]
-        if f != 1:
-            a[r, col:] = (a[r, col:] * f) % p
-        other = np.nonzero(a[:, col])[0]
-        other = other[other != r]
-        if other.size:
-            factors = (p - a[other, col]).astype(np.uint8)
-            a[other, col:] = (a[other, col:] + factors[:, None] * a[r, col:]) % p
-        pivots.append(col)
-        r += 1
-    return pivots
+# the row reduction of each supported prime
+_KERNELS = {2: _gf2_pivots, 3: _gf3_pivots}
+PRIMES = tuple(_KERNELS)
 
 
 def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
     """Reduce the uint8 array ``a`` to reduced row echelon form in place;
-    return its pivot columns.  p = 2 goes through ``_gf2_pivots``, p = 3
-    through ``_gf3_pivots`` and larger p through ``_gauss_jordan``; all
-    give the unique RREF.
-    """
-    rows = a.shape[0]
-    if p == 2:
-        pivots, columns = _gf2_pivots(a)
-        a[...] = _unpack_columns(columns, rows)
-    elif p == 3:
-        pivots, ones, twos = _gf3_pivots(a)
-        a[...] = _unpack_columns(ones, rows) + 2 * _unpack_columns(twos, rows)
-    else:
-        pivots = _gauss_jordan(a, p)
+    return its pivot columns.  The kernel gives the RREF columns as one
+    list of packed ints per nonzero residue: the 1s, then the 2s."""
+    pivots, *digits = _KERNELS[p](a)
+    a[...] = sum(k * _unpack_columns(columns, a.shape[0]) for k, columns in enumerate(digits, 1))
     return pivots
 
 
@@ -365,14 +322,10 @@ def rank_profile(m: FpMatrix) -> RankProfile:
 
 
 def rank(m: FpMatrix) -> int:
-    """Rank of m, from the shorter of its two sides at p = 2 and 3, since
-    rank m = rank m^T, and without writing the reduced form back."""
+    """Rank of m, from the shorter of its two sides, since rank m =
+    rank m^T, and without writing the reduced form back."""
     a = m.data if m.rows >= m.cols else m.data.T
-    if m.prime == 2:
-        return len(_gf2_pivots(a)[0])
-    if m.prime == 3:
-        return len(_gf3_pivots(a)[0])
-    return len(_rref_in_place(m.copy_data(), m.prime))
+    return len(_KERNELS[m.prime](a)[0])
 
 
 def solve(m: FpMatrix, rhs) -> np.ndarray:

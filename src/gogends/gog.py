@@ -250,17 +250,16 @@ def presentation(gog: GraphOfGroups) -> Presentation:
     return Presentation(tuple(symbols), kinds, tuple(relators), tree_ids)
 
 
-def b1(gog: GraphOfGroups) -> int:
-    """dim_{F_p} Hom(fundamental group, F_p): generator count minus the
-    mod-p rank of the abelianised relator matrix."""
-    pres = presentation(gog)
+def b1(pres: Presentation, prime: int) -> int:
+    """dim_{F_p} Hom(fundamental group, F_p) from its presentation
+    ``pres``: generator count minus the mod-p rank of the abelianised
+    relator matrix."""
     index = {sym: i for i, sym in enumerate(pres.symbols)}
     rows = np.zeros((len(pres.relators), len(pres.symbols)), dtype=np.int64)
     for ri, word in enumerate(pres.relators):
         for sym, exp in word:
             rows[ri, index[sym]] += exp
-    mat = FpMatrix(rows % gog.prime, gog.prime)
-    return len(pres.symbols) - rank(mat)
+    return len(pres.symbols) - rank(FpMatrix(rows, prime))
 
 
 @dataclass

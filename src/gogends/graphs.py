@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -542,19 +542,19 @@ class CountingVerification:
         }
 
 
-def verify_counting_lemma(max_edges: int, max_vertices: int | None = None) -> CountingVerification:
-    """Exhaustively evaluate the bound on connected multigraphs.
+def verify_counting_lemma(candidates: Iterable[Graph]) -> CountingVerification:
+    """Evaluate the bound on the connected graphs among ``candidates``.
 
     Violations inside the exceptional family (odd cycles and friends) are
     findings, not failures; the proof intermediates M(X) >= sum
     floor(|ES_i|/2) and |EY| <= 3 T(Y) are asserted on the
     non-exceptional graphs with at least one edge.
     """
-    if max_vertices is None:
-        max_vertices = max_edges + 1
     out = CountingVerification()
-    for g in enumerate_connected_multigraphs(max_edges, max_vertices):
+    for g in candidates:
         stats = graph_stats(g)
+        if not stats.connected:
+            continue
         rep = counting_report(g, stats)
         out.total += 1
         if not rep.holds:

@@ -1,11 +1,12 @@
 """The graph-of-groups JSON document and its one reader.
 
-A document has ``prime`` (the int 2 or 3), ``vertices`` (``id``,
-``group``) and ``edges`` (``id``, ``from``, ``to``, ``group``, ``inj0``,
-``inj1``).  Ids are strings or ints; ``inj0``/``inj1`` list the images of
-the edge group's generators in the endpoint groups.  A group is a catalog
-spec ``{"type", "params"}`` or an explicit ``{"table", "generators"}``,
-at any depth of a ``direct_product`` and always over the file's prime.
+A document has ``prime`` (an int in ``fplinalg.PRIMES``), ``vertices``
+(``id``, ``group``) and ``edges`` (``id``, ``from``, ``to``, ``group``,
+``inj0``, ``inj1``).  Ids are strings or ints; ``inj0``/``inj1`` list the
+images of the edge group's generators in the endpoint groups.  A group is
+a catalog spec ``{"type", "params"}`` or an explicit ``{"table",
+"generators"}``, at any depth of a ``direct_product`` and always over the
+file's prime.
 
 Every raw value is type-checked here, in the pass that builds the groups,
 before it reaches ``fpcore``, ``graphs`` or ``gog``; every failure is an
@@ -15,6 +16,7 @@ before it reaches ``fpcore``, ``graphs`` or ``gog``; every failure is an
 from __future__ import annotations
 
 from . import fpcore, graphs
+from .fplinalg import PRIMES
 from .gog import GogError, GraphOfGroups
 
 
@@ -106,8 +108,8 @@ def gog_from_json(data) -> GraphOfGroups:
         raise InputError("top level must be an object")
     _require(data, ("prime", "vertices", "edges"), "top level")
     prime = data["prime"]
-    if not _is_int(prime) or prime not in (2, 3):
-        raise InputError("prime must be the int 2 or 3")
+    if not _is_int(prime) or prime not in PRIMES:
+        raise InputError(f"prime must be the int {' or '.join(map(str, PRIMES))}")
     for key in ("vertices", "edges"):
         if not isinstance(data[key], list) or not all(isinstance(x, dict) for x in data[key]):
             raise InputError(f"{key!r} must be a list of objects")

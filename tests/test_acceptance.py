@@ -43,7 +43,7 @@ def test_criterion_1_cohomology_lemmas():
 
 
 def test_criterion_2_counting_lemma_exhaustive():
-    result = graphs.verify_counting_lemma(7)
+    result = graphs.verify_counting_lemma(graphs.enumerate_connected_multigraphs(7, 8))
     odd_cycle_edges = {3, 5, 7}
     flagged = {
         r.edge_count
@@ -240,7 +240,7 @@ def test_criterion_10_b1_machinery():
     failures = []
     for name, (g, w, rep, _) in _corpus_reports().items():
         stats = graphs.graph_stats(g.graph)
-        if gogmod.b1(g) < stats.leaves + 1 - stats.euler_char:
+        if gogmod.b1(gogmod.presentation(g), g.prime) < stats.leaves + 1 - stats.euler_char:
             failures.append(f"{name}: b1 < leaf bound")
     # b1 invariant under collapse on constructed non-reduced instances
     c2 = fpcore.cyclic(2, 1)
@@ -256,12 +256,12 @@ def test_criterion_10_b1_machinery():
         {"e0": iso, "e1": iso, "l": fpcore.hom_from_images(t, c4, [])},
         {"e0": iso, "e1": inc, "l": fpcore.hom_from_images(t, c4, [])},
     )
-    before = gogmod.b1(chain)
+    before = gogmod.b1(gogmod.presentation(chain), chain.prime)
     collapsed = gogmod.collapse_iso_edge(chain, "e0")
-    if gogmod.b1(collapsed) != before:
+    if gogmod.b1(gogmod.presentation(collapsed), collapsed.prime) != before:
         failures.append("collapse changed b1")
     reduced = gogmod.reduce_gog(chain)
-    if gogmod.b1(reduced) != before or gogmod._iso_edge(reduced) is not None:
+    if gogmod.b1(gogmod.presentation(reduced), reduced.prime) != before or gogmod._iso_edge(reduced) is not None:
         failures.append("reduction changed b1 or failed to reduce")
     # bouquets
     for r in (1, 2, 3):
@@ -274,6 +274,6 @@ def test_criterion_10_b1_machinery():
             {e: fpcore.hom_from_images(t, t, []) for e, _, _ in edges},
             {e: fpcore.hom_from_images(t, t, []) for e, _, _ in edges},
         )
-        if gogmod.b1(bq) != r:
+        if gogmod.b1(gogmod.presentation(bq), bq.prime) != r:
             failures.append(f"b1(bouquet {r}) != {r}")
     _report(10, not failures, f"b1 >= leaf bound, collapse-invariant, bouquet ranks; issues: {failures or 'none'}")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gogends import cli
+from gogends import cli, fplinalg
 from gogends.cli import WorkbenchConfig, canonical_json, parse_input, run_suite
 from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
 from gogends.fpcore import FiniteGroup, cyclic, direct_product
@@ -212,6 +212,39 @@ def test_verify_lemmas_reports_are_pinned(tmp_path, prime, max_order, digest):
     out = tmp_path / "lemmas.json"
     assert cli.main(["verify-lemmas", "--prime", str(prime), "--max-order", str(max_order), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("max_edges, seed, digest", [(9, 0, "97993d5f17dbccb3"), (12, 1, "478179d2ef2fd973")])
+def test_sampled_counting_reports_are_pinned(tmp_path, max_edges, seed, digest):
+    # the sampled mode runs the loop of the exhaustive one, intermediates included
+    out = tmp_path / "counting.json"
+    assert cli.main(["counting", "--max-edges", str(max_edges), "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_every_layer_accepts_exactly_the_kernel_primes(tmp_path, capsys):
+    parser = cli._build_parser()
+    for p in range(20):
+        doc = dict(MINIMAL, prime=p, vertices=[{"id": "v0", "group": {"type": "trivial", "params": [p]}}])
+        if p in fplinalg.PRIMES:
+            assert parser.parse_args(["verify-lemmas", "--prime", str(p)]).prime == p
+            assert WorkbenchConfig(prime=p).prime == p
+            assert gog_from_json(doc).prime == p
+            continue
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify-lemmas", "--prime", str(p)])
+        with pytest.raises(InputError, match="prime must be 2 or 3"):
+            WorkbenchConfig(prime=p)
+        with pytest.raises(InputError, match="prime must be the int 2 or 3"):
+            gog_from_json(doc)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", "--prime", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice: 5 (choose from 2, 3)" in capsys.readouterr().err
+    assert cli.main(["ends", _write(tmp_path, dict(MINIMAL, prime=5))]) == 2
+    err = capsys.readouterr().err
+    assert "input error: prime must be the int 2 or 3" in err and "Traceback" not in err
 
 
 def test_main_byte_determinism(tmp_path):

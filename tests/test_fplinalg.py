@@ -21,10 +21,10 @@ from gogends.fplinalg import (
 
 
 def test_modulus_must_be_a_supported_prime():
-    for modulus in (0, 1, 4, 9, 17):
+    for modulus in (0, 1, 4, 5, 9, 13, 17):
         with pytest.raises(ValueError, match="prime"):
             FpMatrix([[2, 1]], modulus)
-    assert FpMatrix([[2, 1]], 13).prime == 13
+    assert [FpMatrix([[2, 1]], p).prime for p in fplinalg.PRIMES] == [2, 3]
 
 
 def test_zero_matrix_profile():
@@ -161,7 +161,7 @@ def _random_matrices(rnd):
 def _structured_matrices(rnd):
     """Block-diagonal, banded, zero, permutation, rank-deficient products,
     wide and tall matrices."""
-    for p in (2, 3, 5):
+    for p in (2, 3):
         def rand(rows, cols):
             return np.array([[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)])
 
@@ -212,7 +212,7 @@ def _two_pass_rank_profile(m):
 
 
 def test_rank_profile_matches_two_pass_route():
-    empty = (FpMatrix.zeros(*shape, p) for p in (2, 3, 5) for shape in ((0, 0), (0, 6), (6, 0)))
+    empty = (FpMatrix.zeros(*shape, p) for p in (2, 3) for shape in ((0, 0), (0, 6), (6, 0)))
     for m in itertools.chain((FpMatrix(data, p) for data, p in _reference_cases()), empty):
         prof = rank_profile(m)
         want_rank, want = _two_pass_rank_profile(m)
@@ -222,13 +222,11 @@ def test_rank_profile_matches_two_pass_route():
 
 
 def _check_packed_kernels(a, p):
-    """The packed and the numpy kernel give the reference RREF at
-    p = 2 or 3, and ``rank`` (which eliminates the shorter side and skips
-    the write-back) agrees on m and its transpose and leaves m alone."""
-    packed, dense = a.copy(), a.copy()
+    """The packed kernel gives the reference RREF, and ``rank`` (which
+    eliminates the shorter side and skips the write-back) agrees on m and
+    its transpose and leaves m alone."""
+    packed = a.copy()
     pivots = fplinalg._rref_in_place(packed, p)
-    assert fplinalg._gauss_jordan(dense, p) == pivots
-    assert np.array_equal(packed, dense)
     if a.shape[0]:  # the reference reads the width off the first row
         want, want_pivots = _reference_rref(a.tolist(), p)
         assert pivots == want_pivots
@@ -254,12 +252,12 @@ def _packed_structured(rng, p):
     yield rand(300, 200)
 
 
-def test_packed_gf2_matches_numpy_and_reference_on_structured_inputs():
+def test_packed_gf2_matches_reference_on_structured_inputs():
     for a in _packed_structured(np.random.default_rng(20261018), 2):
         _check_packed_kernels(a, 2)
 
 
-def test_packed_gf3_matches_numpy_and_reference_on_structured_inputs():
+def test_packed_gf3_matches_reference_on_structured_inputs():
     for a in _packed_structured(np.random.default_rng(20261019), 3):
         _check_packed_kernels(a, 3)
 
@@ -282,13 +280,13 @@ _PRODUCT_SHAPES = (
 
 @settings(max_examples=60, deadline=None)
 @given(*_PRODUCT_SHAPES)
-def test_packed_gf2_matches_numpy_and_reference(rows, cols, inner, rnd):
+def test_packed_gf2_matches_reference(rows, cols, inner, rnd):
     _check_packed_kernels(_low_rank_product(rows, cols, inner, rnd, 2), 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(*_PRODUCT_SHAPES)
-def test_packed_gf3_matches_numpy_and_reference(rows, cols, inner, rnd):
+def test_packed_gf3_matches_reference(rows, cols, inner, rnd):
     _check_packed_kernels(_low_rank_product(rows, cols, inner, rnd, 3), 3)
 
 
@@ -307,7 +305,6 @@ def test_matrices_without_rows_or_columns(p, shape):
     if shape[0]:
         with pytest.raises(NoSolution):
             solve(m, [1] * shape[0])
-    for kernel in (fplinalg._rref_in_place, fplinalg._gauss_jordan):
-        a = np.zeros(shape, dtype=np.uint8)
-        assert kernel(a, p) == []
-        assert a.shape == shape
+    a = np.zeros(shape, dtype=np.uint8)
+    assert fplinalg._rref_in_place(a, p) == []
+    assert a.shape == shape

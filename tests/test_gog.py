@@ -132,7 +132,7 @@ def test_collapse_preserves_b1():
         {"e": iso, "f": inc, "l": triv_hom(c4)},
     )
     collapsed = collapse_iso_edge(chain, "e")
-    assert b1(chain) == b1(collapsed)
+    assert b1(presentation(chain), 2) == b1(presentation(collapsed), 2)
     assert len(collapsed.graph.vertices) == 2
 
 
@@ -144,7 +144,7 @@ def test_reduce_gog_reaches_fixpoint():
            {"e0": iso, "e1": iso}, {"e0": iso, "e1": iso})
     out = reduce_gog(g)
     assert _iso_edge(out) is None
-    assert b1(out) == b1(g)
+    assert b1(presentation(out), 2) == b1(presentation(g), 2)
 
 
 def test_collapse_rejects_loop_and_non_iso():
@@ -197,12 +197,12 @@ def test_presentation_generator_and_tree_counts():
 
 
 def test_b1_examples():
-    assert b1(bouquet(1)) == 1
-    assert b1(bouquet(2)) == 2
-    assert b1(bouquet(3)) == 3
-    assert b1(c2_star_c2()) == 2
+    assert b1(presentation(bouquet(1)), 2) == 1
+    assert b1(presentation(bouquet(2)), 2) == 2
+    assert b1(presentation(bouquet(3)), 2) == 3
+    assert b1(presentation(c2_star_c2()), 2) == 2
     single_c4 = mk(("v",), (), {"v": cyclic(2, 2)}, {}, {}, {})
-    assert b1(single_c4) == 1  # dim Hom(C4, F_2)
+    assert b1(presentation(single_c4), 2) == 1  # dim Hom(C4, F_2)
 
 
 def test_witness_search_c2_star_c2():

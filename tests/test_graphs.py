@@ -384,7 +384,7 @@ def test_enumeration_bound_guard():
 
 
 def test_verify_counting_lemma_4_edges():
-    result = verify_counting_lemma(4)
+    result = verify_counting_lemma(enumerate_connected_multigraphs(4, 5))
     assert result.ok
     assert not result.violations
     # the triangle shows up as an exceptional finding

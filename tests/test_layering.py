@@ -59,7 +59,7 @@ def test_runtime_imports_are_stdlib_numpy_and_the_package(package_env):
     assert loaded - sys.stdlib_module_names - {"numpy", "gogends"} == set()
 
 
-# Kept although no subcommand calls them yet: ROADMAP item 5 wires
+# Kept although no subcommand calls them yet: ROADMAP item 10 wires
 # reduce_gog, and with it collapse_iso_edge, into ``analyze``.
 UNCALLED = {"reduce_gog", "collapse_iso_edge"}
 BENCHMARK = PACKAGE.parent.parent / "perfbench"
