@@ -43,7 +43,7 @@ class WorkbenchConfig:
             raise InputError("--max-edges must be at least 0")
         if self.subcommand == "enumerate" and self.max_edges > 8:
             raise InputError("enumerate is exhaustive and capped at 8 edges")
-        # sampled counting takes about 5 ms per edge of the cap, and a
+        # sampled counting takes about 10 ms per edge of the cap, and a
         # connected graph with 256 edges has at most 257 vertices
         sampled = self.subcommand in ("counting", "verify-counting") and self.max_edges > 8
         if sampled and (self.max_edges > 256 or (self.max_vertices or 0) > 257):

@@ -15,9 +15,13 @@ decoration when the canonical key of its multigraph is new for the simple
 graph.  The enumeration itself grows by orbit representatives and marks
 whole decoration orbits seen; tests compare it against this.  It has no
 edge cap, so it can also count the 9-edge graphs.
+
+``suppressed_graph_reference`` smooths valence-2 chains by walking
+(edge id, end) slots held in dicts and sets, the reference for the
+index-list walk of ``graphs.suppressed_graph``.
 """
 
-from gogends.graphs import GraphError, _build_decorated, _canon_search, _compositions
+from gogends.graphs import Graph, GraphError, _build_decorated, _canon_search, _compositions
 
 
 def canonical_form(g):
@@ -58,6 +62,53 @@ def matching_bruteforce(g):
 
     rec(0, set(), [])
     return tuple(sorted(best, key=str))
+
+
+def suppressed_graph_reference(g, valences):
+    """Smooth every maximal valence-2 chain into a single edge;
+    ``valences`` as in ``graph_stats(g)``.
+
+    Requires at least one vertex of valence != 2; loops arising from
+    chains that return to their start are retained.
+    """
+    keep = [v for v in g.vertices if valences[v] != 2]
+    if not keep:
+        raise GraphError("all valences are 2; suppression undefined")
+    slots = {v: [] for v in g.vertices}
+    for e, u, v in g.edges:
+        slots[u].append((e, 0))
+        slots[v].append((e, 1))
+    endpoint = {}
+    for e, u, v in g.edges:
+        endpoint[(e, 0)] = u
+        endpoint[(e, 1)] = v
+    keep_set = set(keep)
+    used = set()
+    new_edges = []
+    counter = 0
+    for v in keep:
+        for slot in slots[v]:
+            if slot in used:
+                continue
+            used.add(slot)
+            e, k = slot
+            other = (e, 1 - k)
+            w = endpoint[other]
+            while w not in keep_set:
+                used.add(other)
+                nxt = [s for s in slots[w] if s != other]
+                assert len(nxt) == 1, "valence-2 vertex must have exactly one other slot"
+                used.add(nxt[0])
+                e2, k2 = nxt[0]
+                other = (e2, 1 - k2)
+                w = endpoint[other]
+            used.add(other)
+            new_edges.append((f"y{counter}", v, w))
+            counter += 1
+    for vid in g.vertices:
+        if vid not in keep_set and any(s not in used for s in slots[vid]):
+            raise GraphError("valence-2 cycle component detached from the rest")
+    return Graph(tuple(keep), tuple(new_edges))
 
 
 def _key(n, adj, loops):

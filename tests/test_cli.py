@@ -214,12 +214,22 @@ def test_verify_lemmas_reports_are_pinned(tmp_path, prime, max_order, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("max_edges, seed, digest", [(9, 0, "97993d5f17dbccb3"), (12, 1, "478179d2ef2fd973")])
+def test_exhaustive_counting_report_is_pinned(tmp_path):
+    # the counting input of the benchmark: all 6,461 connected multigraphs
+    # with at most 8 edges; an enumeration or check that alters it fails here
+    out = tmp_path / "counting.json"
+    assert cli.main(["counting", "--max-edges", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "bdea7fff4420a5c3"
+
+
+@pytest.mark.parametrize("max_edges, seed, digest", [(9, 0, "b8ee390d9a5cc842"), (12, 1, "3279bd5417794c73")])
 def test_sampled_counting_reports_are_pinned(tmp_path, max_edges, seed, digest):
-    # the sampled mode runs the loop of the exhaustive one, intermediates included
+    # the sampled mode runs the loop of the exhaustive one, intermediates
+    # included; every draw is connected, so all 2000 are checked
     out = tmp_path / "counting.json"
     assert cli.main(["counting", "--max-edges", str(max_edges), "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+    assert json.loads(out.read_text())["graphs_checked"] == 2000
 
 
 def test_every_layer_accepts_exactly_the_kernel_primes(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
@@ -25,7 +26,7 @@ from gogends.graphs import (
     verify_counting_lemma,
 )
 
-from graph_reference import canonical_form, enumerate_reference, matching_bruteforce
+from graph_reference import canonical_form, enumerate_reference, matching_bruteforce, suppressed_graph_reference
 
 
 def _cycle(n):
@@ -191,6 +192,49 @@ def test_suppressed_graph_preserves_t():
     assert ys.leaves - ys.euler_char == gs.leaves - gs.euler_char
 
 
+def test_suppressed_graph_matches_slot_walk_reference():
+    # every non-exceptional graph with at most 8 edges: the kept vertices in
+    # order and the smoothed edges as a multiset of (d0, d1) pairs
+    checked = 0
+    for g in enumerate_connected_multigraphs(8, 9):
+        rep = _report(g)
+        if rep.exceptional or not g.edges:
+            continue
+        valences = _valences(g)
+        y, ref = suppressed_graph(g, valences), suppressed_graph_reference(g, valences)
+        assert y.vertices == ref.vertices, g
+        assert Counter((u, v) for _, u, v in y.edges) == Counter((u, v) for _, u, v in ref.edges), g
+        assert Graph(y.vertices, y.edges) == y
+        checked += 1
+    assert checked == 6452
+
+
+def test_suppressed_graph_rejects_detached_valence_two_cycle():
+    g = Graph((0, 1, 2, 3, 4), ((0, 0, 1), (1, 2, 3), (2, 3, 4), (3, 4, 2)))
+    for suppress in (suppressed_graph, suppressed_graph_reference):
+        with pytest.raises(GraphError, match="detached"):
+            suppress(g, _valences(g))
+
+
+def test_program_built_graphs_revalidate():
+    # graphs built without the checks of Graph.__post_init__ pass them
+    for g in enumerate_connected_multigraphs(8, 9):
+        assert Graph(g.vertices, g.edges) == g
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_multigraph(rng, 12, 9)
+        assert Graph(g.vertices, g.edges) == g
+
+
+def test_random_multigraphs_are_connected_within_the_caps():
+    rng = random.Random(17)
+    for max_edges, max_vertices in ((0, 4), (1, 1), (3, 9), (9, 10), (40, 6)):
+        for _ in range(100):
+            g = random_multigraph(rng, max_edges, max_vertices)
+            assert graph_stats(g).connected
+            assert len(g.edges) <= max_edges and len(g.vertices) <= max_vertices
+
+
 def test_enumerate_1_1():
     got = list(enumerate_connected_multigraphs(1, 1))
     assert len(got) == 2
@@ -328,7 +372,14 @@ def test_search_automorphisms_generate_the_automorphism_group():
         assert _automorphism_count(*_matrices(g)) == order
 
 
-@pytest.mark.parametrize("max_edges", range(8))
+def test_simple_graph_levels_match_oeis_a002905():
+    # connected simple graphs by edge count; the pre-test drops children
+    # before their search, so a missed class would show here
+    levels = _connected_simple_graphs(9, 10)
+    assert [len(level) for level in levels] == [1, 1, 1, 3, 5, 12, 30, 79, 227, 710]
+
+
+@pytest.mark.parametrize("max_edges", range(9))
 def test_enumeration_matches_generate_and_dedupe_reference(max_edges):
     got = list(enumerate_connected_multigraphs(max_edges, max_edges + 1))
     assert got == list(enumerate_reference(max_edges, max_edges + 1))
