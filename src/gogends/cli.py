@@ -133,9 +133,8 @@ def _max_vertices(cfg: WorkbenchConfig) -> int:
 
 
 def run_enumerate(cfg: WorkbenchConfig) -> tuple[int, dict]:
-    reports = []
-    for g in graphs.enumerate_connected_multigraphs(cfg.max_edges, _max_vertices(cfg)):
-        reports.append(graphs.counting_report(g, graphs.graph_stats(g)).to_json())
+    candidates = graphs.enumerate_connected_multigraphs(cfg.max_edges, _max_vertices(cfg))
+    reports = [rep.to_json() for _, rep in graphs.counting_reports(candidates)]
     return 0, {"suite": "enumerate", "max_edges": cfg.max_edges, "graphs": reports, "count": len(reports)}
 
 

@@ -10,6 +10,20 @@ its vertex.  Maximum matchings run Edmonds' blossom algorithm (Edmonds,
 rewriting each loop as a pendant edge to a fresh vertex, a
 transformation that preserves the conflict structure exactly.
 
+The counting checks see each graph through one indexed pass,
+``index_walk``: the vertices are numbered once, and one walk over the
+edges gives the slot array, the valences, the loop-free support and the
+looped vertices, from which connectivity, the leaves, the Euler
+characteristic and exceptionality are read.  The segment bound and the
+chain suppression run on the same arrays, and the suppressed graph is
+only its list of edges.  M(X) depends on the vertex count, the
+loop-free support and the set of looped vertices alone: parallel edges
+collapse, since a matching uses at most one of them, and the loops at a
+vertex are pendant edges there, of which a matching uses at most one.
+So a run of graphs with one support, as the enumeration yields the
+decorations of each simple graph, finds each matching size once per set
+of looped vertices.
+
 Isomorph-free enumeration rests on one canonical labelling: an
 individualisation-refinement search whose key is the least leaf.  Leaves
 with equal keys reveal automorphisms, and a child whose subtree is the
@@ -44,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -99,6 +113,20 @@ class GraphStats:
     connected: bool
 
 
+class IndexWalk(NamedTuple):
+    """One pass over the edges of a graph whose vertices are numbered by
+    their position.  Edge i has the slots 2 i (its d0 end) and 2 i + 1
+    (its d1 end), and ``ends`` holds the vertex index at each slot.
+    ``support`` is the set of loop-free pairs a < b joined by an edge, and
+    bit a of ``looped`` is set when vertex a carries a loop."""
+
+    ends: list
+    valences: list
+    connected: bool
+    support: frozenset
+    looped: int
+
+
 def _component_roots(vertices, pairs) -> dict:
     """Map each vertex to the root of its component in the graph on
     ``vertices`` with the edges ``pairs`` (union-find, path halving)."""
@@ -115,53 +143,77 @@ def _component_roots(vertices, pairs) -> dict:
     return {v: find(v) for v in parent}
 
 
+def index_walk(g: Graph) -> IndexWalk:
+    """Slots, valences (loops count twice), support and looped vertices
+    of ``g`` in one walk over its edges, then connectivity ignoring
+    orientation by union-find with path halving over the support."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(idx)
+    ends: list = []
+    valences = [0] * n
+    support = set()
+    looped = 0
+    for _, u, v in g.edges:
+        a, b = idx[u], idx[v]
+        ends += (a, b)
+        valences[a] += 1
+        valences[b] += 1
+        if a == b:
+            looped |= 1 << a
+        else:
+            support.add((a, b) if a < b else (b, a))
+    parent = list(range(n))
+    components = n
+    for a, b in support:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return IndexWalk(ends, valences, components == 1, frozenset(support), looped)
+
+
 def graph_stats(g: Graph) -> GraphStats:
     """Valences (loops count twice), leaf count, Euler characteristic,
-    connectivity ignoring orientation: one pass over the edges, joining
-    endpoints by union-find with path halving."""
-    val = dict.fromkeys(g.vertices, 0)
-    parent = {v: v for v in g.vertices}
-    components = len(parent)
-    for _, u, v in g.edges:
-        val[u] += 1
-        val[v] += 1
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            components -= 1
+    connectivity ignoring orientation, read off ``index_walk(g)``."""
+    walk = index_walk(g)
     return GraphStats(
-        valences=val,
-        leaves=list(val.values()).count(1),
+        valences=dict(zip(g.vertices, walk.valences)),
+        leaves=walk.valences.count(1),
         euler_char=len(g.vertices) - len(g.edges),
-        connected=components == 1,
+        connected=walk.connected,
     )
 
 
 def maximum_matching(g: Graph) -> tuple:
     """Maximum-cardinality conflict-free edge set (edge ids).
 
-    Loops become pendant edges to fresh vertices; parallel edges collapse
-    to one representative (a matching cannot use two of them anyway).  A
-    greedy matching comes first, and the blossom steps start from it at
-    the vertices it leaves free.
+    Parallel edges collapse to the first of them and the loops at a
+    vertex to its first loop (a matching cannot use two of either), and
+    ``_matched_pairs`` matches what is left.
     """
     idx = {v: i for i, v in enumerate(g.vertices)}
-    nbrs: list = [[] for _ in g.vertices]
     rep: dict = {}
     for e, u, v in g.edges:
         a, b = idx[u], idx[v]
-        if a > b:
-            a, b = b, a
-        elif a == b:
+        rep.setdefault((a, b) if a <= b else (b, a), e)
+    return tuple(sorted((rep[pair] for pair in _matched_pairs(len(idx), rep)), key=str))
+
+
+def _matched_pairs(n: int, pairs) -> list:
+    """A maximum matching of the distinct pairs a <= b of vertices
+    0..n-1, as the pairs it uses; a loop (a, a) becomes a pendant edge
+    from a to a fresh vertex.  A greedy matching comes first, and the
+    blossom steps start from it at the vertices it leaves free."""
+    nbrs: list = [[] for _ in range(n)]
+    for a, b in pairs:
+        if a == b:
             b = len(nbrs)
             nbrs.append([])
-        if (a, b) not in rep:
-            rep[(a, b)] = e
-            nbrs[a].append(b)
-            nbrs[b].append(a)
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     mate = [-1] * len(nbrs)
     for a, near in enumerate(nbrs):
         if mate[a] == -1:
@@ -180,7 +232,7 @@ def maximum_matching(g: Graph) -> tuple:
         _augment(root, nbrs, mate)
         if mate[root] != -1:
             left -= 1
-    return tuple(sorted((rep[(a, b)] for a, b in enumerate(mate) if a < b), key=str))
+    return [(a, a if b >= n else b) for a, b in enumerate(mate[:n]) if a < b]
 
 
 def _augment(root: int, nbrs: list, mate: list) -> None:
@@ -264,82 +316,80 @@ class CountingReport:
         }
 
 
-def counting_report(g: Graph, stats: GraphStats) -> CountingReport:
-    """Edge-count bound evaluation, given ``graph_stats(g)``.
+def counting_report(g: Graph, walk: IndexWalk, matching_size: int) -> CountingReport:
+    """Edge-count bound evaluation, given ``index_walk(g)`` and M(g).
     ``exceptional`` marks the families where the bound's segment
     decomposition degenerates: disconnected, edgeless, or every vertex of
     valence exactly 2."""
-    m = len(maximum_matching(g))
-    t = stats.leaves - stats.euler_char
-    bound = 2 * m + 9 * t
-    exceptional = (
-        not stats.connected
-        or not g.edges
-        or all(val == 2 for val in stats.valences.values())
-    )
+    leaves = walk.valences.count(1)
+    euler_char = len(g.vertices) - len(g.edges)
+    t = leaves - euler_char
+    bound = 2 * matching_size + 9 * t
     return CountingReport(
         edge_count=len(g.edges),
-        matching_size=m,
-        leaves=stats.leaves,
-        euler_char=stats.euler_char,
+        matching_size=matching_size,
+        leaves=leaves,
+        euler_char=euler_char,
         t_value=t,
         bound=bound,
         holds=len(g.edges) <= bound,
-        exceptional=exceptional,
+        exceptional=not walk.connected or not g.edges or walk.valences.count(2) == len(g.vertices),
         graph=g,
     )
 
 
-def valence_two_segment_bound(g: Graph, valences: dict) -> int:
+def valence_two_segment_bound(ends: list, valences: list) -> int:
     """Sum of floor(|ES_i| / 2) over components S_i of the subgraph
     spanned by valence-2 vertices (a lower bound for M(X) on the
-    non-exceptional family); ``valences`` as in ``graph_stats(g)``."""
-    two = {v for v in g.vertices if valences[v] == 2}
-    inner = [(u, v) for _, u, v in g.edges if u in two and v in two]
-    roots = _component_roots(two, inner)
-    comp_edges = Counter(roots[u] for u, _ in inner)
+    non-exceptional family); ``ends`` and ``valences`` as in
+    ``index_walk``."""
+    if valences.count(2) < 2:  # an inner edge at a lone valence-2 vertex is a loop: floor(1/2) = 0
+        return 0
+    inner = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if valences[a] == 2 == valences[b]]
+    roots = _component_roots({x for pair in inner for x in pair}, inner)
+    comp_edges = Counter(roots[a] for a, _ in inner)
     return sum(k // 2 for k in comp_edges.values())
 
 
-def suppressed_graph(g: Graph, valences: dict) -> Graph:
-    """Smooth every maximal valence-2 chain into a single edge;
-    ``valences`` as in ``graph_stats(g)``.
+def suppressed_graph(ends: list, valences: list) -> list:
+    """Smooth every maximal valence-2 chain into a single edge: the edges
+    of the result, on the vertices of valence != 2, as pairs a <= b of
+    vertex indices; ``ends`` and ``valences`` as in ``index_walk``.
 
     Requires at least one vertex of valence != 2; loops arising from
-    chains that return to their start are retained.  Edge i has the slots
-    2 i (its d0 end) and 2 i + 1 (its d1 end); each chain is walked from
-    a kept vertex's unused slot through the other slot of every valence-2
-    vertex it meets.
+    chains that return to their start are retained.  Each chain is walked
+    from an unused slot at a kept vertex through the other slot of every
+    valence-2 vertex it meets.
     """
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    kept = [valences[v] != 2 for v in g.vertices]
+    kept = [k != 2 for k in valences]
     if not any(kept):
         raise GraphError("all valences are 2; suppression undefined")
-    ends = [idx[x] for _, u, v in g.edges for x in (u, v)]  # the vertex index at each slot
-    slots: list = [[] for _ in kept]
+    other = [-1] * len(ends)  # the other slot at the same valence-2 vertex
+    first = [-1] * len(kept)
     for s, x in enumerate(ends):
-        slots[x].append(s)
+        if not kept[x]:
+            if first[x] < 0:
+                first[x] = s
+            else:
+                other[s], other[first[x]] = first[x], s
     used = bytearray(len(ends))
     new_edges = []
-    for a, v in enumerate(g.vertices):
-        if not kept[a]:
+    for start, a in enumerate(ends):
+        if used[start] or not kept[a]:
             continue
-        for s in slots[a]:
-            if used[s]:
-                continue
+        used[start] = 1
+        s = start ^ 1
+        while not kept[ends[s]]:
+            used[s] = 1
+            s = other[s]
             used[s] = 1
             s ^= 1
-            w = ends[s]
-            while not kept[w]:
-                first, second = slots[w]  # a valence-2 vertex has two slots
-                used[first] = used[second] = 1
-                s = (second if first == s else first) ^ 1
-                w = ends[s]
-            used[s] = 1
-            new_edges.append((f"y{len(new_edges)}", v, g.vertices[w]))
+        used[s] = 1
+        b = ends[s]
+        new_edges.append((a, b) if a <= b else (b, a))
     if not all(used):
         raise GraphError("valence-2 cycle component detached from the rest")
-    return Graph._trusted(tuple(v for v, k in zip(g.vertices, kept) if k), tuple(new_edges))
+    return new_edges
 
 
 # -- canonical labeling and isomorph-free enumeration ---------------------
@@ -640,32 +690,60 @@ class CountingVerification:
         }
 
 
+def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
+    """The walk and counting report of each connected graph among
+    ``candidates``, in their order.
+
+    M(X) depends only on the vertex count, the loop-free support and the
+    looped vertices, and the support of a connected graph fixes its
+    vertex count (one vertex when the support is empty).  So the sizes
+    found are kept by looped vertices and dropped when the support
+    changes; the enumeration yields all decorations of one simple graph
+    in a row.
+    """
+    support = None
+    sizes: dict = {}
+    for g in candidates:
+        walk = index_walk(g)
+        if not walk.connected:
+            continue
+        if walk.support != support:
+            support = walk.support
+            sizes = {}
+        m = sizes.get(walk.looped)
+        if m is None:
+            m = sizes[walk.looped] = len(maximum_matching(g))
+        yield walk, counting_report(g, walk, m)
+
+
 def verify_counting_lemma(candidates: Iterable[Graph]) -> CountingVerification:
     """Evaluate the bound on the connected graphs among ``candidates``.
 
     Violations inside the exceptional family (odd cycles and friends) are
     findings, not failures; the proof intermediates M(X) >= sum
     floor(|ES_i|/2) and |EY| <= 3 T(Y) are asserted on the
-    non-exceptional graphs with at least one edge.
+    non-exceptional graphs, which have at least one edge.  T(Y) is read
+    off the edges of the suppressed graph Y, whose vertices are those of
+    valence != 2.
     """
     out = CountingVerification()
-    for g in candidates:
-        stats = graph_stats(g)
-        if not stats.connected:
-            continue
-        rep = counting_report(g, stats)
+    for walk, rep in counting_reports(candidates):
         out.total += 1
         if not rep.holds:
             if rep.exceptional:
                 out.exceptional_findings.append(rep)
             else:
                 out.violations.append(rep)
-        if not rep.exceptional and g.edges:
-            if rep.matching_size < valence_two_segment_bound(g, stats.valences):
-                out.intermediate_failures.append(rep)
-            y = suppressed_graph(g, stats.valences)
-            ys = graph_stats(y)
-            t_y = ys.leaves - ys.euler_char
-            if len(y.edges) > 3 * t_y:
-                out.intermediate_failures.append(rep)
+        if rep.exceptional:
+            continue
+        if rep.matching_size < valence_two_segment_bound(walk.ends, walk.valences):
+            out.intermediate_failures.append(rep)
+        y = suppressed_graph(walk.ends, walk.valences)
+        y_valences = [0] * len(walk.valences)
+        for a, b in y:
+            y_valences[a] += 1
+            y_valences[b] += 1
+        t_y = y_valences.count(1) - (len(walk.valences) - walk.valences.count(2) - len(y))
+        if len(y) > 3 * t_y:
+            out.intermediate_failures.append(rep)
     return out

@@ -19,9 +19,27 @@ edge cap, so it can also count the 9-edge graphs.
 ``suppressed_graph_reference`` smooths valence-2 chains by walking
 (edge id, end) slots held in dicts and sets, the reference for the
 index-list walk of ``graphs.suppressed_graph``.
+
+``verify_counting_reference`` checks the counting bound and its proof
+intermediates graph by graph, with the statistics, the segment bound and
+the suppressed graph each computed from the ``Graph`` by a walk of its
+own and a matching found for every graph: the reference for the one
+indexed pass of ``graphs.verify_counting_lemma``.
 """
 
-from gogends.graphs import Graph, GraphError, _build_decorated, _canon_search, _compositions
+from collections import Counter
+
+from gogends.graphs import (
+    CountingReport,
+    CountingVerification,
+    Graph,
+    GraphError,
+    _build_decorated,
+    _canon_search,
+    _component_roots,
+    _compositions,
+    maximum_matching,
+)
 
 
 def canonical_form(g):
@@ -109,6 +127,56 @@ def suppressed_graph_reference(g, valences):
         if vid not in keep_set and any(s not in used for s in slots[vid]):
             raise GraphError("valence-2 cycle component detached from the rest")
     return Graph(tuple(keep), tuple(new_edges))
+
+
+def stats_reference(g):
+    """(valences dict, leaves, Euler characteristic, connected), with
+    loops counting twice and components found by union-find."""
+    valences = dict.fromkeys(g.vertices, 0)
+    for _, u, v in g.edges:
+        valences[u] += 1
+        valences[v] += 1
+    roots = _component_roots(g.vertices, ((u, v) for _, u, v in g.edges))
+    leaves = list(valences.values()).count(1)
+    return valences, leaves, len(g.vertices) - len(g.edges), len(set(roots.values())) == 1
+
+
+def segment_bound_reference(g, valences):
+    """Sum of floor(|ES_i| / 2) over components S_i of the subgraph
+    spanned by valence-2 vertices."""
+    two = {v for v in g.vertices if valences[v] == 2}
+    inner = [(u, v) for _, u, v in g.edges if u in two and v in two]
+    roots = _component_roots(two, inner)
+    comp_edges = Counter(roots[u] for u, _ in inner)
+    return sum(k // 2 for k in comp_edges.values())
+
+
+def verify_counting_reference(candidates):
+    """``graphs.verify_counting_lemma`` one graph at a time."""
+    out = CountingVerification()
+    for g in candidates:
+        valences, leaves, euler_char, connected = stats_reference(g)
+        if not connected:
+            continue
+        m = len(maximum_matching(g))
+        t = leaves - euler_char
+        bound = 2 * m + 9 * t
+        exceptional = not g.edges or all(val == 2 for val in valences.values())
+        rep = CountingReport(len(g.edges), m, leaves, euler_char, t, bound, len(g.edges) <= bound, exceptional, g)
+        out.total += 1
+        if not rep.holds:
+            if rep.exceptional:
+                out.exceptional_findings.append(rep)
+            else:
+                out.violations.append(rep)
+        if not rep.exceptional and g.edges:
+            if rep.matching_size < segment_bound_reference(g, valences):
+                out.intermediate_failures.append(rep)
+            y = suppressed_graph_reference(g, valences)
+            _, y_leaves, y_euler_char, _ = stats_reference(y)
+            if len(y.edges) > 3 * (y_leaves - y_euler_char):
+                out.intermediate_failures.append(rep)
+    return out
 
 
 def _key(n, adj, loops):

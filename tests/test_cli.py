@@ -214,6 +214,14 @@ def test_verify_lemmas_reports_are_pinned(tmp_path, prime, max_order, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
+def test_enumerate_report_is_pinned(tmp_path):
+    # the 48 connected multigraphs with at most 4 edges, each with its
+    # counting report; a change to the per-graph numbers fails here
+    out = tmp_path / "enumerate.json"
+    assert cli.main(["enumerate", "--max-edges", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "c408a11392423b30"
+
+
 def test_exhaustive_counting_report_is_pinned(tmp_path):
     # the counting input of the benchmark: all 6,461 connected multigraphs
     # with at most 8 edges; an enumeration or check that alters it fails here

@@ -17,8 +17,10 @@ from gogends.graphs import (
     _canon_search,
     _connected_simple_graphs,
     counting_report,
+    counting_reports,
     enumerate_connected_multigraphs,
     graph_stats,
+    index_walk,
     maximum_matching,
     random_multigraph,
     suppressed_graph,
@@ -26,7 +28,15 @@ from gogends.graphs import (
     verify_counting_lemma,
 )
 
-from graph_reference import canonical_form, enumerate_reference, matching_bruteforce, suppressed_graph_reference
+from gogends import graphs
+from graph_reference import (
+    canonical_form,
+    enumerate_reference,
+    matching_bruteforce,
+    segment_bound_reference,
+    suppressed_graph_reference,
+    verify_counting_reference,
+)
 
 
 def _cycle(n):
@@ -38,11 +48,24 @@ def _path(n):
 
 
 def _report(g):
-    return counting_report(g, graph_stats(g))
+    return counting_report(g, index_walk(g), len(maximum_matching(g)))
 
 
 def _valences(g):
     return graph_stats(g).valences
+
+
+def _segment_bound(g):
+    walk = index_walk(g)
+    return valence_two_segment_bound(walk.ends, walk.valences)
+
+
+def _suppressed(g):
+    """``suppressed_graph`` of g as a Graph on the ids of its kept vertices."""
+    walk = index_walk(g)
+    pairs = suppressed_graph(walk.ends, walk.valences)
+    kept = tuple(v for v, k in zip(g.vertices, walk.valences) if k != 2)
+    return Graph(kept, tuple((f"y{i}", g.vertices[a], g.vertices[b]) for i, (a, b) in enumerate(pairs)))
 
 
 def test_stats_single_vertex():
@@ -165,18 +188,31 @@ def test_segment_bound_on_subdivided_star():
             (4, 0, 5), (5, 5, 6),
         ),
     )
-    assert valence_two_segment_bound(g, _valences(g)) == 0  # arms contribute floor(1/2) each
+    assert _segment_bound(g) == 0  # arms contribute floor(1/2) each
     r = _report(g)
-    assert r.matching_size >= valence_two_segment_bound(g, _valences(g))
+    assert r.matching_size >= _segment_bound(g)
+
+
+def test_segment_bound_matches_reference():
+    # every graph with at most 8 edges, the cycles, and a path whose
+    # valence-2 vertices a loop splits into runs of 3 and 4
+    candidates = list(enumerate_connected_multigraphs(8, 9)) + [_cycle(n) for n in range(1, 9)]
+    candidates.append(Graph(tuple(range(10)), tuple((i, i, i + 1) for i in range(9)) + ((9, 4, 4), (10, 9, 9))))
+    nonzero = 0
+    for g in candidates:
+        bound = _segment_bound(g)
+        assert bound == segment_bound_reference(g, _valences(g)), g
+        nonzero += bound > 0
+    assert nonzero > 100
 
 
 def test_suppressed_graph_of_subdivided_triangle():
     # triangle with one subdivided side: one valence-2 vertex smoothed away
     g = Graph((0, 1, 2, 3), ((0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)))
     with pytest.raises(GraphError):
-        suppressed_graph(g, _valences(g))  # all vertices have valence 2
+        _suppressed(g)  # all vertices have valence 2
     g2 = Graph((0, 1, 2, 3), ((0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)))
-    y = suppressed_graph(g2, _valences(g2))
+    y = _suppressed(g2)
     ys = graph_stats(y)
     gs = graph_stats(g2)
     assert ys.leaves == gs.leaves
@@ -186,7 +222,7 @@ def test_suppressed_graph_of_subdivided_triangle():
 def test_suppressed_graph_preserves_t():
     # path of 5 vertices: ends are leaves, middle 3 smoothed to one edge
     g = _path(5)
-    y = suppressed_graph(g, _valences(g))
+    y = _suppressed(g)
     assert len(y.vertices) == 2 and len(y.edges) == 1
     ys, gs = graph_stats(y), graph_stats(g)
     assert ys.leaves - ys.euler_char == gs.leaves - gs.euler_char
@@ -200,20 +236,19 @@ def test_suppressed_graph_matches_slot_walk_reference():
         rep = _report(g)
         if rep.exceptional or not g.edges:
             continue
-        valences = _valences(g)
-        y, ref = suppressed_graph(g, valences), suppressed_graph_reference(g, valences)
+        y, ref = _suppressed(g), suppressed_graph_reference(g, _valences(g))
         assert y.vertices == ref.vertices, g
         assert Counter((u, v) for _, u, v in y.edges) == Counter((u, v) for _, u, v in ref.edges), g
-        assert Graph(y.vertices, y.edges) == y
         checked += 1
     assert checked == 6452
 
 
 def test_suppressed_graph_rejects_detached_valence_two_cycle():
     g = Graph((0, 1, 2, 3, 4), ((0, 0, 1), (1, 2, 3), (2, 3, 4), (3, 4, 2)))
-    for suppress in (suppressed_graph, suppressed_graph_reference):
-        with pytest.raises(GraphError, match="detached"):
-            suppress(g, _valences(g))
+    with pytest.raises(GraphError, match="detached"):
+        _suppressed(g)
+    with pytest.raises(GraphError, match="detached"):
+        suppressed_graph_reference(g, _valences(g))
 
 
 def test_program_built_graphs_revalidate():
@@ -441,3 +476,66 @@ def test_verify_counting_lemma_4_edges():
     # the triangle shows up as an exceptional finding
     bad = [r for r in result.exceptional_findings if r.edge_count == 3]
     assert bad and all(r.exceptional for r in bad)
+
+
+def test_counting_pass_matches_reference_on_every_graph_up_to_8_edges():
+    candidates = list(enumerate_connected_multigraphs(8, 9))
+    assert verify_counting_lemma(candidates).to_json() == verify_counting_reference(candidates).to_json()
+
+
+@pytest.mark.parametrize("max_edges, seed", [(9, 0), (12, 1), (40, 2)])
+def test_counting_pass_matches_reference_on_sampled_draws(max_edges, seed):
+    # the draws of ``counting --max-edges N --seed S``
+    rng = random.Random(seed)
+    candidates = [random_multigraph(rng, max_edges, max_edges + 1) for _ in range(2000)]
+    assert verify_counting_lemma(candidates).to_json() == verify_counting_reference(candidates).to_json()
+
+
+HAND_BUILT = [
+    Graph(("a", "b", "c"), (("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"), ("cc", "c", "c"))),
+    Graph((10, 3, 7), ((0, 10, 3), (1, 3, 7), (2, 7, 10), (3, 3, 3))),
+    Graph((10, 3, 7), ((0, 10, 3), (1, 3, 7), (2, 7, 10), (3, 10, 10))),
+    Graph((0, 1, 2, 3), ((0, 0, 1), (1, 2, 3))),  # disconnected
+    Graph(("solo",), ()),
+    Graph((0,), ((0, 0, 0), (1, 0, 0), (2, 0, 0))),  # loops only
+    _cycle(5),  # every valence 2
+    Graph((0, 1, 2), ((0, 0, 1), (1, 1, 2), (2, 1, 1), (3, 1, 1))),  # two loops at one vertex
+    Graph(("x", "y", "z"), (("e", "x", "y"), ("f", "y", "z"), ("l", "z", "z"))),
+    Graph(("x", "y", "z"), (("e", "x", "y"), ("f", "y", "z"), ("l", "y", "y"))),
+]
+
+
+def test_counting_pass_matches_reference_on_hand_built_graphs():
+    for g in HAND_BUILT:
+        assert verify_counting_lemma([g]).to_json() == verify_counting_reference([g]).to_json(), g
+    # in one run, so that graphs with one support follow each other
+    assert verify_counting_lemma(HAND_BUILT).to_json() == verify_counting_reference(HAND_BUILT).to_json()
+
+
+def test_matching_sizes_are_kept_per_looped_vertex_set():
+    # one loop-free support, a path x - y - z, with the loop at an end and
+    # at the middle: M is 2 and 1
+    path_end, path_middle = HAND_BUILT[-2:]
+    sizes = [rep.matching_size for _, rep in counting_reports([path_end, path_middle, path_end])]
+    assert sizes == [2, 1, 2]
+    assert sizes == [len(matching_bruteforce(g)) for g in (path_end, path_middle, path_end)]
+
+
+def test_counting_checks_fire_on_a_short_matching(monkeypatch):
+    # A non-exceptional graph has T >= 1, so up to 8 edges a matching one
+    # short cannot break its bound; it shows on the cycles, the graphs
+    # with T = 0, where every length then fails the bound, not only the odd
+    def cycles_failing(result):
+        return sorted(r.edge_count for r in result.exceptional_findings if r.t_value == 0)
+
+    assert cycles_failing(verify_counting_lemma(enumerate_connected_multigraphs(6, 7))) == [3, 5]
+    matched_pairs = graphs._matched_pairs
+    monkeypatch.setattr(graphs, "_matched_pairs", lambda n, pairs: matched_pairs(n, pairs)[1:])
+    assert cycles_failing(verify_counting_lemma(enumerate_connected_multigraphs(6, 7))) == [1, 2, 3, 4, 5, 6]
+
+
+def test_counting_checks_fire_on_a_dropped_chain(monkeypatch):
+    suppress = graphs.suppressed_graph
+    monkeypatch.setattr(graphs, "suppressed_graph", lambda ends, valences: suppress(ends, valences)[1:])
+    result = verify_counting_lemma(enumerate_connected_multigraphs(6, 7))
+    assert not result.ok and result.intermediate_failures and not result.violations
