@@ -32,7 +32,7 @@ from .fpcore import (
     subgroup_generated,
 )
 from .fplinalg import FpMatrix, rank
-from .graphs import Graph, graph_stats
+from .graphs import Graph, index_walk
 
 
 class GogError(ValueError):
@@ -60,7 +60,7 @@ class GraphOfGroups:
         vset = set(self.graph.vertices)
         if set(self.vertex_groups) != vset:
             raise GogError("vertex groups must cover exactly the vertex set")
-        if not graph_stats(self.graph).connected:
+        if not index_walk(self.graph).connected:
             raise GogError("graph is not connected")
         eset = {e for e, _, _ in self.graph.edges}
         for name, mapping in (("edge_groups", self.edge_groups), ("inj0", self.inj0), ("inj1", self.inj1)):

@@ -51,7 +51,8 @@ isomorphism that takes e to the new edge, which therefore has the
 greatest invariant and passes.  A new edge that ties with another
 deletable edge passes too, so several children can reach one class; the
 first to reach a canonical state keeps it.  Up to 8 edges this leaves
-395 searches of the 1,350 children, for 359 classes.
+395 searches of the 1,350 children, for 359 classes.  The enumeration is
+capped at ``EXHAUSTIVE_MAX_EDGES`` edges.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
+
+# the most edges enumerate_connected_multigraphs walks; the command line
+# samples beyond it
+EXHAUSTIVE_MAX_EDGES = 8
 
 
 class GraphError(ValueError):
@@ -103,14 +108,6 @@ class Graph:
             "vertices": list(self.vertices),
             "edges": [[e, u, v] for e, u, v in self.edges],
         }
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    valences: dict
-    leaves: int
-    euler_char: int
-    connected: bool
 
 
 class IndexWalk(NamedTuple):
@@ -173,18 +170,6 @@ def index_walk(g: Graph) -> IndexWalk:
             parent[a] = b
             components -= 1
     return IndexWalk(ends, valences, components == 1, frozenset(support), looped)
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    """Valences (loops count twice), leaf count, Euler characteristic,
-    connectivity ignoring orientation, read off ``index_walk(g)``."""
-    walk = index_walk(g)
-    return GraphStats(
-        valences=dict(zip(g.vertices, walk.valences)),
-        leaves=walk.valences.count(1),
-        euler_char=len(g.vertices) - len(g.edges),
-        connected=walk.connected,
-    )
 
 
 def maximum_matching(g: Graph) -> tuple:
@@ -612,8 +597,8 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
     under the simple graph's automorphism generators marked seen, so each
     isomorphism class is represented by its least decoration.
     """
-    if max_edges > 8:
-        raise GraphError("exhaustive enumeration capped at 8 edges")
+    if max_edges > EXHAUSTIVE_MAX_EDGES:
+        raise GraphError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_EDGES} edges")
     if max_vertices < 1:
         raise GraphError("need at least one vertex")
     levels = _connected_simple_graphs(max_edges, max_vertices)

@@ -84,7 +84,7 @@ def matching_bruteforce(g):
 
 def suppressed_graph_reference(g, valences):
     """Smooth every maximal valence-2 chain into a single edge;
-    ``valences`` as in ``graph_stats(g)``.
+    ``valences`` maps each vertex id to its valence, loops counting twice.
 
     Requires at least one vertex of valence != 2; loops arising from
     chains that return to their start are retained.

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from gogends import cli, fplinalg
-from gogends.cli import WorkbenchConfig, canonical_json, parse_input, run_suite
+from gogends import cli, fplinalg, graphs
+from gogends.cli import canonical_json, parse_input
 from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
 from gogends.fpcore import FiniteGroup, cyclic, direct_product
 from gogends.schema import InputError, gog_from_json
@@ -128,35 +128,79 @@ def test_parse_input_file_errors(tmp_path):
         parse_input(str(deep))
 
 
-def test_config_validation():
-    with pytest.raises(InputError):
-        WorkbenchConfig(prime=5)
+def _stub_graph_sources(monkeypatch) -> list:
+    """Replace the enumeration and the sampler by one single-vertex graph
+    each; returns the list of (source, max_edges, max_vertices) calls."""
+    calls = []
+    single = graphs.Graph((0,), ())
+
+    def enumerate_stub(max_edges, max_vertices):
+        calls.append(("enumerate", max_edges, max_vertices))
+        return iter([single])
+
+    def sample_stub(rng, max_edges, max_vertices):
+        calls.append(("sample", max_edges, max_vertices))
+        return single
+
+    monkeypatch.setattr(cli.graphs, "enumerate_connected_multigraphs", enumerate_stub)
+    monkeypatch.setattr(cli.graphs, "random_multigraph", sample_stub)
+    return calls
+
+
+def _main_report(tmp_path, argv):
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_config_validation(tmp_path, monkeypatch):
+    # a prime outside fplinalg.PRIMES: test_every_layer_accepts_exactly_the_kernel_primes
+    calls = _stub_graph_sources(monkeypatch)
     # the largest sampled counting run: 256 edges, 257 vertices
-    WorkbenchConfig(subcommand="counting", max_edges=256, max_vertices=257)
-    WorkbenchConfig(subcommand="counting", max_edges=8, max_vertices=10**9)  # exhaustive: a cap only
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", "256", "--max-vertices", "257"])
+    assert code == 0 and report["mode"] == "sampled"
+    assert set(calls) == {("sample", 256, 257)}
+    calls.clear()
+    # exhaustive: --max-vertices is a cap only
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", "8", "--max-vertices", str(10**9)])
+    assert code == 0 and report["mode"] == "exhaustive"
+    assert calls == [("enumerate", 8, 10**9)]
 
 
-def test_run_counting_suite_exit_codes():
-    cfg = WorkbenchConfig(prime=2, subcommand="counting", max_edges=4)
-    code, report = run_suite(cfg)
+def test_run_counting_suite_exit_codes(tmp_path):
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", "4"])
     assert code == 0
     assert report["ok"] and report["mode"] == "exhaustive"
     # beyond the exhaustive cap, counting samples instead of rejecting
-    code, report = run_suite(WorkbenchConfig(prime=2, subcommand="counting", max_edges=9))
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", str(graphs.EXHAUSTIVE_MAX_EDGES + 1)])
     assert code == 0
     assert report["ok"] and report["mode"] == "sampled"
 
 
+def test_exhaustive_cap_is_read_from_graphs(tmp_path, capsys, monkeypatch):
+    cap = graphs.EXHAUSTIVE_MAX_EDGES
+    calls = _stub_graph_sources(monkeypatch)
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", str(cap)])
+    assert code == 0 and report["mode"] == "exhaustive" and calls == [("enumerate", cap, cap + 1)]
+    calls.clear()
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", str(cap + 1)])
+    assert code == 0 and report["mode"] == "sampled" and report["graphs_checked"] == cli.SAMPLES
+    assert set(calls) == {("sample", cap + 1, cap + 2)}
+    calls.clear()
+    assert cli.main(["enumerate", "--max-edges", str(cap + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: enumerate is exhaustive and capped at {cap} edges" in err and not calls
+
+
 def test_emit_report_deterministic(tmp_path):
-    cfg = WorkbenchConfig(prime=2, subcommand="enumerate", max_edges=3)
-    _, rep1 = run_suite(cfg)
-    _, rep2 = run_suite(cfg)
-    assert canonical_json(rep1) == canonical_json(rep2)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (out1, out2):
+        assert cli.main(["enumerate", "--max-edges", "3", "--out", str(out)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_emit_report_no_floats():
-    cfg = WorkbenchConfig(prime=2, subcommand="counting", max_edges=3)
-    _, report = run_suite(cfg)
+def test_emit_report_no_floats(tmp_path):
+    _, report = _main_report(tmp_path, ["counting", "--max-edges", "3"])
 
     def walk(x):
         assert not isinstance(x, float), "reports must stay exact"
@@ -246,13 +290,10 @@ def test_every_layer_accepts_exactly_the_kernel_primes(tmp_path, capsys):
         doc = dict(MINIMAL, prime=p, vertices=[{"id": "v0", "group": {"type": "trivial", "params": [p]}}])
         if p in fplinalg.PRIMES:
             assert parser.parse_args(["verify-lemmas", "--prime", str(p)]).prime == p
-            assert WorkbenchConfig(prime=p).prime == p
             assert gog_from_json(doc).prime == p
             continue
         with pytest.raises(SystemExit):
             parser.parse_args(["verify-lemmas", "--prime", str(p)])
-        with pytest.raises(InputError, match="prime must be 2 or 3"):
-            WorkbenchConfig(prime=p)
         with pytest.raises(InputError, match="prime must be the int 2 or 3"):
             gog_from_json(doc)
     capsys.readouterr()
@@ -384,12 +425,9 @@ def test_main_ends_finds_the_d8_witness_of_a_klein_loop(tmp_path):
 def test_ends_bound_holds_on_corpus(tmp_path):
     # the ends subcommand at each fixture's witness bound
     for name in fixture_names():
-        data = fixture_json(name)
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        cfg = WorkbenchConfig(prime=data["prime"], subcommand="ends", input_path=str(path),
-                              order_bound=witness_bound(name))
-        _, reports = run_suite(cfg)
+        path = _write(tmp_path, fixture_json(name), f"{name}.json")
+        code, reports = _main_report(tmp_path, ["ends", path, "--order-bound", str(witness_bound(name))])
+        assert code == 0, name
         for rep in reports:
             assert rep["bound_holds"], name
             assert rep["matching_le_gen"], name
@@ -476,3 +514,59 @@ def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, monkeypatch, ar
     assert cli.main([fixture if a == "FIXTURE" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert "input error: " in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counting", "--max-edges", "2", "--out", "MISSING"],
+    ["ends", "FIXTURE", "--order-bound", "8", "--witness-out", "MISSING"],
+], ids=["out", "witness_out"])
+def test_main_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    fixture = _write(tmp_path, fixture_json("hnn_c4_c2"))
+    argv = [{"MISSING": missing, "FIXTURE": fixture}.get(a, a) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"input error: cannot write {missing}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["hnn_c4_c2", "tree_c9_c9_c9"])
+def test_analyze_and_ends_write_identical_files(tmp_path, name):
+    # one registration and one runner: without --levels, analyze is ends
+    path = _write(tmp_path, fixture_json(name))
+    written = []
+    for sub in ("ends", "analyze"):
+        out, witness = tmp_path / f"{sub}.json", tmp_path / f"{sub}-witness.json"
+        argv = [sub, path, "--order-bound", str(witness_bound(name)), "--out", str(out), "--witness-out", str(witness)]
+        assert cli.main(argv) == 0
+        written.append((out.read_bytes(), witness.read_bytes()))
+    assert written[0] == written[1]
+
+
+# every option of the command line and the subcommands that declare it
+OPTIONS = {
+    "--out": {"verify-lemmas", "counting", "enumerate", "analyze", "ends"},
+    "--prime": {"verify-lemmas"},
+    "--max-order": {"verify-lemmas"},
+    "--max-edges": {"counting", "enumerate"},
+    "--max-vertices": {"counting", "enumerate"},
+    "--seed": {"counting"},
+    "--levels": {"analyze"},
+    "--order-bound": {"analyze", "ends"},
+    "--witness-out": {"analyze", "ends"},
+}
+
+
+@pytest.mark.parametrize("sub", ["verify-lemmas", "counting", "verify-counting", "enumerate", "analyze", "ends"])
+def test_each_subcommand_takes_exactly_its_options(capsys, sub):
+    declared = "counting" if sub == "verify-counting" else sub
+    parser = cli._build_parser()
+    head = [sub, "F"] if declared in ("analyze", "ends") else [sub]
+    for option, owners in OPTIONS.items():
+        if declared in owners:
+            assert str(vars(parser.parse_args(head + [option, "2"]))[option[2:].replace("-", "_")]) == "2"
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(head + [option, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from gogends.graphs import (
     counting_report,
     counting_reports,
     enumerate_connected_multigraphs,
-    graph_stats,
     index_walk,
     maximum_matching,
     random_multigraph,
@@ -52,7 +51,7 @@ def _report(g):
 
 
 def _valences(g):
-    return graph_stats(g).valences
+    return dict(zip(g.vertices, index_walk(g).valences))
 
 
 def _segment_bound(g):
@@ -68,23 +67,29 @@ def _suppressed(g):
     return Graph(kept, tuple((f"y{i}", g.vertices[a], g.vertices[b]) for i, (a, b) in enumerate(pairs)))
 
 
+# leaves (valences.count(1)) and the Euler characteristic |V| - |E| are
+# read off index_walk by counting_report
+
+
 def test_stats_single_vertex():
-    s = graph_stats(Graph((0,), ()))
-    assert s.valences == {0: 0} and s.leaves == 0 and s.euler_char == 1 and s.connected
+    g = Graph((0,), ())
+    s = _report(g)
+    assert _valences(g) == {0: 0} and s.leaves == 0 and s.euler_char == 1 and index_walk(g).connected
 
 
 def test_stats_single_loop_counts_twice():
-    s = graph_stats(Graph((0,), ((0, 0, 0),)))
-    assert s.valences == {0: 2} and s.leaves == 0 and s.euler_char == 0
+    g = Graph((0,), ((0, 0, 0),))
+    s = _report(g)
+    assert _valences(g) == {0: 2} and s.leaves == 0 and s.euler_char == 0
 
 
 def test_stats_path():
-    s = graph_stats(_path(3))
-    assert s.leaves == 2 and s.euler_char == 1 and s.connected
+    s = _report(_path(3))
+    assert s.leaves == 2 and s.euler_char == 1 and index_walk(_path(3)).connected
 
 
 def test_stats_disconnected():
-    assert not graph_stats(Graph((0, 1), ())).connected
+    assert not index_walk(Graph((0, 1), ())).connected
 
 
 def test_graph_validation():
@@ -213,8 +218,8 @@ def test_suppressed_graph_of_subdivided_triangle():
         _suppressed(g)  # all vertices have valence 2
     g2 = Graph((0, 1, 2, 3), ((0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)))
     y = _suppressed(g2)
-    ys = graph_stats(y)
-    gs = graph_stats(g2)
+    ys = _report(y)
+    gs = _report(g2)
     assert ys.leaves == gs.leaves
     assert ys.euler_char == gs.euler_char  # smoothing removes none here (no val-2 chain)
 
@@ -224,7 +229,7 @@ def test_suppressed_graph_preserves_t():
     g = _path(5)
     y = _suppressed(g)
     assert len(y.vertices) == 2 and len(y.edges) == 1
-    ys, gs = graph_stats(y), graph_stats(g)
+    ys, gs = _report(y), _report(g)
     assert ys.leaves - ys.euler_char == gs.leaves - gs.euler_char
 
 
@@ -266,7 +271,7 @@ def test_random_multigraphs_are_connected_within_the_caps():
     for max_edges, max_vertices in ((0, 4), (1, 1), (3, 9), (9, 10), (40, 6)):
         for _ in range(100):
             g = random_multigraph(rng, max_edges, max_vertices)
-            assert graph_stats(g).connected
+            assert index_walk(g).connected
             assert len(g.edges) <= max_edges and len(g.vertices) <= max_vertices
 
 
