@@ -154,15 +154,16 @@ def run_analyze(args) -> tuple[int, list]:
     if not g.graph.edges:
         raise InputError("the graph of groups needs at least one edge")
     largest = max(grp.order for grp in g.vertex_groups.values())
-    for bound in levels:
-        if not fpcore.is_power_of(bound, g.prime):
+    bounds = levels or (args.order_bound,)
+    for bound in bounds:
+        if levels and not fpcore.is_power_of(bound, g.prime):
             raise InputError(f"level {bound} is not a power of {g.prime}")
         if bound < largest:
             # every vertex group injects into a witness
             raise InputError(f"level {bound} is below the largest vertex-group order {largest}")
     reports = []
     witnesses = []
-    for bound in levels or (args.order_bound,):
+    for bound in bounds:
         witness = gogmod.proper_quotient_search(g, bound)
         reports.append(ends.ends_level(g, witness))
         witnesses.append(witness)

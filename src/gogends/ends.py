@@ -147,15 +147,16 @@ def _fox_rows(words, col: dict, elements: dict, P, zs: np.ndarray, width: int) -
     pos = np.empty(P.order, dtype=np.intp)
     pos[zs] = np.arange(m)
     out = np.zeros((len(words) * m, width), dtype=np.uint8)
+    table = P.rows()
     for ri, word in enumerate(words):
         prefix = 0
         for sym, exp in word:
             x = elements[sym]
             if exp == 1:
                 rows, step = ri * m + pos[P.mult[prefix, zs]], 1
-                prefix = int(P.mult[prefix, x])
+                prefix = table[prefix][x]
             elif exp == -1:
-                prefix = int(P.mult[prefix, P.inv(x)])
+                prefix = table[prefix][P.inv(x)]
                 rows, step = ri * m + pos[P.mult[prefix, zs]], p - 1
             else:
                 raise GogError("relator letters must have exponent +-1")

@@ -7,24 +7,28 @@ form word in the distinguished generators.  The closed-form catalog
 direct products) covers every group the workbench needs; orders are
 capped at 256.
 
-Every constructed group is checked for an in-range table, a p-power
-order, identity at index 0, two-sided inverses and generation.  Tables
-built from a formula or given by the caller (cyclic, elementary abelian,
-D8, Q8, Heisenberg, explicit tables, subgroups) are also checked for
-associativity, an O(n^3) scan.  ``direct_product`` skips that scan: the
-componentwise product of two associative tables is associative, and its
-factors were checked when they were built.
+Every group (catalog formula, direct product, subgroup or table from a
+file) is made by the one constructor ``FiniteGroup(...)``.  It checks an
+in-range table, a p-power order, identity at index 0, two-sided
+inverses, generation and then associativity by Light's test
+(Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2):
+(x*a)*z == x*(a*z) for all x, z, with a in an irredundant subset of the
+generators.  The elements a that pass form a submagma: if a and b do,
+(x*(a*b))*z = ((x*a)*b)*z = (x*a)*(b*z) = x*(a*(b*z)) = x*((a*b)*z).
+It holds the identity and the kept generators, hence their closure,
+which holds the other generators, and hence every element, which the
+generation check reached as a product of generators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 MAX_ORDER = 256
-_SLAB_CELLS = 1 << 20  # triples per slab of the associativity check
 
 
 class GroupError(ValueError):
@@ -44,6 +48,26 @@ def is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
+def _irredundant(rows, candidates) -> tuple[list[int], list[int]]:
+    """The candidates, in order, that are not in the closure of those kept
+    before them, and the closure of all of them: the identity's orbit
+    under right multiplication.  A group of order p^k keeps at most k."""
+    kept: list[int] = []
+    seen = {0}
+    queue = [0]
+    for a in candidates:
+        if a not in seen:
+            kept.append(a)
+            for x in queue:
+                row = rows[x]
+                for g in kept:
+                    y = row[g]
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+    return kept, queue
+
+
 class FiniteGroup:
     """Finite p-group given by its multiplication table.
 
@@ -57,9 +81,6 @@ class FiniteGroup:
     )
 
     def __init__(self, name: str, mult, generators, prime: int):
-        self._build(name, mult, generators, prime, check_associativity=True)
-
-    def _build(self, name: str, mult, generators, prime: int, check_associativity: bool):
         table = np.ascontiguousarray(np.asarray(mult, dtype=np.uint16))
         n = table.shape[0]
         if table.shape != (n, n):
@@ -72,11 +93,15 @@ class FiniteGroup:
         self.mult = table
         self.generators = [int(g) for g in generators]
         self._validate_table()
-        if check_associativity:
-            self._check_associative()
         self.inverses = self._compute_inverses()
-        self._rows = None
+        self._rows = rows = table.tolist()
         self.words, self._bfs_order = self._bfs_words()
+        # Light's test, (x*a)*z == x*(a*z) for every x, z and every kept a
+        for a in _irredundant(rows, self.generators)[0]:
+            times_a = itemgetter(*rows[a])  # a != 0, so n >= 2: it returns tuples
+            for rx in rows:
+                if list(times_a(rx)) != rows[rx[a]]:
+                    raise GroupError("multiplication table is not associative")
         self._orders = None
         self._hash = None
 
@@ -91,17 +116,6 @@ class FiniteGroup:
         for g in self.generators:
             if not 0 <= int(g) < n:
                 raise GroupError("generator index out of range")
-
-    def _check_associative(self):
-        """(a*b)*c == a*(b*c) for every triple, in slabs of rows a that
-        hold at most _SLAB_CELLS triples, so memory stays bounded."""
-        n, table = self.order, self.mult
-        step = max(1, _SLAB_CELLS // (n * n))
-        for a0 in range(0, n, step):
-            rows = table[a0 : a0 + step]
-            # [a, b, c]: (a*b)*c against a*(b*c)
-            if not np.array_equal(table[rows], rows[:, table]):
-                raise GroupError("multiplication table is not associative")
 
     def _compute_inverses(self) -> np.ndarray:
         zero = self.mult == 0
@@ -130,10 +144,8 @@ class FiniteGroup:
         return words, queue  # type: ignore[return-value]
 
     def rows(self) -> list[list[int]]:
-        """The table as Python lists, ``rows()[a][b] == mult[a, b]``; built
-        once, for loops that read single entries."""
-        if self._rows is None:
-            self._rows = self.mult.tolist()
+        """The table as Python lists, ``rows()[a][b] == mult[a, b]``, for
+        loops that read single entries."""
         return self._rows
 
     # -- basic arithmetic ------------------------------------------------
@@ -309,17 +321,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     ia, ib = np.divmod(np.arange(n), b.order)
     table = a.mult[ia[:, None], ia[None, :]].astype(np.int64) * b.order + b.mult[ib[:, None], ib[None, :]]
     gens = [g * b.order for g in a.generators] + list(b.generators)
-    # associative because both factors are: only the cheap checks run
-    g = FiniteGroup.__new__(FiniteGroup)
-    g._build(f"{a.name}x{b.name}", table, gens, a.prime, check_associativity=False)
-    return g
+    return FiniteGroup(f"{a.name}x{b.name}", table, gens, a.prime)
 
 
 def _partitions(total: int):
     """Partitions of ``total`` into weakly decreasing positive parts."""
-    if total == 0:
-        yield ()
-        return
 
     def rec(remaining, cap):
         if remaining == 0:
@@ -379,16 +385,7 @@ def subgroup_generated(group: FiniteGroup, seeds) -> Subgroup:
     for s in seeds:
         if not 0 <= int(s) < group.order:
             raise GroupError(f"seed {s} out of range")
-    closure = {0}
-    frontier = [0]
-    seeds = [int(s) for s in seeds]
-    while frontier:
-        x = frontier.pop()
-        for s in seeds:
-            y = int(group.mult[x, s])
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
+    closure = _irredundant(group.rows(), [int(s) for s in seeds])[1]
     return Subgroup(group, tuple(sorted(closure)))
 
 
@@ -463,12 +460,7 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = local[parent.mult[np.ix_(elems, elems)]]
     if (table < 0).any():
         raise GroupError("element set is not closed under multiplication")
-    gens: list[int] = []
-    closure = {0}
-    for i in range(1, n):
-        if elems[i] not in closure:
-            gens.append(i)
-            closure = set(subgroup_generated(parent, [elems[g] for g in gens]).elements)
+    gens = local[_irredundant(parent.rows(), elems[1:])[0]].tolist()
     grp = FiniteGroup(f"{parent.name}|{n}", table, gens, parent.prime)
     incl = GroupHom(grp, parent, tuple(elems))
     return grp, incl

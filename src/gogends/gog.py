@@ -159,19 +159,16 @@ def _bfs_tree(graph: Graph):
         if u != v:
             adjacency[v].append((e, u))
     root = graph.vertices[0]
-    order = [root]
     seen = {root}
     tree = []
     queue = [root]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
         for e, w in adjacency[x]:
             if w not in seen:
                 seen.add(w)
-                order.append(w)
                 tree.append((e, x, w))
                 queue.append(w)
-    return order, tree
+    return queue, tree
 
 
 def _free_reduce(word):
@@ -230,8 +227,7 @@ def presentation(gog: GraphOfGroups) -> Presentation:
     for vid in gog.graph.vertices:
         grp = gog.vertex_groups[vid]
         for gi, g in enumerate(grp.generators):
-            for x in grp.elements():
-                sx = int(grp.mult[g, x])
+            for x, sx in enumerate(grp.rows()[g]):
                 word = ((vertex_symbol(vid, gi), 1),) + group_word(vid, x) + _invert_word(group_word(vid, sx))
                 word = _free_reduce(word)
                 if word:
@@ -280,6 +276,7 @@ class ProperWitness:
                 raise GogError(f"vertex {vid!r}: witness map not injective")
         _, tree = _bfs_tree(gog.graph)
         tree_ids = {e for e, _, _ in tree}
+        rows = P.rows()
         for eid, u, v in gog.graph.edges:
             t = self.stable_images[eid]
             if eid in tree_ids and t != 0:
@@ -288,7 +285,7 @@ class ProperWitness:
             pu, pv = self.vertex_maps[u], self.vertex_maps[v]
             for g in ge.elements():
                 lhs = pu.image[gog.inj0[eid].image[g]]
-                rhs = int(P.mult[int(P.mult[t, pv.image[gog.inj1[eid].image[g]]]), P.inv(t)])
+                rhs = rows[rows[t][pv.image[gog.inj1[eid].image[g]]]][P.inv(t)]
                 if lhs != rhs:
                     raise GogError(f"edge {eid!r}: conjugation relator fails at {g}")
 

@@ -11,8 +11,9 @@ maps and stable letters on every catalog quotient.
 ``fpcore.hom_from_images`` checks generator columns only, and
 ``gog.injective_homs`` and ``gog.proper_quotient_search`` prune as they
 go; tests compare them against these.  ``associative`` is the one-array
-check of every triple that ``fpcore.direct_product`` skips at
-construction, and ``identity_hom`` builds the identity map of a group.
+check of every triple that Light's test in the ``FiniteGroup``
+constructor is compared against, and ``identity_hom`` builds the
+identity map of a group.
 ``all_subgroups_reference`` closes the subgroup lattice under joins with
 every element outside a subgroup; ``fpcore.all_subgroups`` joins with
 one element per right coset.

@@ -497,9 +497,13 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     (["verify-lemmas", "--max-order", "512"], "--max-order must be at most 256"),
     (["ends", "FIXTURE", "--order-bound", "-3"], "--order-bound must be at least 1"),
     (["analyze", "FIXTURE", "--order-bound", "0"], "--order-bound must be at least 1"),
+    # the fixture's largest vertex group has order 4, as with --levels 2
+    (["ends", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
+    (["analyze", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
 ], ids=["enumerate_9_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
         "sampled_counting_257_edges", "sampled_counting_258_vertices",
-        "lemmas_order_0", "lemmas_order_512", "ends_negative_bound", "analyze_zero_bound"])
+        "lemmas_order_0", "lemmas_order_512", "ends_negative_bound", "analyze_zero_bound",
+        "ends_bound_below_vertex_group", "analyze_bound_below_vertex_group"])
 def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # checked before any graph is built or any enumeration or search starts,
     # with no default swapped in

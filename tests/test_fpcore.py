@@ -1,6 +1,8 @@
 """Group catalog, subgroup closure, homomorphism extension."""
 
 import itertools
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,13 +184,13 @@ def test_catalog_structure():
 def test_catalog_is_built_once_per_bound(monkeypatch):
     first = catalog_groups(2, 16)
     built = []
-    real_build = fpcore.FiniteGroup._build
+    real_init = fpcore.FiniteGroup.__init__
 
     def counted(self, name, *args, **kwargs):
         built.append(name)
-        real_build(self, name, *args, **kwargs)
+        real_init(self, name, *args, **kwargs)
 
-    monkeypatch.setattr(fpcore.FiniteGroup, "_build", counted)
+    monkeypatch.setattr(fpcore.FiniteGroup, "__init__", counted)
     again = catalog_groups(2, 16)
     assert built == []
     assert again is not first and all(a is b for a, b in zip(again, first, strict=True))
@@ -201,8 +203,7 @@ def test_catalog_is_built_once_per_bound(monkeypatch):
 
 def test_catalog_invariants_exhaustive():
     for g in catalog_groups(2, 64) + catalog_groups(3, 81):
-        # direct products skip the associativity check at construction:
-        # check every triple of every catalog group here
+        # every triple, independently of Light's test at construction
         assert associative(g), g.name
         assert all(g.mult[x, g.inv(x)] == 0 for x in g.elements())
         closure = subgroup_generated(g, g.generators)
@@ -211,7 +212,7 @@ def test_catalog_invariants_exhaustive():
 
 def test_non_associative_table_rejected():
     # C256 with two entries of the last row swapped: identity, inverses
-    # and generation survive, associativity fails only in the last slab
+    # and generation survive, associativity fails only in the last row
     table = (np.arange(256)[:, None] + np.arange(256)[None, :]) % 256
     table[255, [2, 3]] = table[255, [3, 2]]
     with pytest.raises(GroupError, match="not associative"):
@@ -219,7 +220,51 @@ def test_non_associative_table_rejected():
     # an order-4 table with identity and self-inverse elements
     small = [[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 1], [3, 1, 1, 0]]
     with pytest.raises(GroupError, match="not associative"):
+        fpcore.FiniteGroup("bad", small, [1, 2, 3], 2)
+    # Light's test needs generation, which is checked first: 1 and 2
+    # never reach 3
+    with pytest.raises(GroupError, match="do not generate"):
         fpcore.FiniteGroup("bad", small, [1, 2], 2)
+    # C2 x small with C2's generator listed first: it passes Light's
+    # test, so only a later kept generator can reject the table
+    c2_small = [[(a1 ^ a2) * 4 + small[b1][b2] for a2 in (0, 1) for b2 in range(4)] for a1 in (0, 1) for b1 in range(4)]
+    with pytest.raises(GroupError, match="not associative"):
+        fpcore.FiniteGroup("bad", c2_small, [4, 1, 2, 3], 2)
+
+
+def _swapped_rows(group, rng, count):
+    """Tables of the group with two entries of one row swapped, neither
+    in the identity row nor in the identity column."""
+    n = group.order
+    for _ in range(count):
+        table = group.mult.copy()
+        x = rng.randrange(1, n)
+        b, c = rng.sample(range(1, n), 2)
+        table[x, [b, c]] = table[x, [c, b]]
+        yield table
+
+
+@pytest.mark.parametrize("prime, max_order", [(2, 32), (3, 27)])
+def test_light_test_matches_exhaustive_associativity(prime, max_order):
+    rng = random.Random(prime)
+    verdicts = set()
+    for group in catalog_groups(prime, max_order):
+        if group.order < 3:
+            continue
+        # the unswapped table is the one associative control
+        for table in [group.mult, *_swapped_rows(group, rng, 8)]:
+            for gens in (group.generators, range(group.order)):
+                try:
+                    built = fpcore.FiniteGroup("swapped", table, gens, prime)
+                except GroupError as exc:
+                    if "not associative" not in str(exc):
+                        continue  # rejected before Light's test ran
+                    built = None
+                # the reference checks every triple of the table as given
+                expected = associative(SimpleNamespace(mult=table))
+                assert (built is not None) == expected, (group.name, gens)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_element_without_inverse_rejected():
