@@ -46,9 +46,15 @@ from .fplinalg import FpMatrix, Subspace, rank, rank_profile
 
 def _invariant_constraints(src: np.ndarray, p: int) -> FpMatrix:
     """D: the blocks A_s - I stacked over the generators; ker D = M^K.
-    A_s is the identity with its rows gathered by src_s."""
-    eye = np.eye(src.shape[1], dtype=np.int8)
-    return FpMatrix((eye[src] - eye).reshape(-1, eye.shape[0]), p)
+    Row z of A_s is the unit vector at src_s[z], so row z of its block
+    is 0 where src_s[z] = z, and otherwise 1 at src_s[z] and p - 1 at z."""
+    r, d = src.shape
+    z = np.arange(d)
+    moved = src != z
+    out = np.zeros((r, d, d), dtype=np.uint8)
+    out[:, z, z] = (p - 1) * moved
+    out[np.arange(r)[:, None], z, src] = moved
+    return FpMatrix(out.reshape(r * d, d), p)
 
 
 def _cocycle_constraints(K: FiniteGroup, src: np.ndarray, p: int) -> FpMatrix:
@@ -60,13 +66,13 @@ def _cocycle_constraints(K: FiniteGroup, src: np.ndarray, p: int) -> FpMatrix:
     unit = np.eye(r * d, dtype=np.int16).reshape(r, d, r * d)  # unit[i] = E_i
     values = np.zeros((n, d, r * d), dtype=np.int16)
     tree = np.zeros((r, n), dtype=bool)  # tree[i, h]: edge (s_i, h) is in the tree
-    mult = K.mult.tolist()
+    rows = K.rows()
     seen = [False] * n
     seen[0] = True
     queue = [0]
     for h in queue:
         for i, s in enumerate(K.generators):
-            sh = mult[s][h]
+            sh = rows[s][h]
             if not seen[sh]:
                 seen[sh] = tree[i, h] = True
                 np.add(values[h][src[i]], unit[i], out=values[sh])

@@ -30,12 +30,12 @@ stable under the right action, or ``WellDefinednessViolation`` is raised.
 Fox calculus on the fundamental-group presentation is an independent
 elimination oracle for h1_dim; a disagreement raises rather than reports.
 It reads no level-graph data and never builds the whole relators x
-symbols matrix over F_p[P].  The killer of a spanning-tree letter is the
-identity on that letter's block and adds |P| to the rank.  A vertex
-group's relators, image H_v, are block diagonal over the right cosets
-H_v c, as F_p[P] is a free F_p[H_v]-module on them (Brown, *Cohomology
-of Groups*, III.5-6): they are eliminated once over F_p[H_v] and the
-basis is translated to every coset.
+symbols matrix over F_p[P].  A vertex group's relators, image H_v, are
+block diagonal over the right cosets H_v c, as F_p[P] is a free
+F_p[H_v]-module on them (Brown, *Cohomology of Groups*, III.5-6): they
+are eliminated once over F_p[H_v] and the basis is translated to every
+coset.  dim B^1 is the rank of cohomology's D for the left translations
+by the symbols' images.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .cohomology import _invariant_constraints, _left_translations
 from .fpcore import right_cosets
 from .fplinalg import FpMatrix, rank, rref
 from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
@@ -141,8 +142,7 @@ def _fox_rows(words, col: dict, elements: dict, P, zs: np.ndarray, width: int) -
     """Fox-derivative rows of the words over the elements ``zs`` of P,
     which left multiplication by every prefix of every word must map onto
     themselves.  Row r * len(zs) + i is (word r, zs[i]), column
-    col[s] + j is (s, zs[j]); a letter whose symbol is not in ``col``
-    adds nothing but still moves the prefix."""
+    col[s] + j is (s, zs[j])."""
     p, m = P.prime, len(zs)
     pos = np.empty(P.order, dtype=np.intp)
     pos[zs] = np.arange(m)
@@ -160,9 +160,8 @@ def _fox_rows(words, col: dict, elements: dict, P, zs: np.ndarray, width: int) -
                 rows, step = ri * m + pos[P.mult[prefix, zs]], p - 1
             else:
                 raise GogError("relator letters must have exponent +-1")
-            if sym in col:
-                cols = col[sym] + np.arange(m)
-                out[rows, cols] = (out[rows, cols] + step) % p
+            cols = col[sym] + np.arange(m)
+            out[rows, cols] = (out[rows, cols] + step) % p
     return out
 
 
@@ -196,29 +195,25 @@ def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -
     Cocycles are the joint kernel of the Fox-derivative blocks of the
     relators (prefix elements acting by left multiplication on F_p[P]);
     coboundaries are the image of m -> ((g - 1) m)_g over the
-    presentation generators.
+    presentation generators, of rank rank D for cohomology's stacked
+    blocks D = (A_g - I) of the left translations A_g.
 
-    The relator matrix is never built whole.  A one-letter relator (the
-    killer of a spanning-tree letter) is invertible on its symbol's
-    block, so it adds |P| to the rank and that symbol's columns leave
-    every other row.  The relators of a vertex group, image H_v in P,
-    split over the right cosets H_v c, on which F_p[P] is a free
-    F_p[H_v]-module (Shapiro's lemma; Brown, *Cohomology of Groups*,
-    III.5-6): they are eliminated once over F_p[H_v] and the basis is
-    translated to each coset (``_vertex_rows``).  Edge relators keep
-    their |P| rows, and one rank runs over all the stacked rows.
+    The relator matrix is never built whole.  The relators of a vertex
+    group, image H_v in P, split over the right cosets H_v c, on which
+    F_p[P] is a free F_p[H_v]-module (Shapiro's lemma; Brown,
+    *Cohomology of Groups*, III.5-6): they are eliminated once over
+    F_p[H_v] and the basis is translated to each coset
+    (``_vertex_rows``).  Edge relators keep their |P| rows, and one rank
+    runs over all the stacked rows.
     """
     P = witness.quotient
     n = P.order
     elements = _symbol_elements(pres, gog, witness)
-    killed = {word[0][0] for word in pres.relators if len(word) == 1}
-    col = {sym: i * n for i, sym in enumerate(s for s in pres.symbols if s not in killed)}
+    col = {sym: i * n for i, sym in enumerate(pres.symbols)}
     width = len(col) * n
     by_vertex: dict = {}
     rest = []
     for word in pres.relators:
-        if len(word) == 1:
-            continue
         (kind, owner), *others = {pres.kinds[sym][:2] for sym, _ in word}
         if kind == "v" and not others:
             by_vertex.setdefault(owner, []).append(word)
@@ -230,14 +225,8 @@ def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -
     ]
     blocks.append(_fox_rows(rest, col, elements, P, np.arange(n), width))
     z1_dim = width - rank(FpMatrix(np.concatenate(blocks), P.prime))
-
-    z = np.arange(n)
-    coboundary = np.zeros((len(pres.symbols) * n, n), dtype=np.uint8)
-    for i, sym in enumerate(pres.symbols):
-        off = i * n
-        coboundary[off + P.mult[elements[sym]], z] = 1
-        coboundary[off + z, z] = (coboundary[off + z, z] + P.prime - 1) % P.prime
-    return z1_dim - rank(FpMatrix(coboundary, P.prime))
+    translations = _left_translations(P, [elements[sym] for sym in pres.symbols])
+    return z1_dim - rank(_invariant_constraints(translations, P.prime))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,16 @@
 
 Covers structural validation (connected, injective edge maps), the
 reducedness test and the collapse of isomorphism edges, the
-fundamental-group presentation over a BFS spanning tree, the mod-p first
-Betti number b1 = dim Hom(G, F_p), and the search for a finite p-group
-quotient in which every vertex group injects (the finite-level
-properness certificate).
+fundamental-group presentation, the mod-p first Betti number
+b1 = dim Hom(G, F_p), and the search for a finite p-group quotient in
+which every vertex group injects (the finite-level properness
+certificate).
+
+A graph of groups finds one BFS maximal tree when it is built, and the
+presentation, the witness check and the witness search all read it.
+The presentation is Serre's (*Trees*, I.5.1): a stable letter only for
+each edge off the tree, and on a tree edge the relators
+inj0(g) * inj1(g)^-1, as if its letter were the identity.
 
 b1 is computed from the abelianised relator matrix mod p.  Vertex-group
 relators are the generator rows of the multiplication table,
@@ -15,7 +21,7 @@ presentation for any table group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +38,7 @@ from .fpcore import (
     subgroup_generated,
 )
 from .fplinalg import FpMatrix, rank
-from .graphs import Graph, index_walk
+from .graphs import Graph
 
 
 class GogError(ValueError):
@@ -55,12 +61,17 @@ class GraphOfGroups:
     edge_groups: dict
     inj0: dict
     inj1: dict
+    # the vertices in BFS order from the first one, and the ids of the
+    # edges of that BFS maximal tree
+    bfs_order: tuple = field(init=False, repr=False, compare=False)
+    tree: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vset = set(self.graph.vertices)
         if set(self.vertex_groups) != vset:
             raise GogError("vertex groups must cover exactly the vertex set")
-        if not index_walk(self.graph).connected:
+        self.bfs_order, self.tree = _bfs_tree(self.graph)
+        if len(self.bfs_order) != len(vset):
             raise GogError("graph is not connected")
         eset = {e for e, _, _ in self.graph.edges}
         for name, mapping in (("edge_groups", self.edge_groups), ("inj0", self.inj0), ("inj1", self.inj1)):
@@ -150,9 +161,8 @@ def reduce_gog(gog: GraphOfGroups) -> GraphOfGroups:
 
 
 def _bfs_tree(graph: Graph):
-    """Deterministic spanning tree of a connected graph (``GraphOfGroups``
-    requires one): (vertex order, tree edge triples).  Tree triples are
-    (eid, parent, child)."""
+    """The vertices that a BFS from the first vertex reaches, in BFS
+    order, and the ids of the edges along which it first reaches them."""
     adjacency: dict = {v: [] for v in graph.vertices}
     for e, u, v in graph.edges:
         adjacency[u].append((e, v))
@@ -166,9 +176,9 @@ def _bfs_tree(graph: Graph):
         for e, w in adjacency[x]:
             if w not in seen:
                 seen.add(w)
-                tree.append((e, x, w))
+                tree.append(e)
                 queue.append(w)
-    return queue, tree
+    return tuple(queue), tuple(tree)
 
 
 def _free_reduce(word):
@@ -190,7 +200,6 @@ class Presentation:
     symbols: tuple
     kinds: dict
     relators: tuple
-    tree: tuple
 
 
 def vertex_symbol(vid, gen_idx) -> str:
@@ -202,11 +211,11 @@ def stable_symbol(eid) -> str:
 
 
 def presentation(gog: GraphOfGroups) -> Presentation:
-    """Generators: vertex-group generators plus one stable letter per
-    edge; relators: vertex table relators, edge conjugation relators,
-    and killers for the spanning-tree letters."""
-    _, tree = _bfs_tree(gog.graph)
-    tree_ids = tuple(e for e, _, _ in tree)
+    """Serre's presentation on the stored maximal tree.  Generators: the
+    vertex-group generators and a stable letter for each edge off the
+    tree; relators: the vertex table relators and, for each generator g
+    of each edge group, inj0(g) * t * inj1(g)^-1 * t^-1 off the tree and
+    inj0(g) * inj1(g)^-1 on it."""
     symbols = []
     kinds: dict = {}
     for vid in gog.graph.vertices:
@@ -215,9 +224,10 @@ def presentation(gog: GraphOfGroups) -> Presentation:
             symbols.append(sym)
             kinds[sym] = ("v", vid, gi)
     for eid, _, _ in gog.graph.edges:
-        sym = stable_symbol(eid)
-        symbols.append(sym)
-        kinds[sym] = ("t", eid)
+        if eid not in gog.tree:
+            sym = stable_symbol(eid)
+            symbols.append(sym)
+            kinds[sym] = ("t", eid)
 
     def group_word(vid, element):
         grp = gog.vertex_groups[vid]
@@ -233,17 +243,14 @@ def presentation(gog: GraphOfGroups) -> Presentation:
                 if word:
                     relators.append(word)
     for eid, u, v in gog.graph.edges:
-        ge = gog.edge_groups[eid]
-        t = stable_symbol(eid)
-        for g in ge.generators:
+        t = () if eid in gog.tree else ((stable_symbol(eid), 1),)
+        for g in gog.edge_groups[eid].generators:
             a = group_word(u, gog.inj0[eid].image[g])
             b = group_word(v, gog.inj1[eid].image[g])
-            word = _free_reduce(a + ((t, 1),) + _invert_word(b) + ((t, -1),))
+            word = _free_reduce(a + t + _invert_word(b) + _invert_word(t))
             if word:
                 relators.append(word)
-    for eid in tree_ids:
-        relators.append(((stable_symbol(eid), 1),))
-    return Presentation(tuple(symbols), kinds, tuple(relators), tree_ids)
+    return Presentation(tuple(symbols), kinds, tuple(relators))
 
 
 def b1(pres: Presentation, prime: int) -> int:
@@ -274,12 +281,10 @@ class ProperWitness:
                 raise GogError(f"vertex {vid!r}: witness map endpoints wrong")
             if not is_injective(hom):
                 raise GogError(f"vertex {vid!r}: witness map not injective")
-        _, tree = _bfs_tree(gog.graph)
-        tree_ids = {e for e, _, _ in tree}
         rows = P.rows()
         for eid, u, v in gog.graph.edges:
             t = self.stable_images[eid]
-            if eid in tree_ids and t != 0:
+            if eid in gog.tree and t != 0:
                 raise GogError(f"tree edge {eid!r} must carry the identity")
             ge = gog.edge_groups[eid]
             pu, pv = self.vertex_maps[u], self.vertex_maps[v]
@@ -378,10 +383,8 @@ def proper_quotient_search(gog: GraphOfGroups, order_bound: int, exact_order: in
     the quotient to the subgroup its images generate, then re-verified
     from scratch.
     """
-    order_vs, tree = _bfs_tree(gog.graph)
-    position = {vid: i for i, vid in enumerate(order_vs)}
-    tree_ids = {eid for eid, _, _ in tree}
-    settled_at: dict = {vid: [] for vid in order_vs}
+    position = {vid: i for i, vid in enumerate(gog.bfs_order)}
+    settled_at: dict = {vid: [] for vid in gog.bfs_order}
     for eid, u, v in gog.graph.edges:
         settled_at[max(u, v, key=position.__getitem__)].append((eid, u, v))
 
@@ -389,12 +392,12 @@ def proper_quotient_search(gog: GraphOfGroups, order_bound: int, exact_order: in
         """Complete w, whose maps are a BFS prefix, or report that no
         completion exists."""
         maps, rows = w.vertex_maps, w.quotient.rows()
-        if len(maps) == len(order_vs):
+        if len(maps) == len(gog.bfs_order):
             return True
-        vid = order_vs[len(maps)]
+        vid = gog.bfs_order[len(maps)]
         constraints = []
         for eid, u, v in settled_at[vid]:
-            if eid in tree_ids:
+            if eid in gog.tree:
                 mine, theirs, par = (gog.inj1, gog.inj0, u) if vid == v else (gog.inj0, gog.inj1, v)
                 gens = gog.edge_groups[eid].generators
                 constraints = [(mine[eid].image[g], maps[par].image[theirs[eid].image[g]]) for g in gens]

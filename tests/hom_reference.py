@@ -16,7 +16,9 @@ constructor is compared against, and ``identity_hom`` builds the
 identity map of a group.
 ``all_subgroups_reference`` closes the subgroup lattice under joins with
 every element outside a subgroup; ``fpcore.all_subgroups`` joins with
-one element per right coset.
+one element per right coset.  ``cyclic_hom_count`` counts the homs from
+the fundamental group to C_p from the graph of groups alone, the
+reference for ``gog.b1``, which reads the presentation.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from gogends.fpcore import (
     is_injective,
     subgroup_generated,
 )
-from gogends.gog import ProperWitness, _bfs_tree
+from gogends.gog import ProperWitness
 
 
 def hom_from_images_reference(src, dst, gen_images):
@@ -89,21 +91,19 @@ def witness_search_reference(g, bound):
     the others over all of P, each relator checked on every element of
     its edge group; None if there is none.  The witness is not shrunk to
     its image."""
-    order_vs, tree = _bfs_tree(g.graph)
-    tree_ids = {eid for eid, _, _ in tree}
-    tree = [e for e in g.graph.edges if e[0] in tree_ids]  # (eid, u, v), as the relator reads it
-    loose = [e for e in g.graph.edges if e[0] not in tree_ids]
+    tree = [e for e in g.graph.edges if e[0] in g.tree]  # (eid, u, v), as the relator reads it
+    loose = [e for e in g.graph.edges if e[0] not in g.tree]
     for P in catalog_groups(g.prime, bound):
-        homs = [list(injective_homs_reference(g.vertex_groups[vid], P)) for vid in order_vs]
+        homs = [list(injective_homs_reference(g.vertex_groups[vid], P)) for vid in g.bfs_order]
         for maps in itertools.product(*homs):
-            maps = dict(zip(order_vs, maps))
+            maps = dict(zip(g.bfs_order, maps))
             if not all(_relator_holds(g, P, maps, 0, *e) for e in tree):
                 continue
             # each relator names one letter: the tuples whose relators all
             # hold are the product of the letters each edge allows
             allowed = [[t for t in P.elements() if _relator_holds(g, P, maps, t, *e)] for e in loose]
             for letters in itertools.product(*allowed):
-                stable = dict.fromkeys(tree_ids, 0)
+                stable = dict.fromkeys(g.tree, 0)
                 stable.update((eid, t) for t, (eid, _, _) in zip(letters, loose))
                 return ProperWitness(P, maps, stable)
     return None
@@ -116,6 +116,38 @@ def _relator_holds(g, P, maps, t, eid, u, v):
         if maps[u].image[g.inj0[eid].image[x]] != rows[rows[t][maps[v].image[g.inj1[eid].image[x]]]][t_inv]:
             return False
     return True
+
+
+def cyclic_hom_count(g) -> int:
+    """|Hom(fundamental group, C_p)|: the tuples of vertex homs to C_p
+    that agree on every element of every edge group through inj0 and
+    inj1, times p for each of the |E| - |V| + 1 stable letters off a
+    maximal tree, as the edge relators do not constrain a letter's image
+    in the abelian C_p."""
+    p = g.prime
+    vertex_homs = [_cyclic_homs(g.vertex_groups[vid]) for vid in g.graph.vertices]
+    count = 0
+    for homs in itertools.product(*vertex_homs):
+        phi = dict(zip(g.graph.vertices, homs))
+        count += all(
+            phi[u][g.inj0[eid].image[x]] == phi[v][g.inj1[eid].image[x]]
+            for eid, u, v in g.graph.edges
+            for x in g.edge_groups[eid].elements()
+        )
+    return count * p ** (len(g.graph.edges) - len(g.graph.vertices) + 1)
+
+
+def _cyclic_homs(group) -> set:
+    """Every hom group -> C_p as its tuple of values: each tuple of
+    generator images extended along ``group.words``, kept when it is a
+    hom on the whole table."""
+    p, rows = group.prime, group.rows()
+    homs = set()
+    for images in itertools.product(range(p), repeat=len(group.generators)):
+        phi = tuple(sum(images[i] for i in group.words[x]) % p for x in group.elements())
+        if all(phi[rows[x][y]] == (phi[x] + phi[y]) % p for x in group.elements() for y in group.elements()):
+            homs.add(phi)
+    return homs
 
 
 def associative(group) -> bool:

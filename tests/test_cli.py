@@ -1,11 +1,20 @@
 """CLI parsing, serialisation round-trips, subcommands, determinism."""
 
+import argparse
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gogends import cli, fplinalg, graphs
 from gogends.cli import canonical_json, parse_input
@@ -574,3 +583,124 @@ def test_each_subcommand_takes_exactly_its_options(capsys, sub):
             parser.parse_args(head + [option, "2"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+
+
+# the largest --levels entry, --order-bound and --max-order drawn at each
+# prime, so that every run is short
+LEVEL_CAP = {2: 16, 3: 27}
+GROUP_SPECS = [
+    {"type": "cyclic", "params": [2, 3]},
+    {"type": "cyclic", "params": [3, 2]},
+    {"type": "heisenberg", "params": [3]},
+    {"type": "quaternion8", "params": []},
+    {"type": "direct_product", "params": [{"type": "dihedral8", "params": []}, {"type": "cyclic", "params": [2, 1]}]},
+    {"table": [[0, 1], [1, 0]], "generators": [1]},
+]
+REPLACEMENTS = st.one_of(
+    st.integers(max_value=-1),
+    st.sampled_from([2**63, 10**30]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 8), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-1, 8), max_size=2),
+    st.sampled_from(GROUP_SPECS),
+)
+
+
+def _paths(doc, path=()):
+    """Every path into a JSON document below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture document with up to three paths replaced or removed.
+    Almost every mutation makes it an input error, so the unmutated
+    documents are the ones that reach the search and the reports."""
+    doc = fixture_json(draw(st.sampled_from(fixture_names())))
+    prime = doc["prime"]
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        container = functools.reduce(operator.getitem, parents, doc)
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(REPLACEMENTS))  # a later mutation may edit it
+    return prime, doc
+
+
+def _declared_arguments():
+    """subcommand -> (its positional dests, its optional actions), as
+    ``cli._build_parser`` declares them."""
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: ([a.dest for a in p._actions if not a.option_strings],
+               [a for a in p._actions if a.option_strings and a.dest != "help"])
+        for name, p in subparsers.choices.items()
+    }
+
+
+DECLARED = _declared_arguments()
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, a drawn subset of its declared options with small
+    values, and for ``analyze`` and ``ends`` a mutated fixture document."""
+    sub = draw(st.sampled_from(sorted(DECLARED)))
+    positionals, options = DECLARED[sub]
+    argv, doc = [sub], None
+    if positionals:
+        assert positionals == ["input"]
+        prime, doc = draw(mutated_fixture())
+        argv.append("INPUT")
+    else:
+        prime = draw(st.sampled_from(next((a.choices for a in options if a.dest == "prime"), [2])))
+    bound = st.integers(-1, LEVEL_CAP[prime])
+    values = {
+        "out": st.sampled_from(["OUT", "MISSING"]),
+        "witness_out": st.sampled_from(["WITNESS", "MISSING"]),
+        "prime": st.just(prime),
+        "max_order": bound,
+        "max_edges": st.one_of(st.integers(-1, 6), st.integers(graphs.EXHAUSTIVE_MAX_EDGES + 1, 12)),
+        "max_vertices": st.integers(-1, 13),
+        "seed": st.integers(0, 2**32),
+        "levels": st.lists(st.one_of(bound, st.just("x")), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+        "order_bound": bound,
+    }
+    for action in options:
+        if draw(st.booleans()):
+            argv += [action.option_strings[0], str(draw(values[action.dest]))]
+    return argv, doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_main_fuzzed_argv_and_documents_exit_0_1_or_2(case):
+    # every subcommand and option that the parser declares, with mutated
+    # fixture documents: a verdict or an input error, never a traceback
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"OUT": "out.json", "WITNESS": "witness.json", "MISSING": "no-such-dir/x.json", "INPUT": "doc.json"}
+        paths = {key: str(Path(tmp) / name) for key, name in files.items()}
+        if doc is not None:
+            Path(paths["INPUT"]).write_text(json.dumps(doc), encoding="utf-8")
+        argv = [paths.get(a, a) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

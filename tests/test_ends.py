@@ -46,7 +46,7 @@ from gogends.gog import (
 )
 from gogends.graphs import Graph
 
-from hom_reference import identity_hom, witness_search_reference
+from hom_reference import cyclic_hom_count, identity_hom, witness_search_reference
 from mv_reference import (
     boundary_map,
     cokernel_reference,
@@ -363,13 +363,13 @@ def test_ends_level_makes_four_eliminations(monkeypatch):
 
 
 def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
-    # heis3_heis3_over_center at 243: 58 relators, so the whole Fox matrix
-    # has 58 * 243 = 14,094 rows and 5 * 243 = 1,215 columns
+    # heis3_heis3_over_center at 243: 57 relators, so the whole Fox matrix
+    # has 57 * 243 = 13,851 rows and 4 * 243 = 972 columns
     g = load_fixture("heis3_heis3_over_center")
     w = proper_quotient_search(g, witness_bound("heis3_heis3_over_center"))
     w = lifted_witness(g, lifted_witness(g, w))
     pres = presentation(g)
-    assert w.quotient.order == 243 and len(pres.relators) == 58
+    assert w.quotient.order == 243 and len(pres.relators) == 57
     expected = mv_h0_map(g, w).h1_dim
     shapes = []
 
@@ -385,7 +385,7 @@ def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
     # one Heis3 block per vertex (28 relators x 27, 2 generators x 27); the
     # stacked rows, 28 basis rows x 9 cosets per vertex and one edge
     # relator x 243, over the 4 vertex symbols; the coboundary
-    assert shapes == [("rref", 756, 54), ("rref", 756, 54), ("rank", 747, 972), ("rank", 1215, 243)]
+    assert shapes == [("rref", 756, 54), ("rref", 756, 54), ("rank", 747, 972), ("rank", 972, 243)]
     assert all(rows < len(pres.relators) * 243 for _, rows, _ in shapes)
 
 
@@ -444,6 +444,20 @@ def test_witness_search_is_complete_over_the_catalog(g):
     else:
         # the same first witness, shrunk to its image the same way
         assert proper_quotient_search(g, 8) == gogmod._shrink_to_image(g, expected)
+
+
+def test_b1_counts_the_homs_to_cyclic_p_on_the_corpus():
+    # p^b1 = |Hom(G, C_p)|, the reference never reading the presentation
+    for name in fixture_names():
+        g = load_fixture(name)
+        assert g.prime ** gogmod.b1(presentation(g), g.prime) == cyclic_hom_count(g), name
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_graphs_of_groups())
+def test_b1_counts_the_homs_to_cyclic_p_on_random_graphs_of_groups(g):
+    assert 2 ** gogmod.b1(presentation(g), 2) == cyclic_hom_count(g)
 
 
 def _spans(monkeypatch):

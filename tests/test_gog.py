@@ -158,21 +158,30 @@ def test_collapse_rejects_loop_and_non_iso():
         collapse_iso_edge(loop, "e")
 
 
+def _assert_serre_counts(g, pres):
+    # Serre's presentation: a letter for each edge off the maximal tree
+    assert len(g.tree) == len(g.graph.vertices) - 1
+    assert not {gogmod.stable_symbol(e) for e in g.tree} & set(pres.symbols)
+    vertex_gens = sum(len(grp.generators) for grp in g.vertex_groups.values())
+    assert len(pres.symbols) == vertex_gens + len(g.graph.edges) - len(g.graph.vertices) + 1
+
+
 def test_presentation_bouquet_is_free():
-    pres = presentation(bouquet(3))
+    g = bouquet(3)
+    pres = presentation(g)
     assert pres.symbols == ("t:e0", "t:e1", "t:e2")
     assert pres.relators == ()
-    assert pres.tree == ()
+    _assert_serre_counts(g, pres)
 
 
 def test_presentation_c2_star_c2():
-    pres = presentation(c2_star_c2())
-    assert len(pres.symbols) == 3  # a, b, t_e
-    assert pres.tree == ("e",)
+    g = c2_star_c2()
+    pres = presentation(g)
+    assert len(pres.symbols) == 2  # a, b; the tree edge has no letter
     words = set(pres.relators)
     assert (("g:u:0", 1), ("g:u:0", 1)) in words  # a^2
     assert (("g:w:0", 1), ("g:w:0", 1)) in words  # b^2
-    assert (("t:e", 1),) in words  # killed tree letter
+    _assert_serre_counts(g, pres)
 
 
 def test_presentation_loop_at_c2():
@@ -183,17 +192,14 @@ def test_presentation_loop_at_c2():
     pres = presentation(g)
     assert set(pres.symbols) == {"g:v:0", "t:e"}
     assert (("g:v:0", 1), ("g:v:0", 1)) in set(pres.relators)
-    assert pres.tree == ()
+    _assert_serre_counts(g, pres)
 
 
 def test_presentation_generator_and_tree_counts():
     for g in (c2_star_c2(), c4_amalgam(), bouquet(2)):
-        pres = presentation(g)
-        expected_gens = sum(len(grp.generators) for grp in g.vertex_groups.values()) + len(
-            g.graph.edges
-        )
-        assert len(pres.symbols) == expected_gens
-        assert len(pres.tree) == len(g.graph.vertices) - 1
+        _assert_serre_counts(g, presentation(g))
+    # the tree edge of C4 *_C2 C4 relates a^2 to b^2 with no letter between
+    assert (("g:u:0", 1), ("g:u:0", 1), ("g:w:0", -1), ("g:w:0", -1)) in presentation(c4_amalgam()).relators
 
 
 def test_b1_examples():
