@@ -27,15 +27,18 @@ of p, gen_count = |E| when the graph of groups is reduced.
 
 Each side of each edge must be edge-invariant and each coset labelling
 stable under the right action, or ``WellDefinednessViolation`` is raised.
-Fox calculus on the fundamental-group presentation is an independent
-elimination oracle for h1_dim; a disagreement raises rather than reports.
-It reads no level-graph data and never builds the whole relators x
-symbols matrix over F_p[P].  A vertex group's relators, image H_v, are
-block diagonal over the right cosets H_v c, as F_p[P] is a free
-F_p[H_v]-module on them (Brown, *Cohomology of Groups*, III.5-6): they
-are eliminated once over F_p[H_v] and the basis is translated to every
-coset.  dim B^1 is the rank of cohomology's D for the left translations
-by the symbols' images.
+Fox calculus on Serre's presentation is an independent elimination
+oracle for h1_dim and kernel_dim; a disagreement raises rather than
+reports.  dim B^1 is the rank of cohomology's D for the left
+translations by the symbols' images, and dim H^0 = |P| - rank D counts
+the right cosets of the image of G, which are the components of X_P.
+The oracle reads no level-graph data and never builds the whole
+relators x symbols matrix over F_p[P].  The graph of groups keeps its
+presentation and each vertex group's Fox basis over F_p[G_v]; a vertex
+group's relators, image H_v, are block diagonal over the right cosets
+H_v c, as F_p[P] is a free F_p[H_v]-module on them (Brown, *Cohomology
+of Groups*, III.5-6), so at each level the basis is only translated to
+every coset, and only the edge relators get rows over P.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ import numpy as np
 
 from .cohomology import _invariant_constraints, _left_translations
 from .fpcore import right_cosets
-from .fplinalg import FpMatrix, rank, rref
-from .gog import GogError, GraphOfGroups, Presentation, ProperWitness, b1 as gog_b1
-from .gog import presentation
+from .fplinalg import FpMatrix, rank
+from .gog import GraphOfGroups, ProperWitness, _fox_rows, b1 as gog_b1, vertex_symbol
 from .graphs import _component_roots, maximum_matching
 
 
@@ -70,7 +72,6 @@ def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:
 
 @dataclass
 class MvLevelData:
-    witness: ProperWitness
     source_dim: int
     target_dim: int
     rank: int
@@ -115,7 +116,6 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
         weights[row, column[v]] -= gog.vertex_groups[v].order // gog.edge_groups[eid].order
 
     return MvLevelData(
-        witness=witness,
         source_dim=src,
         target_dim=tgt,
         rank=src - components,
@@ -125,11 +125,10 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
     )
 
 
-def _symbol_elements(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -> dict:
+def _symbol_elements(gog: GraphOfGroups, witness: ProperWitness) -> dict:
     """The element of P that each presentation symbol maps to."""
     out = {}
-    for sym in pres.symbols:
-        kind = pres.kinds[sym]
+    for sym, kind in gog.serre.kinds.items():
         if kind[0] == "v":
             _, vid, gi = kind
             out[sym] = witness.vertex_maps[vid].image[gog.vertex_groups[vid].generators[gi]]
@@ -138,95 +137,49 @@ def _symbol_elements(pres: Presentation, gog: GraphOfGroups, witness: ProperWitn
     return out
 
 
-def _fox_rows(words, col: dict, elements: dict, P, zs: np.ndarray, width: int) -> np.ndarray:
-    """Fox-derivative rows of the words over the elements ``zs`` of P,
-    which left multiplication by every prefix of every word must map onto
-    themselves.  Row r * len(zs) + i is (word r, zs[i]), column
-    col[s] + j is (s, zs[j])."""
-    p, m = P.prime, len(zs)
-    pos = np.empty(P.order, dtype=np.intp)
-    pos[zs] = np.arange(m)
-    out = np.zeros((len(words) * m, width), dtype=np.uint8)
-    table = P.rows()
-    for ri, word in enumerate(words):
-        prefix = 0
-        for sym, exp in word:
-            x = elements[sym]
-            if exp == 1:
-                rows, step = ri * m + pos[P.mult[prefix, zs]], 1
-                prefix = table[prefix][x]
-            elif exp == -1:
-                prefix = table[prefix][P.inv(x)]
-                rows, step = ri * m + pos[P.mult[prefix, zs]], p - 1
-            else:
-                raise GogError("relator letters must have exponent +-1")
-            cols = col[sym] + np.arange(m)
-            out[rows, cols] = (out[rows, cols] + step) % p
-    return out
+def _vertex_rows(gog: GraphOfGroups, vid, witness: ProperWitness, col: dict, width: int) -> np.ndarray:
+    """The stored Fox basis of vertex ``vid`` over F_p[G_v], translated
+    to every right coset of its image H_v in P.
 
-
-def _vertex_rows(words, col: dict, elements: dict, P, image, width: int) -> np.ndarray:
-    """A basis of the row space of the words' Fox rows over all of P,
-    when every letter of every word lies in the subgroup H = ``image``.
-
-    The prefixes lie in H, so the rows at a right coset Hc touch only
-    the columns (s, z) with z in Hc, and they are the rows at H with
-    every h moved to hc.  The RREF basis of the block at H, translated
-    to each coset representative c, spans them all."""
-    image = np.asarray(image, dtype=np.intp)
-    m = len(image)
-    used = {sym for word in words for sym, _ in word}
-    syms = [s for s in col if s in used]
-    block = _fox_rows(words, {s: i * m for i, s in enumerate(syms)}, elements, P, image, len(syms) * m)
-    reduced, pivots = rref(FpMatrix(block, P.prime))
-    basis = reduced.data[: len(pivots)]
+    psi_v is an injective homomorphism, so the rows over H_v are those
+    over G_v with z renamed psi_v(z); the prefixes lie in H_v, so the
+    rows at H_v c are those at H_v with every h moved to h c."""
+    P = witness.quotient
+    basis = gog.fox_bases[vid]
+    image = np.asarray(witness.vertex_maps[vid].image, dtype=np.intp)
     reps, _ = right_cosets(P, image)
-    # cols[c, (s, i)] is the column (s, image[i] * reps[c])
-    offsets = np.array([col[s] for s in syms], dtype=np.intp)
+    offsets = np.array([col[vertex_symbol(vid, gi)] for gi in range(len(gog.vertex_groups[vid].generators))])
+    # cols[c, (gi, z)] is the column (generator gi, psi_v(z) * reps[c])
     cols = (offsets[None, :, None] + P.mult[np.ix_(image, reps)].T[:, None, :]).reshape(len(reps), -1)
     out = np.zeros((len(reps), len(basis), width), dtype=np.uint8)
     out[np.arange(len(reps))[:, None, None], np.arange(len(basis))[None, :, None], cols[:, None, :]] = basis
     return out.reshape(-1, width)
 
 
-def h1_via_fox(pres: Presentation, gog: GraphOfGroups, witness: ProperWitness) -> int:
-    """dim H^1(G, F_p[P]) from the presentation by Fox calculus.
+def h1_via_fox(gog: GraphOfGroups, witness: ProperWitness) -> tuple[int, int]:
+    """(dim H^0, dim H^1) of G with coefficients in F_p[P], from Serre's
+    presentation by Fox calculus.
 
-    Cocycles are the joint kernel of the Fox-derivative blocks of the
-    relators (prefix elements acting by left multiplication on F_p[P]);
-    coboundaries are the image of m -> ((g - 1) m)_g over the
-    presentation generators, of rank rank D for cohomology's stacked
-    blocks D = (A_g - I) of the left translations A_g.
-
-    The relator matrix is never built whole.  The relators of a vertex
-    group, image H_v in P, split over the right cosets H_v c, on which
-    F_p[P] is a free F_p[H_v]-module (Shapiro's lemma; Brown,
-    *Cohomology of Groups*, III.5-6): they are eliminated once over
-    F_p[H_v] and the basis is translated to each coset
-    (``_vertex_rows``).  Edge relators keep their |P| rows, and one rank
-    runs over all the stacked rows.
+    Cocycles are the joint kernel of the Fox-derivative rows of the
+    relators, prefixes acting by left multiplication on F_p[P]: the
+    stored vertex bases translated to the cosets of each H_v
+    (``_vertex_rows``) and the edge relators' |P| rows each, under one
+    rank.  The coboundary map m -> ((g - 1) m)_g over the generators has
+    rank rank D, for cohomology's D = (A_g - I) of the left translations
+    A_g, and its kernel is H^0.
     """
     P = witness.quotient
     n = P.order
-    elements = _symbol_elements(pres, gog, witness)
+    pres = gog.serre
+    elements = _symbol_elements(gog, witness)
     col = {sym: i * n for i, sym in enumerate(pres.symbols)}
     width = len(col) * n
-    by_vertex: dict = {}
-    rest = []
-    for word in pres.relators:
-        (kind, owner), *others = {pres.kinds[sym][:2] for sym, _ in word}
-        if kind == "v" and not others:
-            by_vertex.setdefault(owner, []).append(word)
-        else:
-            rest.append(word)
-    blocks = [
-        _vertex_rows(words, col, elements, P, witness.vertex_maps[vid].image, width)
-        for vid, words in by_vertex.items()
-    ]
-    blocks.append(_fox_rows(rest, col, elements, P, np.arange(n), width))
+    blocks = [_vertex_rows(gog, vid, witness, col, width) for vid in gog.fox_bases]
+    blocks.append(_fox_rows(pres.edge_relators, col, elements, P, width))
     z1_dim = width - rank(FpMatrix(np.concatenate(blocks), P.prime))
     translations = _left_translations(P, [elements[sym] for sym in pres.symbols])
-    return z1_dim - rank(_invariant_constraints(translations, P.prime))
+    b1_dim = rank(_invariant_constraints(translations, P.prime))
+    return n - b1_dim, z1_dim - b1_dim
 
 
 @dataclass(frozen=True)
@@ -252,15 +205,16 @@ class EndsLevelReport:
 
 def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
     """Full level report: MV h1 and Nakayama generator count, Fox
-    cross-check, and the edge-count bound 2*gen_count + 9*(b1 - 1)."""
+    cross-check of h1 and kernel_dim, and the edge-count bound
+    2*gen_count + 9*(b1 - 1)."""
     mv = mv_h0_map(gog, witness)
-    pres = presentation(gog)
-    fox = h1_via_fox(pres, gog, witness)
+    h0, fox = h1_via_fox(gog, witness)
+    level = witness.quotient.order
     if fox != mv.h1_dim:
-        raise OracleMismatch(
-            f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {witness.quotient.order}"
-        )
-    betti = gog_b1(pres, gog.prime)
+        raise OracleMismatch(f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {level}")
+    if h0 != mv.kernel_dim:
+        raise OracleMismatch(f"MV kernel dim {mv.kernel_dim} != Fox H^0 dim {h0} at level {level}")
+    betti = gog_b1(gog.serre, gog.prime)
     edge_count = len(gog.graph.edges)
     bound_rhs = 2 * mv.gen_count + 9 * (betti - 1)
     matching = len(maximum_matching(gog.graph))

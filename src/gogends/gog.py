@@ -11,7 +11,9 @@ A graph of groups finds one BFS maximal tree when it is built, and the
 presentation, the witness check and the witness search all read it.
 The presentation is Serre's (*Trees*, I.5.1): a stable letter only for
 each edge off the tree, and on a tree edge the relators
-inj0(g) * inj1(g)^-1, as if its letter were the identity.
+inj0(g) * inj1(g)^-1, as if its letter were the identity.  Neither it
+nor each vertex group's Fox basis over F_p[G_v] depends on a level: a
+graph of groups builds them on first use and keeps them.
 
 b1 is computed from the abelianised relator matrix mod p.  Vertex-group
 relators are the generator rows of the multiplication table,
@@ -21,6 +23,7 @@ presentation for any table group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +40,7 @@ from .fpcore import (
     subgroup_as_group,
     subgroup_generated,
 )
-from .fplinalg import FpMatrix, rank
+from .fplinalg import FpMatrix, rank, rref
 from .graphs import Graph
 
 
@@ -88,6 +91,26 @@ class GraphOfGroups:
                     raise GogError(f"edge {eid!r}: map target is not the endpoint group")
                 if not is_injective(inj):
                     raise GogError(f"edge {eid!r}: edge map is not injective")
+
+    @functools.cached_property
+    def serre(self) -> "Presentation":
+        """Serre's presentation on the stored tree, built on first use."""
+        return presentation(self)
+
+    @functools.cached_property
+    def fox_bases(self) -> dict:
+        """An RREF basis of the Fox rows of each vertex group's table
+        relators over F_p[G_v], by vertex id, built on first use: column
+        gi * |G_v| + z is (generator gi, z)."""
+        out = {}
+        for vid, words in self.serre.vertex_relators.items():
+            grp = self.vertex_groups[vid]
+            syms = [vertex_symbol(vid, gi) for gi in range(len(grp.generators))]
+            col = {sym: i * grp.order for i, sym in enumerate(syms)}
+            block = _fox_rows(words, col, dict(zip(syms, grp.generators)), grp, len(col) * grp.order)
+            reduced, pivots = rref(FpMatrix(block, self.prime))
+            out[vid] = reduced.data[: len(pivots)]
+        return out
 
     def endpoints(self, eid):
         for e, u, v in self.graph.edges:
@@ -199,7 +222,13 @@ def _invert_word(word):
 class Presentation:
     symbols: tuple
     kinds: dict
-    relators: tuple
+    # the table relators of each vertex group that has any, by vertex id
+    vertex_relators: dict
+    edge_relators: tuple
+
+    @property
+    def relators(self) -> tuple:
+        return sum(self.vertex_relators.values(), ()) + self.edge_relators
 
 
 def vertex_symbol(vid, gen_idx) -> str:
@@ -216,41 +245,56 @@ def presentation(gog: GraphOfGroups) -> Presentation:
     tree; relators: the vertex table relators and, for each generator g
     of each edge group, inj0(g) * t * inj1(g)^-1 * t^-1 off the tree and
     inj0(g) * inj1(g)^-1 on it."""
-    symbols = []
     kinds: dict = {}
     for vid in gog.graph.vertices:
-        for gi in range(len(gog.vertex_groups[vid].generators)):
-            sym = vertex_symbol(vid, gi)
-            symbols.append(sym)
-            kinds[sym] = ("v", vid, gi)
-    for eid, _, _ in gog.graph.edges:
-        if eid not in gog.tree:
-            sym = stable_symbol(eid)
-            symbols.append(sym)
-            kinds[sym] = ("t", eid)
+        kinds.update((vertex_symbol(vid, gi), ("v", vid, gi)) for gi in range(len(gog.vertex_groups[vid].generators)))
+    kinds.update((stable_symbol(eid), ("t", eid)) for eid, _, _ in gog.graph.edges if eid not in gog.tree)
 
     def group_word(vid, element):
-        grp = gog.vertex_groups[vid]
-        return tuple((vertex_symbol(vid, gi), 1) for gi in grp.words[element])
+        return tuple((vertex_symbol(vid, gi), 1) for gi in gog.vertex_groups[vid].words[element])
 
-    relators = []
+    vertex_relators = {}
     for vid in gog.graph.vertices:
         grp = gog.vertex_groups[vid]
-        for gi, g in enumerate(grp.generators):
-            for x, sx in enumerate(grp.rows()[g]):
-                word = ((vertex_symbol(vid, gi), 1),) + group_word(vid, x) + _invert_word(group_word(vid, sx))
-                word = _free_reduce(word)
-                if word:
-                    relators.append(word)
+        words = [
+            _free_reduce(((vertex_symbol(vid, gi), 1),) + group_word(vid, x) + _invert_word(group_word(vid, sx)))
+            for gi, g in enumerate(grp.generators)
+            for x, sx in enumerate(grp.rows()[g])
+        ]
+        if any(words):
+            vertex_relators[vid] = tuple(filter(None, words))
+    edge_relators = []
     for eid, u, v in gog.graph.edges:
         t = () if eid in gog.tree else ((stable_symbol(eid), 1),)
         for g in gog.edge_groups[eid].generators:
             a = group_word(u, gog.inj0[eid].image[g])
             b = group_word(v, gog.inj1[eid].image[g])
-            word = _free_reduce(a + t + _invert_word(b) + _invert_word(t))
-            if word:
-                relators.append(word)
-    return Presentation(tuple(symbols), kinds, tuple(relators))
+            edge_relators.append(_free_reduce(a + t + _invert_word(b) + _invert_word(t)))
+    return Presentation(tuple(kinds), kinds, vertex_relators, tuple(filter(None, edge_relators)))
+
+
+def _fox_rows(words, col: dict, elements: dict, group: FiniteGroup, width: int) -> np.ndarray:
+    """Fox-derivative rows of the words over F_p[group], each symbol s
+    standing for the element ``elements[s]`` and every prefix acting by
+    left multiplication: row r * |group| + z is (word r, z), column
+    col[s] + z is (s, z)."""
+    p, n = group.prime, group.order
+    z = np.arange(n)
+    mult = group.mult.astype(np.intp)
+    out = np.zeros((len(words) * n, width), dtype=np.uint8)
+    table = group.rows()
+    for ri, word in enumerate(words):
+        prefix = 0
+        for sym, exp in word:  # every exponent is +-1
+            if exp == 1:
+                rows, step = ri * n + mult[prefix], 1
+                prefix = table[prefix][elements[sym]]
+            else:
+                prefix = table[prefix][group.inv(elements[sym])]
+                rows, step = ri * n + mult[prefix], p - 1
+            cols = col[sym] + z
+            out[rows, cols] = (out[rows, cols] + step) % p
+    return out
 
 
 def b1(pres: Presentation, prime: int) -> int:

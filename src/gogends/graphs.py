@@ -681,10 +681,10 @@ def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
 
     M(X) depends only on the vertex count, the loop-free support and the
     looped vertices, and the support of a connected graph fixes its
-    vertex count (one vertex when the support is empty).  So the sizes
-    found are kept by looped vertices and dropped when the support
-    changes; the enumeration yields all decorations of one simple graph
-    in a row.
+    vertex count (one vertex when the support is empty).  So the sizes,
+    matched on the walk's support and loops, are kept by looped vertices
+    and dropped when the support changes; the enumeration yields all
+    decorations of one simple graph in a row.
     """
     support = None
     sizes: dict = {}
@@ -697,7 +697,8 @@ def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
             sizes = {}
         m = sizes.get(walk.looped)
         if m is None:
-            m = sizes[walk.looped] = len(maximum_matching(g))
+            loops = [(a, a) for a in range(len(walk.valences)) if walk.looped >> a & 1]
+            m = sizes[walk.looped] = len(_matched_pairs(len(walk.valences), [*walk.support, *loops]))
         yield walk, counting_report(g, walk, m)
 
 

@@ -556,6 +556,40 @@ def test_analyze_and_ends_write_identical_files(tmp_path, name):
     assert written[0] == written[1]
 
 
+def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
+    # the presentation and each vertex group's Fox basis belong to the
+    # graph of groups: four levels, one presentation, one rref per vertex
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("presentation", "rref"):
+        monkeypatch.setattr(cli.gogmod, name, counted(name, getattr(cli.gogmod, name)))
+    path = _write(tmp_path, fixture_json("c4_c4_over_c2"))
+    assert cli.main(["analyze", path, "--levels", "8,16,32,64", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(json.loads((tmp_path / "out.json").read_text())) == 4
+    assert sorted(calls) == ["presentation", "rref", "rref"]
+
+
+def test_analyze_exits_1_on_a_kernel_dim_the_fox_oracle_rejects(tmp_path, monkeypatch, capsys):
+    # dim H^0(G, F_p[P]) from the Fox coboundary is an oracle for kernel_dim
+    real = cli.ends.mv_h0_map
+
+    def off_by_one(g, w):
+        mv = real(g, w)
+        mv.kernel_dim += 1
+        return mv
+
+    monkeypatch.setattr(cli.ends, "mv_h0_map", off_by_one)
+    assert cli.main(["analyze", _write(tmp_path, fixture_json("hnn_c4_c2")), "--levels", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "oracle mismatch: MV kernel dim 2 != Fox H^0 dim 1 at level " in err and "Traceback" not in err
+
+
 # every option of the command line and the subcommands that declare it
 OPTIONS = {
     "--out": {"verify-lemmas", "counting", "enumerate", "analyze", "ends"},

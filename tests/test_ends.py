@@ -1,6 +1,7 @@
 """Level ends pipeline: MV map dimensions, Fox oracle, known families."""
 
 import functools
+import hashlib
 import importlib
 import itertools
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gogends import ends, gog as gogmod
+from gogends.cli import canonical_json
 from gogends.corpus import fixture_names, load_fixture, witness_bound
 from gogends.ends import (
     OracleMismatch,
@@ -20,6 +22,7 @@ from gogends.ends import (
 )
 from gogends.fpcore import (
     FiniteGroup,
+    GroupHom,
     catalog_groups,
     cyclic,
     dihedral8,
@@ -138,7 +141,7 @@ def test_fox_free_presentation_trivial_level():
     for r in (1, 2, 3):
         g = bouquet(r)
         w = bouquet_witness(g, 2, 0)
-        assert h1_via_fox(presentation(g), g, w) == r
+        assert h1_via_fox(g, w) == (1, r)
 
 
 def test_fox_recovers_h1_vanishing_for_c2():
@@ -146,13 +149,13 @@ def test_fox_recovers_h1_vanishing_for_c2():
     c2 = cyclic(2, 1)
     g = mk(("v",), (), {"v": c2}, {}, {}, {})
     w = ProperWitness(c2, {"v": identity_hom(c2)}, {})
-    assert h1_via_fox(presentation(g), g, w) == 0
+    assert h1_via_fox(g, w) == (1, 0)
 
 
 def test_fox_loop_at_c2_level():
     g = bouquet(1)
     w = bouquet_witness(g, 2, 1)
-    assert h1_via_fox(presentation(g), g, w) == 1
+    assert h1_via_fox(g, w) == (1, 1)
 
 
 def test_known_family_z_p():
@@ -191,6 +194,18 @@ def test_corpus_oracle_equivalence_and_kernel():
         assert rep.gen_count <= rep.edge_count
 
 
+def test_fox_h0_counts_the_cosets_of_a_non_surjective_image():
+    # the untwisted maps into P x C_2 have image P x 1, of index 2: X_P has
+    # two components, and the Fox coboundary two invariant vectors
+    g = load_fixture("hnn_c4_c2")
+    w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
+    big = direct_product(w.quotient, cyclic(2, 1))
+    maps = {vid: GroupHom(hom.source, big, tuple(2 * x for x in hom.image)) for vid, hom in w.vertex_maps.items()}
+    doubled = ProperWitness(big, maps, {e: 2 * t for e, t in w.stable_images.items()})
+    rep = ends_level(g, doubled)  # raises OracleMismatch on disagreement
+    assert rep.kernel_dim == h1_via_fox(g, doubled)[0] == 2
+
+
 def test_fox_blocks_match_the_full_matrix_on_the_corpus():
     primes = set()
     for name in fixture_names():
@@ -200,9 +215,20 @@ def test_fox_blocks_match_the_full_matrix_on_the_corpus():
         lifted = lifted_witness(g, w)
         assert lifted is not None and lifted.quotient.order == w.quotient.order * g.prime, name
         for witness in (w, lifted):
-            assert h1_via_fox(pres, g, witness) == h1_via_fox_reference(pres, g, witness), name
+            assert h1_via_fox(g, witness) == (1, h1_via_fox_reference(pres, g, witness)), name
         primes.add(g.prime)
     assert primes == {2, 3}
+
+
+def test_ends_reports_are_pinned():
+    # every fixture at its minimal witness and at one lift by C_p; a
+    # change to any number of an ends report fails here
+    reports = []
+    for name in fixture_names():
+        g = load_fixture(name)
+        w = proper_quotient_search(g, witness_bound(name))
+        reports += [ends_level(g, w).to_json(), ends_level(g, lifted_witness(g, w)).to_json()]
+    assert hashlib.sha256(canonical_json(reports)).hexdigest()[:16] == "c2943ef0f86339b4"
 
 
 def _metacyclic(name, n, a):
@@ -242,8 +268,7 @@ def test_translated_vertex_bases_span_the_full_vertex_block():
             pres = presentation(g)
             n, width = P.order, len(pres.symbols) * P.order
             col = {sym: i * n for i, sym in enumerate(pres.symbols)}
-            elements = ends._symbol_elements(pres, g, w)
-            translated = ends._vertex_rows(pres.relators, col, elements, P, hom.image, width)
+            translated = ends._vertex_rows(g, "v", w, col, width)
             full = fox_matrix_reference(pres, g, w)
             assert Subspace.from_vectors(translated, width, P.prime) == Subspace.from_vectors(full.data, width, P.prime)
             reps, _ = right_cosets(P, hom.image)
@@ -363,14 +388,14 @@ def test_ends_level_makes_four_eliminations(monkeypatch):
 
 
 def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
-    # heis3_heis3_over_center at 243: 57 relators, so the whole Fox matrix
-    # has 57 * 243 = 13,851 rows and 4 * 243 = 972 columns
+    # heis3_heis3_over_center at 81 and then 243: 57 relators, so at 243
+    # the whole Fox matrix has 57 * 243 = 13,851 rows and 4 * 243 = 972
+    # columns
     g = load_fixture("heis3_heis3_over_center")
-    w = proper_quotient_search(g, witness_bound("heis3_heis3_over_center"))
-    w = lifted_witness(g, lifted_witness(g, w))
-    pres = presentation(g)
-    assert w.quotient.order == 243 and len(pres.relators) == 57
-    expected = mv_h0_map(g, w).h1_dim
+    w = lifted_witness(g, proper_quotient_search(g, witness_bound("heis3_heis3_over_center")))
+    levels = [w, lifted_witness(g, w)]
+    assert [v.quotient.order for v in levels] == [81, 243] and len(g.serre.relators) == 57
+    expected = [mv_h0_map(g, v).h1_dim for v in levels]
     shapes = []
 
     def recorded(real):
@@ -379,14 +404,17 @@ def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
             return real(m)
         return eliminate
 
-    for name in ("rank", "rref"):
-        monkeypatch.setattr(ends, name, recorded(getattr(ends, name)))
-    assert h1_via_fox(pres, g, w) == expected
-    # one Heis3 block per vertex (28 relators x 27, 2 generators x 27); the
-    # stacked rows, 28 basis rows x 9 cosets per vertex and one edge
-    # relator x 243, over the 4 vertex symbols; the coboundary
-    assert shapes == [("rref", 756, 54), ("rref", 756, 54), ("rank", 747, 972), ("rank", 972, 243)]
-    assert all(rows < len(pres.relators) * 243 for _, rows, _ in shapes)
+    monkeypatch.setattr(ends, "rank", recorded(ends.rank))
+    monkeypatch.setattr(gogmod, "rref", recorded(gogmod.rref))
+    assert [h1_via_fox(g, v) for v in levels] == [(1, h1) for h1 in expected]
+    # one Heis3 block per vertex (28 relators x 27, 2 generators x 27),
+    # at the first level only; at each level, the stacked rows (28 basis
+    # rows per coset of each vertex image and one edge relator x |P|, over
+    # the 4 vertex symbols) and the coboundary
+    assert shapes == [
+        ("rref", 756, 54), ("rref", 756, 54), ("rank", 249, 324), ("rank", 324, 81),
+        ("rank", 747, 972), ("rank", 972, 243),
+    ]
 
 
 SMALL_GROUPS = catalog_groups(2, 4)
@@ -425,8 +453,8 @@ def test_level_graph_route_on_random_graphs_of_groups(g):
         assume(False)
     mv = mv_h0_map(g, w)
     pres = presentation(g)
-    assert mv.h1_dim == h1_via_fox(pres, g, w) == h1_via_fox_reference(pres, g, w) == free_kernel_rank(g, w)
-    assert mv.kernel_dim == 1
+    assert mv.h1_dim == h1_via_fox_reference(pres, g, w) == free_kernel_rank(g, w)
+    assert h1_via_fox(g, w) == (mv.kernel_dim, mv.h1_dim) == (1, mv.h1_dim)
     fmap, right_perms = boundary_map(g, w)
     assert rank(fmap) == mv.rank
     assert (mv.h1_dim, mv.gen_count) == cokernel_reference(w.quotient, fmap, right_perms)
