@@ -25,23 +25,8 @@ untraced program did not.
 """
 
 from . import gmodules  # noqa: F401  (goes with the gmodules probes)
-from .fplinalg import (
-    KERNEL,
-    FpMatrix,
-    NoSolution,
-    Subspace,
-    rank_profile,
-    solve,
-)
+from .fplinalg import KERNEL
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KERNEL",
-    "FpMatrix",
-    "Subspace",
-    "NoSolution",
-    "rank_profile",
-    "solve",
-    "__version__",
-]
+__all__ = ["KERNEL", "__version__"]

@@ -22,7 +22,11 @@ f(s h) = A_s f(h) + f(s) for every generator s and every h, tree edge or
 not.  The elements g with f(g h) = A_g f(h) + f(g) for all h form a
 submonoid that contains the generators, and in a finite group that is
 all of K.  So f is a cocycle, and x -> F x is injective on ker C because
-f(s_i) = x_i.  Hence dim Z^1 = dim ker C = r*d - rank C.
+f(s_i) = x_i.  Hence dim Z^1 = dim ker C = r*d - rank C.  C is, up to
+sign, the Fox matrix acting on M of the relators s w(h) w(sh)^-1 of the
+non-tree edges, w(x) the word of the tree path to x: the presentation of
+K that its left Cayley graph gives.  That is why ``gog`` takes its
+vertex groups' Fox rows from C on F_p[G_v].
 
 The coboundary d0 sends m to (g -> A_g m - m).  Its kernel is M^K, the
 joint kernel of the stacked blocks D = (A_s - I) over the generators,

@@ -34,8 +34,9 @@ translations by the symbols' images, and dim H^0 = |P| - rank D counts
 the right cosets of the image of G, which are the components of X_P.
 The oracle reads no level-graph data and never builds the whole
 relators x symbols matrix over F_p[P].  The graph of groups keeps its
-presentation and each vertex group's Fox basis over F_p[G_v]; a vertex
-group's relators, image H_v, are block diagonal over the right cosets
+presentation, which has only the edge relators, and a basis of each
+vertex group's cocycle equations over F_p[G_v].  Over F_p[P] the
+equations of G_v, image H_v, are block diagonal over the right cosets
 H_v c, as F_p[P] is a free F_p[H_v]-module on them (Brown, *Cohomology
 of Groups*, III.5-6), so at each level the basis is only translated to
 every coset, and only the edge relators get rows over P.
@@ -48,9 +49,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cohomology import _invariant_constraints, _left_translations
-from .fpcore import right_cosets
+from .fpcore import FiniteGroup, right_cosets
 from .fplinalg import FpMatrix, rank
-from .gog import GraphOfGroups, ProperWitness, _fox_rows, b1 as gog_b1, vertex_symbol
+from .gog import GraphOfGroups, ProperWitness, b1 as gog_b1, vertex_symbol
 from .graphs import _component_roots, maximum_matching
 
 
@@ -138,12 +139,13 @@ def _symbol_elements(gog: GraphOfGroups, witness: ProperWitness) -> dict:
 
 
 def _vertex_rows(gog: GraphOfGroups, vid, witness: ProperWitness, col: dict, width: int) -> np.ndarray:
-    """The stored Fox basis of vertex ``vid`` over F_p[G_v], translated
-    to every right coset of its image H_v in P.
+    """The stored basis of the cocycle equations of vertex ``vid`` over
+    F_p[G_v], translated to every right coset of its image H_v in P.
 
     psi_v is an injective homomorphism, so the rows over H_v are those
-    over G_v with z renamed psi_v(z); the prefixes lie in H_v, so the
-    rows at H_v c are those at H_v with every h moved to h c."""
+    over G_v with z renamed psi_v(z); the equations multiply on the left
+    by elements of H_v only, so the rows at H_v c are those at H_v with
+    every h moved to h c."""
     P = witness.quotient
     basis = gog.fox_bases[vid]
     image = np.asarray(witness.vertex_maps[vid].image, dtype=np.intp)
@@ -156,17 +158,41 @@ def _vertex_rows(gog: GraphOfGroups, vid, witness: ProperWitness, col: dict, wid
     return out.reshape(-1, width)
 
 
+def _fox_rows(words, col: dict, elements: dict, group: FiniteGroup, width: int) -> np.ndarray:
+    """Fox-derivative rows of the words over F_p[group], each symbol s
+    standing for the element ``elements[s]`` and every prefix acting by
+    left multiplication: row r * |group| + z is (word r, z), column
+    col[s] + z is (s, z)."""
+    p, n = group.prime, group.order
+    z = np.arange(n)
+    mult = group.mult.astype(np.intp)
+    out = np.zeros((len(words) * n, width), dtype=np.uint8)
+    table = group.rows()
+    for ri, word in enumerate(words):
+        prefix = 0
+        for sym, exp in word:  # every exponent is +-1
+            if exp == 1:
+                rows, step = ri * n + mult[prefix], 1
+                prefix = table[prefix][elements[sym]]
+            else:
+                prefix = table[prefix][group.inv(elements[sym])]
+                rows, step = ri * n + mult[prefix], p - 1
+            cols = col[sym] + z
+            out[rows, cols] = (out[rows, cols] + step) % p
+    return out
+
+
 def h1_via_fox(gog: GraphOfGroups, witness: ProperWitness) -> tuple[int, int]:
     """(dim H^0, dim H^1) of G with coefficients in F_p[P], from Serre's
     presentation by Fox calculus.
 
-    Cocycles are the joint kernel of the Fox-derivative rows of the
-    relators, prefixes acting by left multiplication on F_p[P]: the
-    stored vertex bases translated to the cosets of each H_v
-    (``_vertex_rows``) and the edge relators' |P| rows each, under one
-    rank.  The coboundary map m -> ((g - 1) m)_g over the generators has
-    rank rank D, for cohomology's D = (A_g - I) of the left translations
-    A_g, and its kernel is H^0.
+    Cocycles are the joint kernel of the cocycle equations on the
+    symbols' values, elements acting by left multiplication on F_p[P]:
+    the stored vertex bases translated to the cosets of each H_v
+    (``_vertex_rows``) and the edge relators' Fox rows, |P| each, under
+    one rank.  The coboundary map m -> ((g - 1) m)_g over the generators
+    has rank rank D, for cohomology's D = (A_g - I) of the left
+    translations A_g, and its kernel is H^0.
     """
     P = witness.quotient
     n = P.order
@@ -214,7 +240,7 @@ def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
         raise OracleMismatch(f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {level}")
     if h0 != mv.kernel_dim:
         raise OracleMismatch(f"MV kernel dim {mv.kernel_dim} != Fox H^0 dim {h0} at level {level}")
-    betti = gog_b1(gog.serre, gog.prime)
+    betti = gog_b1(gog)
     edge_count = len(gog.graph.edges)
     bound_rhs = 2 * mv.gen_count + 9 * (betti - 1)
     matching = len(maximum_matching(gog.graph))

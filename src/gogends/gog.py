@@ -11,14 +11,18 @@ A graph of groups finds one BFS maximal tree when it is built, and the
 presentation, the witness check and the witness search all read it.
 The presentation is Serre's (*Trees*, I.5.1): a stable letter only for
 each edge off the tree, and on a tree edge the relators
-inj0(g) * inj1(g)^-1, as if its letter were the identity.  Neither it
-nor each vertex group's Fox basis over F_p[G_v] depends on a level: a
-graph of groups builds them on first use and keeps them.
+inj0(g) * inj1(g)^-1, as if its letter were the identity.  It keeps only
+the symbols and the edge relators: each vertex group enters through its
+cocycle equations over F_p[G_v], cohomology's C for its left
+translations, which cut out the same Z^1 as the Fox rows of any
+presentation of G_v (Brown, *Cohomology of Groups*, IV.2).  Neither the
+presentation nor the RREF bases of those equations depends on a level:
+a graph of groups builds them on first use and keeps them.
 
-b1 is computed from the abelianised relator matrix mod p.  Vertex-group
-relators are the generator rows of the multiplication table,
-s * word(x) * word(sx)^-1, a guaranteed-valid (if redundant) finite
-presentation for any table group.
+b1 is computed from the abelianised relator matrix mod p: the edge
+relators' exponent sums, and each vertex basis with each generator's
+|G_v| columns summed.  Summing a Fox row's columns gives its relator's
+exponent sums, so those rows span G_v's abelianised relations mod p.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cohomology import _cocycle_constraints, _left_translations
 from .fpcore import (
     FiniteGroup,
     GroupHom,
@@ -99,17 +104,16 @@ class GraphOfGroups:
 
     @functools.cached_property
     def fox_bases(self) -> dict:
-        """An RREF basis of the Fox rows of each vertex group's table
-        relators over F_p[G_v], by vertex id, built on first use: column
-        gi * |G_v| + z is (generator gi, z)."""
+        """An RREF basis of the cocycle equations over F_p[G_v] of each
+        vertex group that has generators, by vertex id in vertex order,
+        built on first use: column gi * |G_v| + z is (generator gi, z)."""
         out = {}
-        for vid, words in self.serre.vertex_relators.items():
+        for vid in self.graph.vertices:
             grp = self.vertex_groups[vid]
-            syms = [vertex_symbol(vid, gi) for gi in range(len(grp.generators))]
-            col = {sym: i * grp.order for i, sym in enumerate(syms)}
-            block = _fox_rows(words, col, dict(zip(syms, grp.generators)), grp, len(col) * grp.order)
-            reduced, pivots = rref(FpMatrix(block, self.prime))
-            out[vid] = reduced.data[: len(pivots)]
+            if grp.generators:
+                equations = _cocycle_constraints(grp, _left_translations(grp, grp.generators), self.prime)
+                reduced, pivots = rref(equations)
+                out[vid] = reduced.data[: len(pivots)]
         return out
 
     def endpoints(self, eid):
@@ -222,13 +226,7 @@ def _invert_word(word):
 class Presentation:
     symbols: tuple
     kinds: dict
-    # the table relators of each vertex group that has any, by vertex id
-    vertex_relators: dict
     edge_relators: tuple
-
-    @property
-    def relators(self) -> tuple:
-        return sum(self.vertex_relators.values(), ()) + self.edge_relators
 
 
 def vertex_symbol(vid, gen_idx) -> str:
@@ -240,10 +238,10 @@ def stable_symbol(eid) -> str:
 
 
 def presentation(gog: GraphOfGroups) -> Presentation:
-    """Serre's presentation on the stored maximal tree.  Generators: the
-    vertex-group generators and a stable letter for each edge off the
-    tree; relators: the vertex table relators and, for each generator g
-    of each edge group, inj0(g) * t * inj1(g)^-1 * t^-1 off the tree and
+    """Serre's presentation on the stored maximal tree, without the vertex
+    relators.  Generators: the vertex-group generators and a stable letter
+    for each edge off the tree; edge relators: for each generator g of
+    each edge group, inj0(g) * t * inj1(g)^-1 * t^-1 off the tree and
     inj0(g) * inj1(g)^-1 on it."""
     kinds: dict = {}
     for vid in gog.graph.vertices:
@@ -253,16 +251,6 @@ def presentation(gog: GraphOfGroups) -> Presentation:
     def group_word(vid, element):
         return tuple((vertex_symbol(vid, gi), 1) for gi in gog.vertex_groups[vid].words[element])
 
-    vertex_relators = {}
-    for vid in gog.graph.vertices:
-        grp = gog.vertex_groups[vid]
-        words = [
-            _free_reduce(((vertex_symbol(vid, gi), 1),) + group_word(vid, x) + _invert_word(group_word(vid, sx)))
-            for gi, g in enumerate(grp.generators)
-            for x, sx in enumerate(grp.rows()[g])
-        ]
-        if any(words):
-            vertex_relators[vid] = tuple(filter(None, words))
     edge_relators = []
     for eid, u, v in gog.graph.edges:
         t = () if eid in gog.tree else ((stable_symbol(eid), 1),)
@@ -270,43 +258,27 @@ def presentation(gog: GraphOfGroups) -> Presentation:
             a = group_word(u, gog.inj0[eid].image[g])
             b = group_word(v, gog.inj1[eid].image[g])
             edge_relators.append(_free_reduce(a + t + _invert_word(b) + _invert_word(t)))
-    return Presentation(tuple(kinds), kinds, vertex_relators, tuple(filter(None, edge_relators)))
+    return Presentation(tuple(kinds), kinds, tuple(filter(None, edge_relators)))
 
 
-def _fox_rows(words, col: dict, elements: dict, group: FiniteGroup, width: int) -> np.ndarray:
-    """Fox-derivative rows of the words over F_p[group], each symbol s
-    standing for the element ``elements[s]`` and every prefix acting by
-    left multiplication: row r * |group| + z is (word r, z), column
-    col[s] + z is (s, z)."""
-    p, n = group.prime, group.order
-    z = np.arange(n)
-    mult = group.mult.astype(np.intp)
-    out = np.zeros((len(words) * n, width), dtype=np.uint8)
-    table = group.rows()
-    for ri, word in enumerate(words):
-        prefix = 0
-        for sym, exp in word:  # every exponent is +-1
-            if exp == 1:
-                rows, step = ri * n + mult[prefix], 1
-                prefix = table[prefix][elements[sym]]
-            else:
-                prefix = table[prefix][group.inv(elements[sym])]
-                rows, step = ri * n + mult[prefix], p - 1
-            cols = col[sym] + z
-            out[rows, cols] = (out[rows, cols] + step) % p
-    return out
-
-
-def b1(pres: Presentation, prime: int) -> int:
-    """dim_{F_p} Hom(fundamental group, F_p) from its presentation
-    ``pres``: generator count minus the mod-p rank of the abelianised
-    relator matrix."""
+def b1(gog: GraphOfGroups) -> int:
+    """dim_{F_p} Hom(fundamental group, F_p): generator count minus the
+    mod-p rank of the abelianised relator matrix, as the module docstring
+    describes."""
+    pres = gog.serre
     index = {sym: i for i, sym in enumerate(pres.symbols)}
-    rows = np.zeros((len(pres.relators), len(pres.symbols)), dtype=np.int64)
-    for ri, word in enumerate(pres.relators):
+    rows = np.zeros((len(pres.edge_relators), len(index)), dtype=np.int64)
+    for ri, word in enumerate(pres.edge_relators):
         for sym, exp in word:
             rows[ri, index[sym]] += exp
-    return len(pres.symbols) - rank(FpMatrix(rows, prime))
+    blocks = [rows]
+    for vid, basis in gog.fox_bases.items():
+        grp = gog.vertex_groups[vid]
+        cols = [index[vertex_symbol(vid, gi)] for gi in range(len(grp.generators))]
+        block = np.zeros((len(basis), len(index)), dtype=np.int64)
+        block[:, cols] = basis.reshape(len(basis), len(cols), grp.order).sum(axis=2)
+        blocks.append(block)
+    return len(index) - rank(FpMatrix(np.concatenate(blocks), gog.prime))
 
 
 @dataclass

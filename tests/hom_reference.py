@@ -18,7 +18,8 @@ identity map of a group.
 every element outside a subgroup; ``fpcore.all_subgroups`` joins with
 one element per right coset.  ``cyclic_hom_count`` counts the homs from
 the fundamental group to C_p from the graph of groups alone, the
-reference for ``gog.b1``, which reads the presentation.
+reference for ``gog.b1``, which reads the edge relators and the vertex
+groups' cocycle equations.
 """
 
 import itertools

@@ -6,10 +6,15 @@ cosets, from the coset label arrays.  ``cokernel_reference`` builds
 T / im F as a right module and takes its dimension and Nakayama count
 with ``gmodules``.  ``gen_count_closed_form`` reads |E| - rank_p(W) off a
 graph, with no elimination.  ``ends.mv_h0_map`` computes none of these
-matrices; tests compare it against them.  ``fox_matrix_reference`` is
-the whole (relators * |P|) x (symbols * |P|) Fox matrix, and
-``h1_via_fox_reference`` reads dim H^1 off it and the coboundary matrix;
-``ends.h1_via_fox`` never builds it, and tests compare the two.
+matrices; tests compare it against them.  ``table_relators`` are the
+words s * w(x) * w(sx)^-1 of a vertex group's multiplication table, a
+presentation of it, and ``vertex_basis_reference`` is the RREF basis of
+their Fox rows over F_p[G_v], which ``GraphOfGroups.fox_bases`` takes
+from cohomology's C instead.  ``fox_matrix_reference`` is the whole
+(relators * |P|) x (symbols * |P|) Fox matrix of the table and edge
+relators, built from words alone, and ``h1_via_fox_reference`` reads
+dim H^1 off it and the coboundary matrix; ``ends.h1_via_fox`` never
+builds it, and tests compare the two.
 ``lifted_witness`` gives the second level the tests check next to the
 minimal witness.
 """
@@ -18,8 +23,8 @@ import itertools
 
 import numpy as np
 
-from gogends import ends, fpcore, gmodules, gog as gogmod, graphs
-from gogends.fplinalg import FpMatrix, Subspace, rank
+from gogends import fpcore, gmodules, gog as gogmod, graphs
+from gogends.fplinalg import FpMatrix, Subspace, rank, rref
 
 
 def boundary_map(gog, witness):
@@ -99,29 +104,62 @@ def _symbol_element(pres, gog, witness, sym):
     return witness.stable_images[kind[1]]
 
 
-def fox_matrix_reference(pres, gog, witness):
-    """The Fox matrix: row (relator r, z) and column (symbol s, z') hold
-    the coefficient of z' in the left action of dr/ds on z, over all of P."""
-    P = witness.quotient
-    p = gog.prime
-    n = P.order
-    mult = P.mult.astype(np.intp)
+def table_relators(gog, vid):
+    """The words s * w(x) * w(sx)^-1 of vertex ``vid``'s group for each
+    generator s and element x, w(x) the normal-form word of x over the
+    vertex symbols; free reduced, the empty ones dropped."""
+    grp = gog.vertex_groups[vid]
+
+    def word(x):
+        return tuple((gogmod.vertex_symbol(vid, gi), 1) for gi in grp.words[x])
+
+    words = (
+        gogmod._free_reduce(((gogmod.vertex_symbol(vid, gi), 1),) + word(x) + gogmod._invert_word(word(sx)))
+        for gi, s in enumerate(grp.generators)
+        for x, sx in enumerate(grp.rows()[s])
+    )
+    return tuple(filter(None, words))
+
+
+def _fox_rows(words, element, G, symbols):
+    """Row (word r, z) and column (symbols[i], z') hold the coefficient
+    of z' in the left action of dr/ds on z over F_p[G], the symbol s
+    standing for ``element[s]``."""
+    p, n = G.prime, G.order
+    mult = G.mult.astype(np.intp)
     z = np.arange(n)
-    col = {sym: i * n for i, sym in enumerate(pres.symbols)}
-    fox = np.zeros((len(pres.relators) * n, len(col) * n), dtype=np.uint8)
-    for ri, word in enumerate(pres.relators):
+    col = {sym: i * n for i, sym in enumerate(symbols)}
+    fox = np.zeros((len(words) * n, len(col) * n), dtype=np.uint8)
+    for ri, word in enumerate(words):
         prefix = 0
         for sym, exp in word:
-            x = _symbol_element(pres, gog, witness, sym)
+            x = element[sym]
             if exp == 1:
                 rows, step = ri * n + mult[prefix], 1
                 prefix = int(mult[prefix, x])
             else:
-                prefix = int(mult[prefix, P.inv(x)])
+                prefix = int(mult[prefix, G.inv(x)])
                 rows, step = ri * n + mult[prefix], p - 1
             cols = col[sym] + z
             fox[rows, cols] = (fox[rows, cols] + step) % p
     return FpMatrix(fox, p)
+
+
+def vertex_basis_reference(gog, vid):
+    """The RREF basis of the Fox rows of ``table_relators(gog, vid)``
+    over F_p[G_v], column gi * |G_v| + z for (generator gi, z)."""
+    grp = gog.vertex_groups[vid]
+    symbols = [gogmod.vertex_symbol(vid, gi) for gi in range(len(grp.generators))]
+    reduced, pivots = rref(_fox_rows(table_relators(gog, vid), dict(zip(symbols, grp.generators)), grp, symbols))
+    return reduced.data[: len(pivots)]
+
+
+def fox_matrix_reference(pres, gog, witness):
+    """The Fox matrix over all of P of every vertex's table relators and
+    the edge relators of ``pres``."""
+    relators = sum((table_relators(gog, vid) for vid in gog.graph.vertices), ()) + pres.edge_relators
+    element = {sym: _symbol_element(pres, gog, witness, sym) for sym in pres.symbols}
+    return _fox_rows(relators, element, witness.quotient, pres.symbols)
 
 
 def h1_via_fox_reference(pres, gog, witness):

@@ -241,7 +241,7 @@ def test_criterion_10_b1_machinery():
     for name, (g, w, rep, _) in _corpus_reports().items():
         leaves = graphs.index_walk(g.graph).valences.count(1)
         euler_char = len(g.graph.vertices) - len(g.graph.edges)
-        if gogmod.b1(gogmod.presentation(g), g.prime) < leaves + 1 - euler_char:
+        if gogmod.b1(g) < leaves + 1 - euler_char:
             failures.append(f"{name}: b1 < leaf bound")
     # b1 invariant under collapse on constructed non-reduced instances
     c2 = fpcore.cyclic(2, 1)
@@ -257,12 +257,12 @@ def test_criterion_10_b1_machinery():
         {"e0": iso, "e1": iso, "l": fpcore.hom_from_images(t, c4, [])},
         {"e0": iso, "e1": inc, "l": fpcore.hom_from_images(t, c4, [])},
     )
-    before = gogmod.b1(gogmod.presentation(chain), chain.prime)
+    before = gogmod.b1(chain)
     collapsed = gogmod.collapse_iso_edge(chain, "e0")
-    if gogmod.b1(gogmod.presentation(collapsed), collapsed.prime) != before:
+    if gogmod.b1(collapsed) != before:
         failures.append("collapse changed b1")
     reduced = gogmod.reduce_gog(chain)
-    if gogmod.b1(gogmod.presentation(reduced), reduced.prime) != before or gogmod._iso_edge(reduced) is not None:
+    if gogmod.b1(reduced) != before or gogmod._iso_edge(reduced) is not None:
         failures.append("reduction changed b1 or failed to reduce")
     # bouquets
     for r in (1, 2, 3):
@@ -275,6 +275,6 @@ def test_criterion_10_b1_machinery():
             {e: fpcore.hom_from_images(t, t, []) for e, _, _ in edges},
             {e: fpcore.hom_from_images(t, t, []) for e, _, _ in edges},
         )
-        if gogmod.b1(gogmod.presentation(bq), bq.prime) != r:
+        if gogmod.b1(bq) != r:
             failures.append(f"b1(bouquet {r}) != {r}")
     _report(10, not failures, f"b1 >= leaf bound, collapse-invariant, bouquet ranks; issues: {failures or 'none'}")

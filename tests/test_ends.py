@@ -37,7 +37,6 @@ from gogends.fpcore import (
 from gogends.fplinalg import Subspace, rank
 from gogends.gog import (
     GogError,
-    GraphOfGroups,
     NotFoundWithinBound,
     _iso_edge,
     ProperWitness,
@@ -47,8 +46,8 @@ from gogends.gog import (
     presentation,
     proper_quotient_search,
 )
-from gogends.graphs import Graph
 
+from gog_builders import bouquet, mk, triv_hom
 from hom_reference import cyclic_hom_count, identity_hom, witness_search_reference
 from mv_reference import (
     boundary_map,
@@ -57,28 +56,8 @@ from mv_reference import (
     gen_count_closed_form,
     h1_via_fox_reference,
     lifted_witness,
+    vertex_basis_reference,
 )
-
-
-def triv_hom(dst, prime=2):
-    return hom_from_images(trivial(prime), dst, [])
-
-
-def mk(vertices, edges, vg, eg, i0, i1, prime=2):
-    return GraphOfGroups(Graph(vertices, edges), prime, vg, eg, i0, i1)
-
-
-def bouquet(r, prime=2):
-    t = trivial(prime)
-    return mk(
-        ("v",),
-        tuple((f"e{i}", "v", "v") for i in range(r)),
-        {"v": t},
-        {f"e{i}": t for i in range(r)},
-        {f"e{i}": triv_hom(t, prime) for i in range(r)},
-        {f"e{i}": triv_hom(t, prime) for i in range(r)},
-        prime,
-    )
 
 
 def bouquet_witness(g, prime, k):
@@ -388,13 +367,13 @@ def test_ends_level_makes_four_eliminations(monkeypatch):
 
 
 def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
-    # heis3_heis3_over_center at 81 and then 243: 57 relators, so at 243
-    # the whole Fox matrix has 57 * 243 = 13,851 rows and 4 * 243 = 972
-    # columns
+    # heis3_heis3_over_center at 81 and then 243: one edge relator, and
+    # with the 28 table relators of each Heis3 vertex the whole Fox matrix
+    # at 243 has 57 * 243 = 13,851 rows and 4 * 243 = 972 columns
     g = load_fixture("heis3_heis3_over_center")
     w = lifted_witness(g, proper_quotient_search(g, witness_bound("heis3_heis3_over_center")))
     levels = [w, lifted_witness(g, w)]
-    assert [v.quotient.order for v in levels] == [81, 243] and len(g.serre.relators) == 57
+    assert [v.quotient.order for v in levels] == [81, 243] and len(g.serre.edge_relators) == 1
     expected = [mv_h0_map(g, v).h1_dim for v in levels]
     shapes = []
 
@@ -407,7 +386,8 @@ def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
     monkeypatch.setattr(ends, "rank", recorded(ends.rank))
     monkeypatch.setattr(gogmod, "rref", recorded(gogmod.rref))
     assert [h1_via_fox(g, v) for v in levels] == [(1, h1) for h1 in expected]
-    # one Heis3 block per vertex (28 relators x 27, 2 generators x 27),
+    # one Heis3 block of cocycle equations per vertex (28 non-tree edges
+    # of its Cayley graph x 27, 2 generators x 27),
     # at the first level only; at each level, the stacked rows (28 basis
     # rows per coset of each vertex image and one edge relator x |P|, over
     # the 4 vertex symbols) and the coboundary
@@ -478,14 +458,51 @@ def test_b1_counts_the_homs_to_cyclic_p_on_the_corpus():
     # p^b1 = |Hom(G, C_p)|, the reference never reading the presentation
     for name in fixture_names():
         g = load_fixture(name)
-        assert g.prime ** gogmod.b1(presentation(g), g.prime) == cyclic_hom_count(g), name
+        assert g.prime ** gogmod.b1(g) == cyclic_hom_count(g), name
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(small_graphs_of_groups())
 def test_b1_counts_the_homs_to_cyclic_p_on_random_graphs_of_groups(g):
-    assert 2 ** gogmod.b1(presentation(g), 2) == cyclic_hom_count(g)
+    assert 2 ** gogmod.b1(g) == cyclic_hom_count(g)
+
+
+def _redundant_tables():
+    """Catalog tables on generating sets with a redundant generator, the
+    identity included."""
+    c4, e4 = cyclic(2, 2), elementary_abelian(2, 2)
+    sets = ((c4, [1, 3]), (c4, [0, 1]), (e4, [1, 2, 3]), (dihedral8(), [2, 1, 3, 5]),
+            (quaternion8(), [2, 4, 6]), (heisenberg(3), [9, 3, 1]))  # fmt: skip
+    return [FiniteGroup(f"{grp.name} on {gens}", grp.mult, gens, grp.prime) for grp, gens in sets]
+
+
+def _assert_bases_match_the_table_relators(g):
+    assert list(g.fox_bases) == [vid for vid in g.graph.vertices if g.vertex_groups[vid].generators]
+    for vid, basis in g.fox_bases.items():
+        assert np.array_equal(basis, vertex_basis_reference(g, vid)), (vid, g.vertex_groups[vid].name)
+
+
+def test_vertex_bases_are_the_table_relators_fox_bases():
+    # cohomology's C and the Fox rows of the table relators over F_p[G_v]
+    # have the same RREF basis, as both cut out Z^1
+    for name in fixture_names():
+        _assert_bases_match_the_table_relators(load_fixture(name))
+    groups = catalog_groups(2, 64) + catalog_groups(3, 81) + _redundant_tables()
+    for grp in groups:
+        _assert_bases_match_the_table_relators(mk(("v",), (), {"v": grp}, {}, {}, {}, grp.prime))
+
+
+def test_b1_counts_the_homs_to_cyclic_p_on_redundant_generating_sets():
+    # an amalgam and an HNN loop over C_p on each table
+    for grp in _redundant_tables():
+        p, cp = grp.prime, cyclic(grp.prime, 1)
+        order_p = [hom_from_images(cp, grp, [x]) for x in grp.elements() if grp.element_order(x) == p]
+        amalgam = mk(("u", "w"), (("e", "u", "w"),), {"u": grp, "w": grp}, {"e": cp},
+                     {"e": order_p[0]}, {"e": order_p[0]}, p)  # fmt: skip
+        loop = mk(("v",), (("e", "v", "v"),), {"v": grp}, {"e": cp}, {"e": order_p[0]}, {"e": order_p[-1]}, p)
+        for g in (amalgam, loop):
+            assert p ** gogmod.b1(g) == cyclic_hom_count(g), grp.name
 
 
 def _spans(monkeypatch):
