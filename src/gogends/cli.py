@@ -15,6 +15,11 @@ integers and reports are emitted as canonical JSON (sorted keys, compact
 separators), so identical inputs produce identical bytes.  Exit codes:
 0 all assertions pass, 1 a violation was found, 2 input error,
 including an output path that cannot be written.
+
+The linear-algebra layers, and numpy with them, load only in the runners
+that need them: ``verify-lemmas`` imports ``cohomology`` and ``analyze``
+and ``ends`` import ``ends``, so ``counting`` and ``enumerate`` start
+without numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import json
 import random
 import sys
 
-from . import cohomology, ends, fpcore, gog as gogmod, graphs
-from .fplinalg import PRIMES
+from . import fpcore, gog as gogmod, graphs
 from .schema import InputError, gog_from_json
 
 DEFAULT_LEMMA_ORDER = {2: 16, 3: 27}
@@ -95,6 +99,8 @@ def run_verify_lemmas(args) -> tuple[int, dict]:
     if (args.max_order or 0) > fpcore.MAX_ORDER:
         raise InputError(f"--max-order must be at most {fpcore.MAX_ORDER}, the catalog cap")
     max_order = DEFAULT_LEMMA_ORDER[args.prime] if args.max_order is None else args.max_order
+    from . import cohomology  # after the argument checks, as in run_analyze
+
     findings = []
     checks = 0
     for G in fpcore.catalog_groups(args.prime, max_order):
@@ -161,6 +167,8 @@ def run_analyze(args) -> tuple[int, list]:
         if bound < largest:
             # every vertex group injects into a witness
             raise InputError(f"level {bound} is below the largest vertex-group order {largest}")
+    from . import ends  # after the input checks, so a rejected input exits without numpy
+
     reports = []
     witnesses = []
     for bound in bounds:
@@ -187,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("verify-lemmas", run_verify_lemmas, "cohomology lemma suite over the group catalog")
-    p.add_argument("--prime", type=int, default=2, choices=PRIMES)
+    p.add_argument("--prime", type=int, default=2, choices=fpcore.PRIMES)
     p.add_argument("--max-order", type=int)
 
     p = add("counting", run_counting, "edge-count bound over all small connected multigraphs",
@@ -226,7 +234,7 @@ def main(argv=None) -> int:
     except gogmod.NotFoundWithinBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ends.OracleMismatch as exc:
+    except gogmod.OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 1
     return code

@@ -44,6 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import gmodules  # noqa: F401  (goes with the gmodules probes, see the package docstring)
 from .fpcore import FiniteGroup, all_subgroups, right_cosets, subgroup_as_group
 from .fplinalg import FpMatrix, Subspace, rank, rank_profile
 
@@ -61,11 +62,18 @@ def _invariant_constraints(src: np.ndarray, p: int) -> FpMatrix:
     return FpMatrix(out.reshape(r * d, d), p)
 
 
+# int16 cells of one block of non-tree edge equations in
+# ``_cocycle_constraints``: each of its three temporaries is at most 1 MB
+_BLOCK_CELLS = 1 << 19
+
+
 def _cocycle_constraints(K: FiniteGroup, src: np.ndarray, p: int) -> FpMatrix:
     """C: the non-tree edge equations on the generator values, as the
     module docstring describes; ``values[h]`` is F_h, and A_s F_h is the
     row gather F_h[src_s].  An entry of F_h counts tree edges, so it is
-    below the order of K and int16 holds it."""
+    below the order of K and int16 holds it.  The equations are formed a
+    block of edges at a time and reduced mod p into the uint8 result, so
+    the int16 temporaries stay a block in size whatever the size of C."""
     n, (r, d) = K.order, src.shape
     unit = np.eye(r * d, dtype=np.int16).reshape(r, d, r * d)  # unit[i] = E_i
     values = np.zeros((n, d, r * d), dtype=np.int16)
@@ -82,8 +90,16 @@ def _cocycle_constraints(K: FiniteGroup, src: np.ndarray, p: int) -> FpMatrix:
                 np.add(values[h][src[i]], unit[i], out=values[sh])
                 queue.append(sh)
     gen, off = np.nonzero(~tree)  # the non-tree edges (s_gen, off)
-    lhs = values[K.mult[np.asarray(K.generators)[gen], off]]
-    return FpMatrix((lhs - values[off[:, None], src[gen]] - unit[gen]).reshape(-1, r * d), p)
+    target = K.mult[np.asarray(K.generators)[gen], off]
+    out = np.empty((len(gen), d, r * d), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // (d * r * d))
+    for lo in range(0, len(gen), step):
+        edges = slice(lo, lo + step)
+        block = values[target[edges]]
+        block -= values[off[edges, None], src[gen[edges]]]
+        block -= unit[gen[edges]]
+        np.remainder(block, p, out=out[edges], casting="unsafe")
+    return FpMatrix(out.reshape(-1, r * d), p)
 
 
 def h0(K: FiniteGroup, src: np.ndarray) -> Subspace:
@@ -109,7 +125,7 @@ def h1(K: FiniteGroup, src: np.ndarray, fixed: Subspace) -> int:
 def _left_translations(G: FiniteGroup, xs) -> np.ndarray:
     """Left multiplication by each x in ``xs`` on F_p[G] as index arrays:
     it sends the basis element z to x z, so (A v)[y] = v[x^-1 y]."""
-    return G.mult[G.inverses[np.asarray(xs, dtype=np.intp)]]
+    return G.mult[np.array([G.inv(x) for x in xs], dtype=np.intp)]
 
 
 @dataclass(frozen=True)

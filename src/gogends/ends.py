@@ -51,17 +51,13 @@ import numpy as np
 from .cohomology import _invariant_constraints, _left_translations
 from .fpcore import FiniteGroup, right_cosets
 from .fplinalg import FpMatrix, rank
-from .gog import GraphOfGroups, ProperWitness, b1 as gog_b1, vertex_symbol
+from .gog import GraphOfGroups, OracleMismatch, ProperWitness, b1 as gog_b1, vertex_symbol
 from .graphs import _component_roots, maximum_matching
 
 
 class WellDefinednessViolation(RuntimeError):
     """An image vector escaped the edge-invariant subspace, or the image of
     the boundary map is not a right submodule (wrong witness or wrong twist)."""
-
-
-class OracleMismatch(RuntimeError):
-    """Mayer-Vietoris h1 dimension disagrees with the Fox oracle."""
 
 
 def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:

@@ -1,14 +1,21 @@
 """Finite p-group arithmetic: tables, subgroups, homomorphisms.
 
 Groups live entirely as multiplication tables on dense element indices
-0..order-1 with index 0 the identity; every element carries a BFS normal
-form word in the distinguished generators.  The closed-form catalog
-(cyclic, elementary abelian, dihedral/quaternion of order 8, Heisenberg,
-direct products) covers every group the workbench needs; orders are
-capped at 256.
+0..order-1 with index 0 the identity, held as rows of Python ints; every
+element carries a BFS normal form word in the distinguished generators.
+The closed-form catalog (cyclic, elementary abelian, dihedral/quaternion
+of order 8, Heisenberg, direct products) covers every group the workbench
+needs; orders are capped at 256.  ``PRIMES`` are the primes that
+``fplinalg`` has a row reduction for.
+
+This module loads without numpy, so that the subcommands that never
+eliminate start without it.  Only the views that the linear-algebra
+layers gather from import it, on first use: ``FiniteGroup.mult``, the
+table as a uint16 array that the group keeps, and ``right_cosets``.
 
 Every group (catalog formula, direct product, subgroup or table from a
-file) is made by the one constructor ``FiniteGroup(...)``.  It checks an
+file) is made by the one constructor ``FiniteGroup(...)``.  It copies a
+table given from outside into rows of ints, and checks a square,
 in-range table, a p-power order, identity at index 0, two-sided
 inverses, generation and then associativity by Light's test
 (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2):
@@ -24,11 +31,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter
-
-import numpy as np
+from operator import index, itemgetter
 
 MAX_ORDER = 256
+# the primes with a row reduction in fplinalg, which keys its kernels by
+# them; the document reader and the command line accept exactly these
+PRIMES = (2, 3)
 
 
 class GroupError(ValueError):
@@ -68,33 +76,48 @@ def _irredundant(rows, candidates) -> tuple[list[int], list[int]]:
     return kept, queue
 
 
+class _Rows(list):
+    """Rows of Python ints that this module built and nothing else holds:
+    ``FiniteGroup`` keeps the rows as they are, where it copies any other
+    table entry by entry.  Every check still runs on them."""
+
+
 class FiniteGroup:
     """Finite p-group given by its multiplication table.
 
-    ``mult[a, b]`` is the index of the product; ``words[x]`` is a tuple of
-    generator positions whose left-to-right product equals element x.
+    ``rows()[a][b]`` is the index of the product; ``words[x]`` is a tuple
+    of generator positions whose left-to-right product equals element x.
     """
 
     __slots__ = (
-        "name", "prime", "order", "mult", "inverses", "generators", "words",
-        "_bfs_order", "_rows", "_orders", "_hash",
+        "name", "prime", "order", "inverses", "generators", "words",
+        "_bfs_order", "_rows", "_mult", "_orders", "_hash",
     )
 
     def __init__(self, name: str, mult, generators, prime: int):
-        table = np.ascontiguousarray(np.asarray(mult, dtype=np.uint16))
-        n = table.shape[0]
-        if table.shape != (n, n):
+        """``mult`` is the table as rows of ints: lists, tuples or a 2-d array."""
+        if type(mult) is _Rows:
+            # a plain list: indexing one takes the interpreter's fast path
+            # for lists, which a subclass does not
+            rows = list(mult)
+        else:
+            try:
+                rows = [list(map(index, row)) for row in mult]
+            except TypeError:
+                raise GroupError("multiplication table must be rows of ints") from None
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise GroupError("multiplication table must be square")
         if n == 0 or n > MAX_ORDER:
             raise GroupError(f"order must be in 1..{MAX_ORDER}, got {n}")
         self.name = name
         self.prime = prime
         self.order = n
-        self.mult = table
+        self._rows = rows
+        self._mult = None
         self.generators = [int(g) for g in generators]
         self._validate_table()
         self.inverses = self._compute_inverses()
-        self._rows = rows = table.tolist()
         self.words, self._bfs_order = self._bfs_words()
         # Light's test, (x*a)*z == x*(a*z) for every x, z and every kept a
         for a in _irredundant(rows, self.generators)[0]:
@@ -106,24 +129,32 @@ class FiniteGroup:
         self._hash = None
 
     def _validate_table(self):
-        n, table, p = self.order, self.mult, self.prime
-        if table.size and int(table.max()) >= n:
+        n, rows, p = self.order, self._rows, self.prime
+        # bytes() takes only 0..255, which holds every index below the
+        # order cap; translate deletes the indices in range
+        in_range = bytes(range(n))
+        try:
+            stray = any(bytes(row).translate(None, in_range) for row in rows)
+        except ValueError:
+            stray = True
+        if stray:
             raise GroupError("table entry out of range")
         if not is_power_of(n, p):
             raise GroupError(f"order {n} is not a power of {p}")
-        if not (np.array_equal(table[0], np.arange(n)) and np.array_equal(table[:, 0], np.arange(n))):
+        identity = list(range(n))
+        if rows[0] != identity or [row[0] for row in rows] != identity:
             raise GroupError("index 0 must be the identity")
         for g in self.generators:
-            if not 0 <= int(g) < n:
+            if not 0 <= g < n:
                 raise GroupError("generator index out of range")
 
-    def _compute_inverses(self) -> np.ndarray:
-        zero = self.mult == 0
-        inv = zero.argmax(axis=1).astype(np.uint16)
-        bad = (zero.sum(axis=1) != 1) | (self.mult[inv, np.arange(self.order)] != 0)
-        if bad.any():
-            raise GroupError(f"element {int(np.argmax(bad))} lacks a two-sided inverse")
-        return inv
+    def _compute_inverses(self) -> list[int]:
+        rows = self._rows
+        inverses = [row.index(0) if 0 in row else -1 for row in rows]
+        for x, y in enumerate(inverses):
+            if y < 0 or rows[y][x] != 0:
+                raise GroupError(f"element {x} lacks a two-sided inverse")
+        return inverses
 
     def _bfs_words(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """Normal-form words, and the elements in the order the BFS
@@ -144,14 +175,27 @@ class FiniteGroup:
         return words, queue  # type: ignore[return-value]
 
     def rows(self) -> list[list[int]]:
-        """The table as Python lists, ``rows()[a][b] == mult[a, b]``, for
-        loops that read single entries."""
+        """The table as Python lists, ``rows()[a][b]`` the product of a
+        and b: the table itself, not a copy."""
         return self._rows
+
+    @property
+    def mult(self):
+        """The table as a read-only uint16 array, ``mult[a, b] ==
+        rows()[a][b]``, for the gathers of the linear-algebra layers:
+        built on first use and kept.  uint16 holds every index below the
+        order cap at a quarter of the bytes of a default int array."""
+        if self._mult is None:
+            import numpy as np
+
+            self._mult = np.array(self._rows, dtype=np.uint16)
+            self._mult.flags.writeable = False
+        return self._mult
 
     # -- basic arithmetic ------------------------------------------------
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -178,12 +222,12 @@ class FiniteGroup:
             and self.prime == other.prime
             and self.order == other.order
             and self.generators == other.generators
-            and np.array_equal(self.mult, other.mult)
+            and self._rows == other._rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.prime, self.order, tuple(self.generators), self.mult.tobytes()))
+            self._hash = hash((self.prime, self.order, tuple(self.generators), tuple(map(tuple, self._rows))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -220,13 +264,30 @@ class Subgroup:
 # -- catalog construction ------------------------------------------------
 
 
-def _cyclic_table(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return (idx[:, None] + idx[None, :]) % n
+def _cyclic_rows(n: int) -> _Rows:
+    r = list(range(n))
+    return _Rows(r[a:] + r[:a] for a in range(n))
+
+
+def _product_rows(a_rows, b_rows) -> _Rows:
+    """Rows of the direct product on the index ia * |b| + ib.  Row
+    (ia, ib) is, for each entry m of a's row ia in turn, b's row ib
+    shifted by m * |b|."""
+    nb = len(b_rows)
+    # shifted[ib][m] is b's row ib shifted by m * |b|
+    shifted = [[[m * nb + y for y in rb] for m in range(len(a_rows))] for rb in b_rows]
+    out = _Rows()
+    for ra in a_rows:
+        for blocks in shifted:
+            row = []
+            for m in ra:
+                row += blocks[m]
+            out.append(row)
+    return out
 
 
 def trivial(prime: int) -> FiniteGroup:
-    return FiniteGroup("C1", [[0]], [], prime)
+    return FiniteGroup("C1", _Rows([[0]]), [], prime)
 
 
 def _catalog_order(prime: int, k: int) -> int:
@@ -245,17 +306,17 @@ def cyclic(prime: int, k: int) -> FiniteGroup:
     n = _catalog_order(prime, k)
     if n == 1:
         return trivial(prime)
-    return FiniteGroup(f"C{n}", _cyclic_table(n), [1], prime)
+    return FiniteGroup(f"C{n}", _cyclic_rows(n), [1], prime)
 
 
 def elementary_abelian(prime: int, k: int) -> FiniteGroup:
     if k < 1:
         raise GroupError("need at least one factor")
-    n = _catalog_order(prime, k)
-    idx = np.arange(n)
-    digits = np.stack([(idx // prime**i) % prime for i in range(k)], axis=1)
-    summed = (digits[:, None, :] + digits[None, :, :]) % prime
-    table = (summed * np.array([prime**i for i in range(k)])).sum(axis=2)
+    _catalog_order(prime, k)  # a huge k fails before any table is built
+    # digit i of an element's index in base p is its coordinate i
+    table = cp = _cyclic_rows(prime)
+    for _ in range(k - 1):
+        table = _product_rows(cp, table)
     gens = [prime**i for i in range(k)]
     return FiniteGroup(f"E{prime}^{k}", table, gens, prime)
 
@@ -263,13 +324,13 @@ def elementary_abelian(prime: int, k: int) -> FiniteGroup:
 def dihedral8() -> FiniteGroup:
     # elements r^i s^j with index 2*i + j; s r = r^-1 s
     n = 8
-    table = np.zeros((n, n), dtype=np.uint16)
+    table = _Rows([0] * n for _ in range(n))
     for a in range(n):
         i1, j1 = divmod(a, 2)
         for b in range(n):
             i2, j2 = divmod(b, 2)
             i = (i1 + (i2 if j1 == 0 else -i2)) % 4
-            table[a, b] = 2 * i + (j1 ^ j2)
+            table[a][b] = 2 * i + (j1 ^ j2)
     return FiniteGroup("D8", table, [2, 1], 2)
 
 
@@ -284,21 +345,21 @@ def quaternion8() -> FiniteGroup:
     for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         prod[(x, y)] = (1, z)
         prod[(y, x)] = (-1, z)
-    table = np.zeros((8, 8), dtype=np.uint16)
+    table = _Rows([0] * 8 for _ in range(8))
     for a in range(8):
         ax_a, neg_a = divmod(a, 2)
         for b in range(8):
             ax_b, neg_b = divmod(b, 2)
             sign, axis = prod[(ax_a, ax_b)]
             neg = (neg_a + neg_b + (1 if sign < 0 else 0)) % 2
-            table[a, b] = 2 * axis + neg
+            table[a][b] = 2 * axis + neg
     return FiniteGroup("Q8", table, [2, 4], 2)
 
 
 def heisenberg(prime: int) -> FiniteGroup:
     """Unitriangular 3x3 group over GF(p); order p^3, exponent p for odd p."""
     n = _catalog_order(prime, 3)
-    table = np.zeros((n, n), dtype=np.uint16)
+    table = _Rows([0] * n for _ in range(n))
     p = prime
     for x in range(n):
         a1, r = divmod(x, p * p)
@@ -308,7 +369,7 @@ def heisenberg(prime: int) -> FiniteGroup:
             b2, c2 = divmod(r2, p)
             a, b = (a1 + a2) % p, (b1 + b2) % p
             c = (c1 + c2 + a1 * b2) % p
-            table[x, y] = a * p * p + b * p + c
+            table[x][y] = a * p * p + b * p + c
     return FiniteGroup(f"Heis{p}", table, [p * p, p], p)
 
 
@@ -318,10 +379,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.order * b.order
     if n > MAX_ORDER:
         raise GroupError("order exceeds catalog cap")
-    ia, ib = np.divmod(np.arange(n), b.order)
-    table = a.mult[ia[:, None], ia[None, :]].astype(np.int64) * b.order + b.mult[ib[:, None], ib[None, :]]
     gens = [g * b.order for g in a.generators] + list(b.generators)
-    return FiniteGroup(f"{a.name}x{b.name}", table, gens, a.prime)
+    return FiniteGroup(f"{a.name}x{b.name}", _product_rows(a.rows(), b.rows()), gens, a.prime)
 
 
 def _partitions(total: int):
@@ -427,9 +486,11 @@ def is_injective(hom: GroupHom) -> bool:
     return len(set(hom.image)) == hom.source.order
 
 
-def right_cosets(P, subgroup_elements) -> tuple[np.ndarray, np.ndarray]:
-    """Right cosets K\\P of the subgroup: the least element of each coset,
-    ascending, and the coset label of every element of P."""
+def right_cosets(P, subgroup_elements) -> tuple:
+    """Right cosets K\\P of the subgroup, as two arrays: the least element
+    of each coset, ascending, and the coset label of every element of P."""
+    import numpy as np
+
     least = P.mult[np.asarray(subgroup_elements, dtype=np.intp)].min(axis=0)
     reps, labels = np.unique(least, return_inverse=True)
     return reps.astype(np.intp), labels
@@ -455,12 +516,14 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     parent = sub.parent
     elems = list(sub.elements)
     n = len(elems)
-    local = np.full(parent.order, -1, dtype=np.intp)
-    local[elems] = np.arange(n)
-    table = local[parent.mult[np.ix_(elems, elems)]]
-    if (table < 0).any():
+    local = [-1] * parent.order
+    for i, x in enumerate(elems):
+        local[x] = i
+    rows = parent.rows()
+    table = _Rows([local[rows[x][y]] for y in elems] for x in elems)
+    if any(min(row) < 0 for row in table):
         raise GroupError("element set is not closed under multiplication")
-    gens = local[_irredundant(parent.rows(), elems[1:])[0]].tolist()
+    gens = [local[x] for x in _irredundant(rows, elems[1:])[0]]
     grp = FiniteGroup(f"{parent.name}|{n}", table, gens, parent.prime)
     incl = GroupHom(grp, parent, tuple(elems))
     return grp, incl

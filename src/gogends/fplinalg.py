@@ -7,12 +7,11 @@ reduction packs the columns into Python ints (``_pack_columns``) and
 reduces each against the earlier pivot columns, in the kernel
 ``_KERNELS`` holds for the prime: ``_gf2_pivots`` keeps one int per
 column and adds by XOR, ``_gf3_pivots`` keeps two, the masks of the 1s
-and of the 2s, and adds with a few bitwise operations.  ``PRIMES`` is
-the set of primes with a kernel, and the document reader and the command
-line accept exactly these.  ``rank`` eliminates the shorter side, since
-rank A = rank A^T, and skips writing the reduced form back.  ``KERNEL``
-names the kernels for report provenance: ``"python"``, since nothing is
-compiled.
+and of the 2s, and adds with a few bitwise operations.  ``PRIMES``, the
+primes with a kernel, lives in ``fpcore``, so that the document reader
+and the command line can accept exactly these without loading numpy.
+``rank`` eliminates the shorter side, since rank A = rank A^T, and skips
+writing the reduced form back.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KERNEL = "python"
+from .fpcore import PRIMES
 
 
 class NoSolution(ValueError):
@@ -221,8 +220,7 @@ def _gf3_pivots(a: np.ndarray) -> tuple[list[int], list[int], list[int]]:
 
 
 # the row reduction of each supported prime
-_KERNELS = {2: _gf2_pivots, 3: _gf3_pivots}
-PRIMES = tuple(_KERNELS)
+_KERNELS = dict(zip(PRIMES, (_gf2_pivots, _gf3_pivots), strict=True))
 
 
 def _rref_in_place(a: np.ndarray, p: int) -> list[int]:

@@ -23,6 +23,10 @@ b1 is computed from the abelianised relator matrix mod p: the edge
 relators' exponent sums, and each vertex basis with each generator's
 |G_v| columns summed.  Summing a Fox row's columns gives its relator's
 exponent sums, so those rows span G_v's abelianised relations mod p.
+
+This module loads no numpy, so that parsing, the witness search and
+the witness documents run without it: ``fox_bases`` and ``b1`` import
+the linear-algebra layers when they are called.
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .cohomology import _cocycle_constraints, _left_translations
 from .fpcore import (
     FiniteGroup,
     GroupHom,
@@ -45,7 +46,6 @@ from .fpcore import (
     subgroup_as_group,
     subgroup_generated,
 )
-from .fplinalg import FpMatrix, rank, rref
 from .graphs import Graph
 
 
@@ -55,6 +55,10 @@ class GogError(ValueError):
 
 class NotFoundWithinBound(GogError):
     """No proper quotient witness exists within the order bound."""
+
+
+class OracleMismatch(RuntimeError):
+    """Mayer-Vietoris h1 dimension disagrees with the Fox oracle."""
 
 
 class NonIntegral(GogError):
@@ -107,6 +111,9 @@ class GraphOfGroups:
         """An RREF basis of the cocycle equations over F_p[G_v] of each
         vertex group that has generators, by vertex id in vertex order,
         built on first use: column gi * |G_v| + z is (generator gi, z)."""
+        from .cohomology import _cocycle_constraints, _left_translations
+        from .fplinalg import rref
+
         out = {}
         for vid in self.graph.vertices:
             grp = self.vertex_groups[vid]
@@ -265,6 +272,10 @@ def b1(gog: GraphOfGroups) -> int:
     """dim_{F_p} Hom(fundamental group, F_p): generator count minus the
     mod-p rank of the abelianised relator matrix, as the module docstring
     describes."""
+    import numpy as np
+
+    from .fplinalg import FpMatrix, rank
+
     pres = gog.serre
     index = {sym: i for i, sym in enumerate(pres.symbols)}
     rows = np.zeros((len(pres.edge_relators), len(index)), dtype=np.int64)
@@ -326,7 +337,7 @@ class ProperWitness:
             "quotient": {
                 "name": self.quotient.name,
                 "order": self.quotient.order,
-                "table": self.quotient.mult.tolist(),
+                "table": [list(row) for row in self.quotient.rows()],
                 "generators": list(self.quotient.generators),
             },
             "vertex_maps": {str(v): list(self.vertex_maps[v].image) for v in gog.graph.vertices},

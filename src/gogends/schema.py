@@ -1,6 +1,6 @@
 """The graph-of-groups JSON document and its one reader.
 
-A document has ``prime`` (an int in ``fplinalg.PRIMES``), ``vertices``
+A document has ``prime`` (an int in ``fpcore.PRIMES``), ``vertices``
 (``id``, ``group``) and ``edges`` (``id``, ``from``, ``to``, ``group``,
 ``inj0``, ``inj1``).  Ids are strings or ints; ``inj0``/``inj1`` list the
 images of the edge group's generators in the endpoint groups.  A group is
@@ -16,7 +16,6 @@ before it reaches ``fpcore``, ``graphs`` or ``gog``; every failure is an
 from __future__ import annotations
 
 from . import fpcore, graphs
-from .fplinalg import PRIMES
 from .gog import GogError, GraphOfGroups
 
 
@@ -108,8 +107,8 @@ def gog_from_json(data) -> GraphOfGroups:
         raise InputError("top level must be an object")
     _require(data, ("prime", "vertices", "edges"), "top level")
     prime = data["prime"]
-    if not _is_int(prime) or prime not in PRIMES:
-        raise InputError(f"prime must be the int {' or '.join(map(str, PRIMES))}")
+    if not _is_int(prime) or prime not in fpcore.PRIMES:
+        raise InputError(f"prime must be the int {' or '.join(map(str, fpcore.PRIMES))}")
     for key in ("vertices", "edges"):
         if not isinstance(data[key], list) or not all(isinstance(x, dict) for x in data[key]):
             raise InputError(f"{key!r} must be a list of objects")

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gogends import cli, fplinalg, graphs
+from gogends import cli, ends, fplinalg, graphs
 from gogends.cli import canonical_json, parse_input
 from gogends.corpus import fixture_json, fixture_names, load_fixture, witness_bound
 from gogends.fpcore import FiniteGroup, cyclic, direct_product
@@ -559,6 +559,7 @@ def test_analyze_and_ends_write_identical_files(tmp_path, name):
 def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
     # the presentation and each vertex group's Fox basis belong to the
     # graph of groups: four levels, one presentation, one rref per vertex
+    # (gog imports rref from fplinalg when it builds the bases)
     calls = []
 
     def counted(name, real):
@@ -567,8 +568,8 @@ def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("presentation", "rref"):
-        monkeypatch.setattr(cli.gogmod, name, counted(name, getattr(cli.gogmod, name)))
+    for module, name in ((cli.gogmod, "presentation"), (fplinalg, "rref")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     path = _write(tmp_path, fixture_json("c4_c4_over_c2"))
     assert cli.main(["analyze", path, "--levels", "8,16,32,64", "--out", str(tmp_path / "out.json")]) == 0
     assert len(json.loads((tmp_path / "out.json").read_text())) == 4
@@ -577,14 +578,14 @@ def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
 
 def test_analyze_exits_1_on_a_kernel_dim_the_fox_oracle_rejects(tmp_path, monkeypatch, capsys):
     # dim H^0(G, F_p[P]) from the Fox coboundary is an oracle for kernel_dim
-    real = cli.ends.mv_h0_map
+    real = ends.mv_h0_map
 
     def off_by_one(g, w):
         mv = real(g, w)
         mv.kernel_dim += 1
         return mv
 
-    monkeypatch.setattr(cli.ends, "mv_h0_map", off_by_one)
+    monkeypatch.setattr(ends, "mv_h0_map", off_by_one)
     assert cli.main(["analyze", _write(tmp_path, fixture_json("hnn_c4_c2")), "--levels", "8"]) == 1
     err = capsys.readouterr().err
     assert "oracle mismatch: MV kernel dim 2 != Fox H^0 dim 1 at level " in err and "Traceback" not in err

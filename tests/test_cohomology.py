@@ -1,6 +1,7 @@
 """Cochain cohomology against brute force, plus the lemma checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from gogends.fpcore import (
     catalog_groups,
     cyclic,
     dihedral8,
+    elementary_abelian,
+    heisenberg,
     hom_from_images,
     quaternion8,
     right_cosets,
@@ -127,6 +130,32 @@ def test_generator_value_cocycles_match_full_d1_over_catalog():
                     grp, incl = subgroup_as_group(K)
                     acts = generator_actions(grp, module, incl)
                     assert h1(grp, acts, h0(grp, acts)) == _h1_full(grp, module, incl), (G.name, K.elements)
+
+
+def test_cocycle_constraints_do_not_depend_on_the_block_size(monkeypatch):
+    # one edge per block, and every edge in one block, give the default's C
+    groups = catalog_groups(2, 16) + catalog_groups(3, 27) + [elementary_abelian(2, 5), heisenberg(3)]
+    cases = [(G, _left_translations(G, G.generators)) for G in groups if G.generators]
+    default = [_cocycle_constraints(G, src, G.prime) for G, src in cases]
+    for cells in (1, 1 << 40):
+        monkeypatch.setattr(cohomology, "_BLOCK_CELLS", cells)
+        for (G, src), expected in zip(cases, default):
+            assert _cocycle_constraints(G, src, G.prime) == expected, (G.name, cells)
+
+
+def test_cocycle_constraints_peak_is_near_the_result():
+    # E2^6 on F_2[G]: 6 * 64 - 63 = 321 non-tree edges of 64 rows each and
+    # 6 * 64 columns; the int16 temporaries stay a block in size
+    G = elementary_abelian(2, 6)
+    src = _left_translations(G, G.generators)  # builds the group's kept table array
+    tracemalloc.start()
+    try:
+        C = _cocycle_constraints(G, src, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.data.shape == (321 * 64, 6 * 64) and C.data.dtype == np.uint8
+    assert peak < 3 * C.data.nbytes, (peak, C.data.nbytes)
 
 
 def test_generator_value_cocycles_with_identity_or_repeated_generator():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from gogends import ends, gog as gogmod
+from gogends import ends, fplinalg, gog as gogmod
 from gogends.cli import canonical_json
 from gogends.corpus import fixture_names, load_fixture, witness_bound
 from gogends.ends import (
@@ -343,9 +343,9 @@ def test_coset_labels_that_are_not_right_cosets_are_rejected(monkeypatch):
 
 
 def test_ends_level_makes_four_eliminations(monkeypatch):
-    # W in MV, two Fox ranks, and b1, which calls rank from gog: no
-    # |P|-sized rank in MV (Fox's per-vertex rref calls are pinned in
-    # test_fox_never_eliminates_the_whole_relator_matrix)
+    # W in MV, two Fox ranks, and b1, which imports rank from fplinalg
+    # when it is called: no |P|-sized rank in MV (Fox's per-vertex rref
+    # calls are pinned in test_fox_never_eliminates_the_whole_relator_matrix)
     g = load_fixture("hnn_c4_c2")
     w = proper_quotient_search(g, witness_bound("hnn_c4_c2"))
     for witness in (w, lifted_witness(g, w)):
@@ -358,7 +358,7 @@ def test_ends_level_makes_four_eliminations(monkeypatch):
             return rank
 
         with monkeypatch.context() as patch:
-            for module in (ends, gogmod):
+            for module in (ends, fplinalg):
                 patch.setattr(module, "rank", counted(module, module.rank))
             ends_level(g, witness)
         assert len(shapes) == 4, shapes
@@ -384,7 +384,7 @@ def test_fox_never_eliminates_the_whole_relator_matrix(monkeypatch):
         return eliminate
 
     monkeypatch.setattr(ends, "rank", recorded(ends.rank))
-    monkeypatch.setattr(gogmod, "rref", recorded(gogmod.rref))
+    monkeypatch.setattr(fplinalg, "rref", recorded(fplinalg.rref))
     assert [h1_via_fox(g, v) for v in levels] == [(1, h1) for h1 in expected]
     # one Heis3 block of cocycle equations per vertex (28 non-tree edges
     # of its Cayley graph x 27, 2 generators x 27),

@@ -267,6 +267,43 @@ def test_light_test_matches_exhaustive_associativity(prime, max_order):
     assert verdicts == {True, False}
 
 
+def test_table_forms_give_equal_groups():
+    # one table as lists, as tuples and as arrays: the group keeps its own
+    # rows of Python ints, and equality and the hash read them
+    d8 = dihedral8()
+    lists = [list(row) for row in d8.rows()]
+    forms = [lists, tuple(map(tuple, lists)), np.array(lists, dtype=np.uint16), np.array(lists)]
+    groups = [FiniteGroup("D8", form, d8.generators, 2) for form in forms]
+    for g in groups:
+        assert g == d8 and hash(g) == hash(d8)
+        assert g.rows() == d8.rows() and {type(x) for row in g.rows() for x in row} == {int}
+        assert g.inverses == d8.inverses and g.words == d8.words
+    lists[1][1] = 7  # the caller's table is copied
+    assert groups[0] == d8 and groups[0].rows()[1][1] == d8.rows()[1][1] != 7
+
+
+def test_mult_is_one_uint16_array_of_the_rows():
+    for g in (trivial(2), cyclic(2, 8), heisenberg(3), direct_product(quaternion8(), cyclic(2, 5))):
+        m = g.mult
+        assert m.dtype == np.uint16 and m.shape == (g.order, g.order)
+        assert m.tolist() == g.rows()
+        assert g.mult is m and not m.flags.writeable
+
+
+def test_malformed_tables_rejected():
+    for table, message in (
+        ([[0, 1], [1, 0.0]], "rows of ints"),
+        ([[0, 1], 1], "rows of ints"),
+        ([[0, 1], [1]], "must be square"),
+        ([[0, 1], [1, -1]], "out of range"),
+        ([[0, 1], [1, 2]], "out of range"),
+        ([[0, 1], [1, 256]], "out of range"),
+        ([], "order must be in 1..256"),
+    ):
+        with pytest.raises(GroupError, match=message):
+            FiniteGroup("bad", table, [1], 2)
+
+
 def test_element_without_inverse_rejected():
     # C2 x {1, z} with z*z = z: associative with an identity, z has no inverse
     table = [[(a1 ^ a2) * 2 + (b1 | b2) for a2 in (0, 1) for b2 in (0, 1)] for a1 in (0, 1) for b1 in (0, 1)]

@@ -1,9 +1,11 @@
 """Package-internal imports run one way, from the arithmetic core to the CLI,
-the package loads nothing outside the standard library but numpy, and
-every definition in it is reached from the program."""
+numpy is loaded only by the linear-algebra layers, the package loads
+nothing else outside the standard library, and every definition in it is
+reached from the program."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,25 +15,71 @@ import gogends
 ORDER = ["fpcore", "fplinalg", "graphs", "gmodules", "cohomology", "gog", "ends", "schema", "corpus", "cli"]
 PACKAGE = Path(gogends.__file__).resolve().parent
 
+# the modules that import numpy when they load
+LINEAR_ALGEBRA = {"fplinalg", "gmodules", "cohomology", "ends"}
+# (module, function, what it imports when called): the only places where
+# code that loads without numpy reaches numpy or the linear-algebra layers
+CROSSINGS = {
+    ("fpcore", "FiniteGroup.mult", "numpy"),
+    ("fpcore", "right_cosets", "numpy"),
+    ("gog", "GraphOfGroups.fox_bases", "cohomology"),
+    ("gog", "GraphOfGroups.fox_bases", "fplinalg"),
+    ("gog", "b1", "numpy"),
+    ("gog", "b1", "fplinalg"),
+    ("cli", "run_verify_lemmas", "cohomology"),
+    ("cli", "run_analyze", "ends"),
+}
+
+
+def imported(node: ast.AST) -> set[str]:
+    """The modules of the package that one statement imports, and "numpy"
+    if it imports numpy; empty for any other statement."""
+    if isinstance(node, ast.ImportFrom):
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "gogends":
+                return {"numpy"} if parts[0] == "numpy" else set()
+            parts = parts[1:]
+        if parts and parts[0]:
+            return {parts[0]}
+        return {alias.name for alias in node.names}  # from . import a, b
+    found = set()
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            parts = alias.name.split(".")
+            if parts[0] == "numpy":
+                found.add("numpy")
+            elif parts[0] == "gogends" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
 
 def internal_imports(path: Path) -> set[str]:
     """Modules of the package that ``path`` imports, at any nesting."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            if node.level == 0 and (node.module or "").split(".")[0] != "gogends":
+    return set().union(*map(imported, ast.walk(ast.parse(path.read_text(encoding="utf-8"))))) - {"numpy"}
+
+
+def imports_by_scope(path: Path) -> tuple[set[str], set[tuple[str, str]]]:
+    """What ``path`` imports when it loads (at module level or in a class
+    body), and the (qualified function name, module) pairs of what its
+    functions import when they are called."""
+    at_load, in_calls = set(), set()
+
+    def visit(node, qualname, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qualname}.{child.name}" if qualname else child.name
+                visit(child, name, in_function or not isinstance(child, ast.ClassDef))
                 continue
-            parts = (node.module or "").split(".")[1 if node.level == 0 else 0:]
-            if parts and parts[0]:
-                found.add(parts[0])
-            else:  # from . import a, b
-                found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "gogends" and len(parts) > 1:
-                    found.add(parts[1])
-    return found
+            for module in imported(child):
+                if in_function:
+                    in_calls.add((qualname, module))
+                else:
+                    at_load.add(module)
+            visit(child, qualname, in_function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "", False)
+    return at_load, in_calls
 
 
 def test_every_module_is_placed_in_the_order():
@@ -46,7 +94,19 @@ def test_modules_import_only_earlier_modules():
         assert not later, f"{name} imports {sorted(later)}, which are not earlier than it in {ORDER}"
 
 
-def test_runtime_imports_are_stdlib_numpy_and_the_package(package_env):
+def test_numpy_is_imported_at_load_only_by_the_linear_algebra_layers():
+    crossings = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        at_load, in_calls = imports_by_scope(path)
+        if path.stem in LINEAR_ALGEBRA:
+            assert "numpy" in at_load, path.stem
+        else:
+            assert not at_load & (LINEAR_ALGEBRA | {"numpy"}), f"{path.stem} loads {sorted(at_load)}"
+        crossings.update((path.stem, f, m) for f, m in in_calls if m in LINEAR_ALGEBRA | {"numpy"})
+    assert crossings == CROSSINGS
+
+
+def test_runtime_imports_are_stdlib_and_the_package(package_env):
     # a fresh interpreter, counting only what the import adds to what site startup loaded
     script = (
         "import sys; before = set(sys.modules); import gogends.cli, gogends.corpus; "
@@ -55,8 +115,42 @@ def test_runtime_imports_are_stdlib_numpy_and_the_package(package_env):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=package_env)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
-    assert "gogends" in loaded and "numpy" in loaded
-    assert loaded - sys.stdlib_module_names - {"numpy", "gogends"} == set()
+    assert "gogends" in loaded
+    assert loaded - sys.stdlib_module_names - {"gogends"} == set()
+
+
+# run in a fresh interpreter: each step and whether numpy was loaded after it
+RUNS_WITHOUT_NUMPY = """
+import json, os, sys
+from gogends import cli, corpus, gog, schema
+
+steps = []
+for argv in (["counting", "--max-edges", "4"], ["enumerate", "--max-edges", "3"], ["ends", "missing.json"]):
+    code = cli.main(argv + ["--out", os.devnull])
+    steps.append([argv[0], code, "numpy" in sys.modules])
+for name in corpus.fixture_names():
+    g = schema.gog_from_json(corpus.fixture_json(name))
+    json.dumps(gog.proper_quotient_search(g, corpus.witness_bound(name)).to_json(g))
+steps.append(["search", 0, "numpy" in sys.modules])
+code = cli.main(["verify-lemmas", "--max-order", "4", "--out", os.devnull])
+steps.append(["verify-lemmas", code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_graph_subcommands_and_the_witness_search_run_without_numpy(package_env, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", RUNS_WITHOUT_NUMPY], capture_output=True, text=True, timeout=120, env=package_env, cwd=tmp_path
+    )
+    assert done.returncode == 0, done.stderr
+    assert "input error: cannot read missing.json" in done.stderr
+    assert json.loads(done.stdout) == [
+        ["counting", 0, False],
+        ["enumerate", 0, False],
+        ["ends", 2, False],
+        ["search", 0, False],
+        ["verify-lemmas", 0, True],
+    ]
 
 
 # Kept although no subcommand calls them yet: ROADMAP item 10 wires
