@@ -147,7 +147,7 @@ def run_enumerate(args) -> tuple[int, dict]:
     _at_least(args.max_vertices, 1, "--max-vertices")
     max_vertices = args.max_edges + 1 if args.max_vertices is None else args.max_vertices
     candidates = graphs.enumerate_connected_multigraphs(args.max_edges, max_vertices)
-    reports = [rep.to_json() for _, rep in graphs.counting_reports(candidates)]
+    reports = [graphs.counting_report(g, m).to_json() for g, m in graphs.matched_graphs(candidates)]
     return 0, {"suite": "enumerate", "max_edges": args.max_edges, "graphs": reports, "count": len(reports)}
 
 

@@ -10,19 +10,19 @@ its vertex.  Maximum matchings run Edmonds' blossom algorithm (Edmonds,
 rewriting each loop as a pendant edge to a fresh vertex, a
 transformation that preserves the conflict structure exactly.
 
-The counting checks see each graph through one indexed pass,
-``index_walk``: the vertices are numbered once, and one walk over the
-edges gives the slot array, the valences, the loop-free support and the
-looped vertices, from which connectivity, the leaves, the Euler
-characteristic and exceptionality are read.  The segment bound and the
-chain suppression run on the same arrays, and the suppressed graph is
-only its list of edges.  M(X) depends on the vertex count, the
-loop-free support and the set of looped vertices alone: parallel edges
-collapse, since a matching uses at most one of them, and the loops at a
-vertex are pendant edges there, of which a matching uses at most one.
-So a run of graphs with one support, as the enumeration yields the
-decorations of each simple graph, finds each matching size once per set
-of looped vertices.
+The counting checks see each graph through its walk, ``Graph.walk``: the
+slot array, the valences, the loop-free support and the looped vertices,
+from which connectivity, the leaves, the Euler characteristic and
+exceptionality are read.  An enumerated graph carries the walk its
+decoration gives, and any other graph gets it from one pass over its
+edges, ``index_walk``.  The segment bound and the chain suppression run
+on the same arrays, and a report is built only for a graph the check
+keeps.  M(X) depends on the vertex count, the loop-free support and the
+set of looped vertices alone: parallel edges collapse, since a matching
+uses at most one of them, and the loops at a vertex are pendant edges
+there, of which a matching uses at most one.  So a run of graphs with
+one support, as the enumeration yields the decorations of each simple
+graph, finds each matching size once per set of looped vertices.
 
 Isomorph-free enumeration rests on one canonical labelling: an
 individualisation-refinement search whose key is the least leaf.  Leaves
@@ -59,6 +59,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 # the most edges enumerate_connected_multigraphs walks; the command line
@@ -102,6 +104,11 @@ class Graph:
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", edges)
         return g
+
+    @cached_property
+    def walk(self) -> IndexWalk:
+        """``index_walk(self)``, found on first use."""
+        return index_walk(self)
 
     def to_json(self) -> dict:
         return {
@@ -159,17 +166,8 @@ def index_walk(g: Graph) -> IndexWalk:
             looped |= 1 << a
         else:
             support.add((a, b) if a < b else (b, a))
-    parent = list(range(n))
-    components = n
-    for a, b in support:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            components -= 1
-    return IndexWalk(ends, valences, components == 1, frozenset(support), looped)
+    connected = len(set(_component_roots(range(n), support).values())) == 1
+    return IndexWalk(ends, valences, connected, frozenset(support), looped)
 
 
 def maximum_matching(g: Graph) -> tuple:
@@ -301,26 +299,22 @@ class CountingReport:
         }
 
 
-def counting_report(g: Graph, walk: IndexWalk, matching_size: int) -> CountingReport:
-    """Edge-count bound evaluation, given ``index_walk(g)`` and M(g).
-    ``exceptional`` marks the families where the bound's segment
-    decomposition degenerates: disconnected, edgeless, or every vertex of
-    valence exactly 2."""
-    leaves = walk.valences.count(1)
-    euler_char = len(g.vertices) - len(g.edges)
+def _bound_terms(walk: IndexWalk, matching_size: int) -> tuple:
+    """(leaves, euler_char, t_value, bound, holds, exceptional) given the
+    walk and M(X); ``exceptional`` marks the families where the segment
+    decomposition degenerates: disconnected, edgeless, or all valences 2."""
+    edge_count, valences = len(walk.ends) >> 1, walk.valences
+    leaves = valences.count(1)
+    euler_char = len(valences) - edge_count
     t = leaves - euler_char
     bound = 2 * matching_size + 9 * t
-    return CountingReport(
-        edge_count=len(g.edges),
-        matching_size=matching_size,
-        leaves=leaves,
-        euler_char=euler_char,
-        t_value=t,
-        bound=bound,
-        holds=len(g.edges) <= bound,
-        exceptional=not walk.connected or not g.edges or walk.valences.count(2) == len(g.vertices),
-        graph=g,
-    )
+    exceptional = not walk.connected or not edge_count or valences.count(2) == len(valences)
+    return leaves, euler_char, t, bound, edge_count <= bound, exceptional
+
+
+def counting_report(g: Graph, matching_size: int) -> CountingReport:
+    """Edge-count bound evaluation of ``g``, given M(g)."""
+    return CountingReport(len(g.edges), matching_size, *_bound_terms(g.walk, matching_size), g)
 
 
 def valence_two_segment_bound(ends: list, valences: list) -> int:
@@ -468,11 +462,11 @@ def _canon_search(n: int, adj, loops):
     return key, auts, [[label[p[v]] for v in order] for p in auts]
 
 
-def _orbit_representatives(points, gens, act) -> Iterator:
+def _orbit_representatives(points, moves) -> Iterator:
     """The first of each orbit among ``points``, in their order, under the
-    group generated by ``gens``, where ``act(p, x)`` is the image of x
-    under p and every orbit lies in ``points``: each unseen point is
-    yielded and its orbit, a BFS over the generators, marked seen."""
+    group generated by ``moves``, each a function from a point to its
+    image, where every orbit lies in ``points``: each unseen point is
+    yielded and its orbit, a BFS over the moves, marked seen."""
     seen: set = set()
     for x in points:
         if x in seen:
@@ -481,8 +475,8 @@ def _orbit_representatives(points, gens, act) -> Iterator:
         seen.add(x)
         queue = [x]
         for y in queue:  # the queue grows while it is read
-            for p in gens:
-                z = act(p, y)
+            for move in moves:
+                z = move(y)
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
@@ -549,11 +543,10 @@ def _connected_simple_graphs(max_edges: int, max_vertices: int) -> list:
         for (n, edges), auts in levels[m - 1].items():
             present = set(edges)
             absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
-            grown = [
-                (n, e) for e in _orbit_representatives(absent, auts, lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))
-            ]
+            on_pairs = [lambda e, p=p: tuple(sorted((p[e[0]], p[e[1]]))) for p in auts]
+            grown = [(n, e) for e in _orbit_representatives(absent, on_pairs)]
             if n < max_vertices:
-                grown += [(n + 1, (u, n)) for u in _orbit_representatives(range(n), auts, lambda p, u: p[u])]
+                grown += [(n + 1, (u, n)) for u in _orbit_representatives(range(n), [p.__getitem__ for p in auts])]
             for size, new in grown:
                 child = edges + (new,)
                 if not _new_edge_is_maximal(size, child):
@@ -578,24 +571,20 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _move_decoration(move, decoration):
-    """The image of (mults, loops) under an automorphism given by preimages."""
-    (edge_pre, vertex_pre), (mults, loops) = move, decoration
-    return tuple(map(mults.__getitem__, edge_pre)), tuple(map(loops.__getitem__, vertex_pre))
-
-
 def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterator[Graph]:
     """All connected multigraphs with loops, up to isomorphism.
 
     Realised as isomorph-free connected simple graphs decorated with edge
-    multiplicities and per-vertex loop counts.  Two decorations of one
-    simple graph give isomorphic multigraphs exactly when an automorphism
-    of the simple graph carries one to the other, since an isomorphism of
-    the multigraphs is one of their supports.  Decorations are walked in
-    lexicographic order within each pair of edge and loop totals, which
-    automorphisms keep; each unseen one is yielded and its whole orbit
-    under the simple graph's automorphism generators marked seen, so each
-    isomorphism class is represented by its least decoration.
+    multiplicities and per-vertex loop counts, one tuple of the k + n
+    counts per decoration.  Two decorations of one simple graph give
+    isomorphic multigraphs exactly when an automorphism of the simple
+    graph carries one to the other, since an isomorphism of the
+    multigraphs is one of their supports; an automorphism moves a
+    decoration by one preimage tuple over its slots.  Decorations are
+    walked in lexicographic order within each pair of edge and loop
+    totals, which automorphisms keep; each unseen one is yielded and its
+    whole orbit under the simple graph's automorphism generators marked
+    seen, so each isomorphism class is represented by its least decoration.
     """
     if max_edges > EXHAUSTIVE_MAX_EDGES:
         raise GraphError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_EDGES} edges")
@@ -611,33 +600,44 @@ def enumerate_connected_multigraphs(max_edges: int, max_vertices: int) -> Iterat
                 loop_counts_of[n] = [tuple(_compositions(total, n, 0)) for total in range(max_edges - k + 1)]
             loop_counts = loop_counts_of[n]
             index = {e: i for i, e in enumerate(edges)}
-            moves = []  # each automorphism as the preimages of the edge and the vertex slots
+            # each automorphism picks, for each decoration slot, the slot it comes from; that
+            # gives a tuple, as only the one-vertex graph, which has no generators, has one slot
+            moves = []
             for p in levels[k][(n, edges)]:
                 image = [index[tuple(sorted((p[u], p[v])))] for u, v in edges]
-                moves.append((sorted(range(k), key=image.__getitem__), sorted(range(n), key=p.__getitem__)))
+                pre = sorted(range(k), key=image.__getitem__) + [k + u for u in sorted(range(n), key=p.__getitem__)]
+                moves.append(itemgetter(*pre))
             decorations = (
-                (mults, loops)
+                mults + loops
                 for total, mult_total in enumerate(mult_counts, k)
                 for mults in mult_total
                 for loop_total in range(0, max_edges - total + 1)
                 for loops in loop_counts[loop_total]
             )
-            for mults, loops in _orbit_representatives(decorations, moves, _move_decoration):
-                yield _build_decorated(n, edges, mults, loops)
+            vertices, support = tuple(range(n)), frozenset(edges)
+            for dec in _orbit_representatives(decorations, moves):
+                yield _build_decorated(vertices, edges, support, dec)
 
 
-def _build_decorated(n, edge_list, mults, loops) -> Graph:
-    edges = []
-    eid = 0
-    for (u, v), m in zip(edge_list, mults):
-        for _ in range(m):
-            edges.append((eid, u, v))
-            eid += 1
-    for v, c in enumerate(loops):
-        for _ in range(c):
-            edges.append((eid, v, v))
-            eid += 1
-    return Graph._trusted(tuple(range(n)), tuple(edges))
+def _build_decorated(vertices: tuple, edge_list: tuple, support: frozenset, dec: tuple) -> Graph:
+    """The multigraph of the decoration ``dec`` of the connected simple
+    graph on ``vertices`` with the pairs u < v of ``edge_list`` (whose
+    frozenset is ``support``), with the walk ``index_walk`` would find."""
+    k = len(edge_list)
+    ends = []
+    valences = [2 * c for c in dec[k:]]
+    for (u, v), m in zip(edge_list, dec):
+        ends += (u, v) * m
+        valences[u] += m
+        valences[v] += m
+    looped = 0
+    for v, c in enumerate(dec[k:]):
+        if c:
+            ends += (v, v) * c
+            looped |= 1 << v
+    g = Graph._trusted(vertices, tuple(zip(range(len(ends) >> 1), ends[::2], ends[1::2])))
+    object.__setattr__(g, "walk", IndexWalk(ends, valences, True, support, looped))
+    return g
 
 
 def random_multigraph(rng, max_edges: int, max_vertices: int = 8) -> Graph:
@@ -675,9 +675,9 @@ class CountingVerification:
         }
 
 
-def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
-    """The walk and counting report of each connected graph among
-    ``candidates``, in their order.
+def matched_graphs(candidates: Iterable[Graph]) -> Iterator[tuple]:
+    """Each connected graph among ``candidates``, in their order, with
+    its M(X).
 
     M(X) depends only on the vertex count, the loop-free support and the
     looped vertices, and the support of a connected graph fixes its
@@ -689,7 +689,7 @@ def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
     support = None
     sizes: dict = {}
     for g in candidates:
-        walk = index_walk(g)
+        walk = g.walk
         if not walk.connected:
             continue
         if walk.support != support:
@@ -699,7 +699,7 @@ def counting_reports(candidates: Iterable[Graph]) -> Iterator[tuple]:
         if m is None:
             loops = [(a, a) for a in range(len(walk.valences)) if walk.looped >> a & 1]
             m = sizes[walk.looped] = len(_matched_pairs(len(walk.valences), [*walk.support, *loops]))
-        yield walk, counting_report(g, walk, m)
+        yield g, m
 
 
 def verify_counting_lemma(candidates: Iterable[Graph]) -> CountingVerification:
@@ -710,26 +710,27 @@ def verify_counting_lemma(candidates: Iterable[Graph]) -> CountingVerification:
     floor(|ES_i|/2) and |EY| <= 3 T(Y) are asserted on the
     non-exceptional graphs, which have at least one edge.  T(Y) is read
     off the edges of the suppressed graph Y, whose vertices are those of
-    valence != 2.
+    valence != 2.  Only the graphs the lists keep get a report.
     """
     out = CountingVerification()
-    for walk, rep in counting_reports(candidates):
+    for g, m in matched_graphs(candidates):
         out.total += 1
-        if not rep.holds:
-            if rep.exceptional:
-                out.exceptional_findings.append(rep)
-            else:
-                out.violations.append(rep)
-        if rep.exceptional:
-            continue
-        if rep.matching_size < valence_two_segment_bound(walk.ends, walk.valences):
-            out.intermediate_failures.append(rep)
-        y = suppressed_graph(walk.ends, walk.valences)
-        y_valences = [0] * len(walk.valences)
-        for a, b in y:
-            y_valences[a] += 1
-            y_valences[b] += 1
-        t_y = y_valences.count(1) - (len(walk.valences) - walk.valences.count(2) - len(y))
-        if len(y) > 3 * t_y:
-            out.intermediate_failures.append(rep)
+        walk = g.walk
+        holds, exceptional = _bound_terms(walk, m)[4:]
+        kept = [] if holds else [out.exceptional_findings if exceptional else out.violations]
+        if not exceptional:
+            if m < valence_two_segment_bound(walk.ends, walk.valences):
+                kept.append(out.intermediate_failures)
+            y = suppressed_graph(walk.ends, walk.valences)
+            y_valences = [0] * len(walk.valences)
+            for a, b in y:
+                y_valences[a] += 1
+                y_valences[b] += 1
+            t_y = y_valences.count(1) - (len(walk.valences) - walk.valences.count(2) - len(y))
+            if len(y) > 3 * t_y:
+                kept.append(out.intermediate_failures)
+        if kept:
+            rep = counting_report(g, m)
+            for found in kept:
+                found.append(rep)
     return out

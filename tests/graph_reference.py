@@ -23,8 +23,8 @@ index-list walk of ``graphs.suppressed_graph``.
 ``verify_counting_reference`` checks the counting bound and its proof
 intermediates graph by graph, with the statistics, the segment bound and
 the suppressed graph each computed from the ``Graph`` by a walk of its
-own and a matching found for every graph: the reference for the one
-indexed pass of ``graphs.verify_counting_lemma``.
+own and a matching found for every graph: the reference for
+``graphs.verify_counting_lemma``, which reads each graph's walk.
 """
 
 from collections import Counter
@@ -34,7 +34,6 @@ from gogends.graphs import (
     CountingVerification,
     Graph,
     GraphError,
-    _build_decorated,
     _canon_search,
     _component_roots,
     _compositions,
@@ -218,4 +217,12 @@ def enumerate_reference(max_edges, max_vertices):
                             key = _key(n, adj, loops)
                             if key not in seen:
                                 seen.add(key)
-                                yield _build_decorated(n, edges, mults, loops)
+                                yield _multigraph(n, edges, mults, loops)
+
+
+def _multigraph(n, edges, mults, loops):
+    """The multigraph on n vertices with each of ``edges`` repeated by its
+    multiplicity, then the loops at each vertex, numbered in that order."""
+    pairs = [e for e, m in zip(edges, mults) for _ in range(m)]
+    pairs += [(v, v) for v, c in enumerate(loops) for _ in range(c)]
+    return Graph(tuple(range(n)), tuple((i, u, v) for i, (u, v) in enumerate(pairs)))

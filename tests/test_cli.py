@@ -275,6 +275,15 @@ def test_enumerate_report_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "c408a11392423b30"
 
 
+def test_enumerate_report_is_pinned_at_8_edges(tmp_path):
+    # every one of the 6,461 graphs with its matching, leaves, Euler
+    # characteristic, T and bound: a wrong valence or support that flips
+    # no verdict still changes this report
+    out = tmp_path / "enumerate.json"
+    assert cli.main(["enumerate", "--max-edges", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "d4ced196e8a33366"
+
+
 def test_exhaustive_counting_report_is_pinned(tmp_path):
     # the counting input of the benchmark: all 6,461 connected multigraphs
     # with at most 8 edges; an enumeration or check that alters it fails here

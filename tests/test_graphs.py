@@ -17,9 +17,9 @@ from gogends.graphs import (
     _canon_search,
     _connected_simple_graphs,
     counting_report,
-    counting_reports,
     enumerate_connected_multigraphs,
     index_walk,
+    matched_graphs,
     maximum_matching,
     random_multigraph,
     suppressed_graph,
@@ -47,7 +47,7 @@ def _path(n):
 
 
 def _report(g):
-    return counting_report(g, index_walk(g), len(maximum_matching(g)))
+    return counting_report(g, len(maximum_matching(g)))
 
 
 def _valences(g):
@@ -68,7 +68,7 @@ def _suppressed(g):
 
 
 # leaves (valences.count(1)) and the Euler characteristic |V| - |E| are
-# read off index_walk by counting_report
+# read off the graph's walk by counting_report
 
 
 def test_stats_single_vertex():
@@ -488,6 +488,23 @@ def test_counting_pass_matches_reference_on_every_graph_up_to_8_edges():
     assert verify_counting_lemma(candidates).to_json() == verify_counting_reference(candidates).to_json()
 
 
+def test_enumerated_walks_match_a_fresh_pass(monkeypatch):
+    # the enumeration fills in each graph's walk from its decoration; a
+    # plain copy of the graph walks its edges on first use, as sampled
+    # draws and documents do
+    enumerated = list(enumerate_connected_multigraphs(8, 9))
+    copies = [Graph(g.vertices, g.edges) for g in enumerated]
+    for g, copy in zip(enumerated, copies):
+        assert g.walk == index_walk(copy), g
+    expected = verify_counting_lemma(copies).to_json()
+
+    def unreachable(g):
+        raise AssertionError("an enumerated graph was walked again")
+
+    monkeypatch.setattr(graphs, "index_walk", unreachable)
+    assert verify_counting_lemma(enumerated).to_json() == expected
+
+
 @pytest.mark.parametrize("max_edges, seed", [(9, 0), (12, 1), (40, 2)])
 def test_counting_pass_matches_reference_on_sampled_draws(max_edges, seed):
     # the draws of ``counting --max-edges N --seed S``
@@ -521,7 +538,7 @@ def test_matching_sizes_are_kept_per_looped_vertex_set():
     # one loop-free support, a path x - y - z, with the loop at an end and
     # at the middle: M is 2 and 1
     path_end, path_middle = HAND_BUILT[-2:]
-    sizes = [rep.matching_size for _, rep in counting_reports([path_end, path_middle, path_end])]
+    sizes = [m for _, m in matched_graphs([path_end, path_middle, path_end])]
     assert sizes == [2, 1, 2]
     assert sizes == [len(matching_bruteforce(g)) for g in (path_end, path_middle, path_end)]
 
