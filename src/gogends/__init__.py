@@ -9,7 +9,7 @@ Submodules:
                  bit-sliced at p = 3
 - ``gmodules``   modules over the group algebra, Nakayama counts; no
                  subcommand calls it, only the benchmark probes and tests
-- ``cohomology`` H^0 and dim H^1 from ranks over the generator actions,
+- ``cohomology`` dim H^0 and dim H^1 from ranks over the generator actions,
                  lemma checks on F_p[G] read off the multiplication table
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
 - ``gog``        graphs of groups, presentations, witness search

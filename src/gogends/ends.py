@@ -29,9 +29,9 @@ Each side of each edge must be edge-invariant and each coset labelling
 stable under the right action, or ``WellDefinednessViolation`` is raised.
 Fox calculus on Serre's presentation is an independent elimination
 oracle for h1_dim and kernel_dim; a disagreement raises rather than
-reports.  dim B^1 is the rank of cohomology's D for the left
-translations by the symbols' images, and dim H^0 = |P| - rank D counts
-the right cosets of the image of G, which are the components of X_P.
+reports.  dim H^0 is cohomology's ``h0`` of the left translations by
+the symbols' images, |P| - rank D, and dim B^1 = |P| - dim H^0; H^0
+counts the right cosets of the image of G, the components of X_P.
 The oracle reads no level-graph data and never builds the whole
 relators x symbols matrix over F_p[P].  The graph of groups keeps its
 presentation, which has only the edge relators, and a basis of each
@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cohomology import _invariant_constraints, _left_translations
+from .cohomology import _left_translations, h0
 from .fpcore import FiniteGroup, right_cosets
 from .fplinalg import FpMatrix, rank
 from .gog import GraphOfGroups, OracleMismatch, ProperWitness, b1 as gog_b1, vertex_symbol
@@ -187,8 +187,8 @@ def h1_via_fox(gog: GraphOfGroups, witness: ProperWitness) -> tuple[int, int]:
     the stored vertex bases translated to the cosets of each H_v
     (``_vertex_rows``) and the edge relators' Fox rows, |P| each, under
     one rank.  The coboundary map m -> ((g - 1) m)_g over the generators
-    has rank rank D, for cohomology's D = (A_g - I) of the left
-    translations A_g, and its kernel is H^0.
+    has kernel H^0, whose dimension ``h0`` takes from the left
+    translations A_g, and rank |P| - dim H^0.
     """
     P = witness.quotient
     n = P.order
@@ -199,9 +199,8 @@ def h1_via_fox(gog: GraphOfGroups, witness: ProperWitness) -> tuple[int, int]:
     blocks = [_vertex_rows(gog, vid, witness, col, width) for vid in gog.fox_bases]
     blocks.append(_fox_rows(pres.edge_relators, col, elements, P, width))
     z1_dim = width - rank(FpMatrix(np.concatenate(blocks), P.prime))
-    translations = _left_translations(P, [elements[sym] for sym in pres.symbols])
-    b1_dim = rank(_invariant_constraints(translations, P.prime))
-    return n - b1_dim, z1_dim - b1_dim
+    h0_dim = h0(_left_translations(P, [elements[sym] for sym in pres.symbols]), P.prime)
+    return h0_dim, z1_dim - (n - h0_dim)
 
 
 @dataclass(frozen=True)
@@ -230,12 +229,12 @@ def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:
     cross-check of h1 and kernel_dim, and the edge-count bound
     2*gen_count + 9*(b1 - 1)."""
     mv = mv_h0_map(gog, witness)
-    h0, fox = h1_via_fox(gog, witness)
+    fox_h0, fox = h1_via_fox(gog, witness)
     level = witness.quotient.order
     if fox != mv.h1_dim:
         raise OracleMismatch(f"MV h1 dim {mv.h1_dim} != Fox H^1 dim {fox} at level {level}")
-    if h0 != mv.kernel_dim:
-        raise OracleMismatch(f"MV kernel dim {mv.kernel_dim} != Fox H^0 dim {h0} at level {level}")
+    if fox_h0 != mv.kernel_dim:
+        raise OracleMismatch(f"MV kernel dim {mv.kernel_dim} != Fox H^0 dim {fox_h0} at level {level}")
     betti = gog_b1(gog)
     edge_count = len(gog.graph.edges)
     bound_rhs = 2 * mv.gen_count + 9 * (betti - 1)

@@ -258,10 +258,13 @@ def test_main_verify_lemmas_small(tmp_path):
     assert rep["status"] == "pass" and rep["findings"] == []
 
 
-@pytest.mark.parametrize("prime, max_order, digest", [(2, 16, "5b8bcd3191cae0b3"), (3, 27, "84d6a39489feb6a7")])
+@pytest.mark.parametrize(
+    "prime, max_order, digest",
+    [(2, 16, "5b8bcd3191cae0b3"), (3, 27, "84d6a39489feb6a7"), (2, 32, "49d89e49463774af")],
+)
 def test_verify_lemmas_reports_are_pinned(tmp_path, prime, max_order, digest):
-    # the lemma inputs of the benchmark; a kernel change that alters a
-    # report (718 and 227 checks, all passing) fails here
+    # the lemma inputs of the benchmark (718 and 227 checks, all passing)
+    # and the order-32 run; a kernel change that alters a report fails here
     out = tmp_path / "lemmas.json"
     assert cli.main(["verify-lemmas", "--prime", str(prime), "--max-order", str(max_order), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

@@ -30,7 +30,7 @@ from gogends.fpcore import (
     subgroup_generated,
     trivial,
 )
-from gogends.fplinalg import FpMatrix, rank
+from gogends.fplinalg import FpMatrix, rank, rank_profile
 from gogends.gmodules import ModuleError, regular_bimodule
 
 from module_reference import (
@@ -48,13 +48,14 @@ def test_h0_trivial_group_full_module():
     t = trivial(2)
     hom = hom_from_images(t, cyclic(2, 2), [])
     # need K's action through a hom into the module's group
-    assert h0(t, generator_actions(t, m, hom)).dim == 4
+    assert h0(generator_actions(t, m, hom), t.prime) == 4
 
 
 def test_h0_c2_regular():
     c2 = cyclic(2, 1)
-    fixed = h0(c2, generator_actions(c2, regular_bimodule(c2)))
-    assert fixed.dim == 1
+    acts = generator_actions(c2, regular_bimodule(c2))
+    fixed = rank_profile(_invariant_constraints(acts, c2.prime)).nullspace
+    assert fixed.dim == h0(acts, c2.prime) == 1
     assert np.array_equal(fixed.basis.data, [[1, 1]])
 
 
@@ -62,8 +63,9 @@ def test_h0_subgroup_of_c4():
     c4 = cyclic(2, 2)
     sub = subgroup_generated(c4, [2])
     grp, incl = subgroup_as_group(sub)
-    fixed = h0(grp, generator_actions(grp, regular_bimodule(c4), incl))
-    assert fixed.dim == 2
+    acts = generator_actions(grp, regular_bimodule(c4), incl)
+    fixed = rank_profile(_invariant_constraints(acts, grp.prime)).nullspace
+    assert fixed.dim == h0(acts, grp.prime) == 2
     # fixed space is spanned by 1+g^2 and g+g^3
     expected = {(1, 0, 1, 0), (0, 1, 0, 1)}
     assert {tuple(row) for row in fixed.basis.data} == expected
@@ -72,23 +74,23 @@ def test_h0_subgroup_of_c4():
 def test_h1_trivial_group():
     t = trivial(2)
     acts = generator_actions(t, regular_bimodule(t))
-    assert h1(t, acts, h0(t, acts)) == 0
+    assert h1(t, acts, h0(acts, t.prime)) == 0
     c4 = cyclic(2, 2)
     hom = hom_from_images(t, c4, [])
     acts = generator_actions(t, regular_bimodule(c4), hom)
-    assert h1(t, acts, h0(t, acts)) == 0
+    assert h1(t, acts, h0(acts, t.prime)) == 0
 
 
 def test_h1_c2_regular_vanishes():
     c2 = cyclic(2, 1)
     acts = generator_actions(c2, regular_bimodule(c2))
-    assert h1(c2, acts, h0(c2, acts)) == 0
+    assert h1(c2, acts, h0(acts, c2.prime)) == 0
 
 
 def test_h1_c2_trivial_coefficients():
     c2 = cyclic(2, 1)
     acts = generator_actions(c2, trivial_module(c2))
-    assert h1(c2, acts, h0(c2, acts)) == 1
+    assert h1(c2, acts, h0(acts, c2.prime)) == 1
 
 
 def _h1_full(K, module, hom=None):
@@ -106,7 +108,7 @@ def test_d1_after_d0_is_zero():
     ):
         assert not d1_full(grp, module).matmul(d0_full(grp, module)).data.any()
         acts = generator_actions(grp, module)
-        assert h1(grp, acts, h0(grp, acts)) == _h1_full(grp, module)
+        assert h1(grp, acts, h0(acts, grp.prime)) == _h1_full(grp, module)
 
 
 def test_restricted_d1_kernel_equals_full_kernel():
@@ -129,7 +131,7 @@ def test_generator_value_cocycles_match_full_d1_over_catalog():
                 for K in all_subgroups(G):
                     grp, incl = subgroup_as_group(K)
                     acts = generator_actions(grp, module, incl)
-                    assert h1(grp, acts, h0(grp, acts)) == _h1_full(grp, module, incl), (G.name, K.elements)
+                    assert h1(grp, acts, h0(acts, grp.prime)) == _h1_full(grp, module, incl), (G.name, K.elements)
 
 
 def test_cocycle_constraints_do_not_depend_on_the_block_size(monkeypatch):
@@ -170,9 +172,9 @@ def test_generator_value_cocycles_with_identity_or_repeated_generator():
         ):
             full = _h1_full(grp, module)
             acts = generator_actions(grp, module)
-            assert h1(grp, acts, h0(grp, acts)) == full
+            assert h1(grp, acts, h0(acts, grp.prime)) == full
             acts = generator_actions(base, plain)
-            assert full == h1(base, acts, h0(base, acts))
+            assert full == h1(base, acts, h0(acts, base.prime))
 
 
 def _h1_dim_bruteforce(K, module, hom=None):
@@ -225,7 +227,7 @@ def test_h1_matches_bruteforce_enumeration():
     for K, module, hom in cases:
         assert K.order * module.dim <= 16
         acts = generator_actions(K, module, hom)
-        assert h1(K, acts, h0(K, acts)) == _h1_dim_bruteforce(K, module, hom)
+        assert h1(K, acts, h0(acts, K.prime)) == _h1_dim_bruteforce(K, module, hom)
 
 
 def test_h0_monotone_under_subgroup_growth():
@@ -235,7 +237,7 @@ def test_h0_monotone_under_subgroup_growth():
         dims = {}
         for K in subs:
             grp, incl = subgroup_as_group(K)
-            dims[K.elements] = h0(grp, generator_actions(grp, reg, incl)).dim
+            dims[K.elements] = h0(generator_actions(grp, reg, incl), grp.prime)
         for K in subs:
             for L in subs:
                 if set(K.elements) <= set(L.elements):
@@ -302,6 +304,18 @@ def test_lemma_reports_compare_independently_computed_values(monkeypatch):
     monkeypatch.setattr(cohomology, "h1", lambda *args: 1)
     shapiro = [r for r in lemma_reports(c4) if r.details.get("degree") == 1]
     assert sorted(r.details["coset_count"] for r in shapiro if not r.ok) == [2, 4]
+
+
+def test_norm_check_fails_on_a_wrong_invariant_dimension(monkeypatch):
+    # D of the first generator alone: the cosets stay right, but dim M^K
+    # grows wherever K needs two generators, and only there
+    real = cohomology._invariant_constraints
+    monkeypatch.setattr(cohomology, "_invariant_constraints", lambda src, p: real(src[:1], p))
+    assert not _report(elementary_abelian(2, 2), "h0_norm_formula", 4).ok
+    # D8: the two Klein four-groups and D8 itself; the cyclic subgroups pass
+    norm = [r for r in lemma_reports(dihedral8()) if r.name == "h0_norm_formula"]
+    assert [r.details["subgroup_order"] for r in norm if not r.ok] == [4, 4, 8]
+    assert all(r.details["norm_submodule_dim"] == r.details["coset_count"] for r in norm)
 
 
 def test_left_translations_match_word_composed_actions():
