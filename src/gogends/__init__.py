@@ -12,9 +12,10 @@ Submodules:
 - ``cohomology`` dim H^0 and dim H^1 from ranks over the generator actions,
                  lemma checks on F_p[G] read off the multiplication table
 - ``graphs``     multigraphs, matchings, the 2M + 9T edge bound
-- ``gog``        graphs of groups, presentations, witness search
+- ``gog``        graphs of groups, presentations, their level-free
+                 numbers (gen_count, b1, M(X)), witness search
 - ``ends``       level-wise module of ends, Fox-calculus oracle
-- ``schema``     the graph-of-groups JSON document: reader and writer
+- ``schema``     the graph-of-groups JSON document and its one reader
 - ``corpus``     built-in fixtures
 - ``cli``        subcommands and canonical JSON reports
 

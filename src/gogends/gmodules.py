@@ -5,9 +5,9 @@ the local-ring generator count: F_p[P] is local with the augmentation
 ideal as maximal ideal, so the minimal number of module generators
 equals the dimension of the module modulo the augmentation ideal
 (Nakayama).  No subcommand calls this module: ``cohomology`` and
-``ends`` read F_p[P] off the multiplication table.  Only the package
-``__init__`` loads it, for the benchmark's probes
-(``perfbench/spans.PROBES``); they and the tests are all that reach it.
+``ends`` read F_p[P] off the multiplication table.  Only ``cohomology``
+loads it, for the benchmark's probes (``perfbench/spans.PROBES``); they
+and the tests are all that reach it.
 The tests' brute-force generating-set search, word-composed actions and
 test modules live in ``tests/module_reference.py``.
 """

@@ -19,14 +19,32 @@ presentation of G_v (Brown, *Cohomology of Groups*, IV.2).  Neither the
 presentation nor the RREF bases of those equations depends on a level:
 a graph of groups builds them on first use and keeps them.
 
+A presentation symbol is its own kind: ("v", vid, gi) for generator gi
+of the group at vertex vid, and ("t", eid) for the stable letter of edge
+eid, so ids that are equal as strings stay apart.
+
 b1 is computed from the abelianised relator matrix mod p: the edge
 relators' exponent sums, and each vertex basis with each generator's
 |G_v| columns summed.  Summing a Fox row's columns gives its relator's
 exponent sums, so those rows span G_v's abelianised relations mod p.
 
+The numbers of the finite-level statement that no level changes are
+the graph of groups' too, built on first use and kept: b1, the size
+M(X) of a maximum matching of its graph, and gen_count = |E| - rank_p(W)
+for the |E| x |V| matrix W[e, d0(e)] += [G_d0 : G_e],
+W[e, d1(e)] -= [G_d1 : G_e].  gen_count is Nakayama's count
+dim M / M.I_P = dim T / (T.I_P + im F) of the module of ends
+M = T / im F at a level P (``ends``).  Augmentation identifies
+T / T.I_P with one F_p per edge of the graph of groups and sends the
+column of F at a vertex coset K_v x to column v of W, since the vertex
+maps are injective and so each side of e at v meets K_v x in
+[G_v : G_e] edge cosets; im F goes onto the column space of W.  So
+gen_count is the same at every level, and as every index is a power of
+p, gen_count = |E| when the graph of groups is reduced.
+
 This module loads no numpy, so that parsing, the witness search and
-the witness documents run without it: ``fox_bases`` and ``b1`` import
-the linear-algebra layers when they are called.
+the witness documents run without it: ``fox_bases``, ``gen_count`` and
+``b1`` import the linear-algebra layers when they are called.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from .fpcore import (
     subgroup_as_group,
     subgroup_generated,
 )
-from .graphs import Graph
+from .graphs import Graph, maximum_matching
 
 
 class GogError(ValueError):
@@ -122,6 +140,31 @@ class GraphOfGroups:
                 reduced, pivots = rref(equations)
                 out[vid] = reduced.data[: len(pivots)]
         return out
+
+    @functools.cached_property
+    def gen_count(self) -> int:
+        """|E| - rank_p(W), the Nakayama count at every level (module
+        docstring), found on first use."""
+        import numpy as np
+
+        from .fplinalg import FpMatrix, rank
+
+        column = {vid: i for i, vid in enumerate(self.graph.vertices)}
+        weights = np.zeros((len(self.graph.edges), len(column)), dtype=np.int64)
+        for row, (eid, u, v) in enumerate(self.graph.edges):
+            weights[row, column[u]] += self.vertex_groups[u].order // self.edge_groups[eid].order
+            weights[row, column[v]] -= self.vertex_groups[v].order // self.edge_groups[eid].order
+        return len(weights) - rank(FpMatrix(weights, self.prime))
+
+    @functools.cached_property
+    def betti(self) -> int:
+        """``b1(self)``, found on first use."""
+        return b1(self)
+
+    @functools.cached_property
+    def matching_size(self) -> int:
+        """M(X), the size of a maximum matching of the graph, found on first use."""
+        return len(maximum_matching(self.graph))
 
     def endpoints(self, eid):
         for e, u, v in self.graph.edges:
@@ -232,40 +275,29 @@ def _invert_word(word):
 @dataclass(frozen=True)
 class Presentation:
     symbols: tuple
-    kinds: dict
     edge_relators: tuple
-
-
-def vertex_symbol(vid, gen_idx) -> str:
-    return f"g:{vid}:{gen_idx}"
-
-
-def stable_symbol(eid) -> str:
-    return f"t:{eid}"
 
 
 def presentation(gog: GraphOfGroups) -> Presentation:
     """Serre's presentation on the stored maximal tree, without the vertex
-    relators.  Generators: the vertex-group generators and a stable letter
-    for each edge off the tree; edge relators: for each generator g of
-    each edge group, inj0(g) * t * inj1(g)^-1 * t^-1 off the tree and
-    inj0(g) * inj1(g)^-1 on it."""
-    kinds: dict = {}
-    for vid in gog.graph.vertices:
-        kinds.update((vertex_symbol(vid, gi), ("v", vid, gi)) for gi in range(len(gog.vertex_groups[vid].generators)))
-    kinds.update((stable_symbol(eid), ("t", eid)) for eid, _, _ in gog.graph.edges if eid not in gog.tree)
+    relators.  Generators: the vertex-group generators ("v", vid, gi) and
+    a stable letter ("t", eid) for each edge off the tree; edge relators:
+    for each generator g of each edge group, inj0(g) * t * inj1(g)^-1 * t^-1
+    off the tree and inj0(g) * inj1(g)^-1 on it."""
+    symbols = [("v", vid, gi) for vid in gog.graph.vertices for gi in range(len(gog.vertex_groups[vid].generators))]
+    symbols += [("t", eid) for eid, _, _ in gog.graph.edges if eid not in gog.tree]
 
     def group_word(vid, element):
-        return tuple((vertex_symbol(vid, gi), 1) for gi in gog.vertex_groups[vid].words[element])
+        return tuple((("v", vid, gi), 1) for gi in gog.vertex_groups[vid].words[element])
 
     edge_relators = []
     for eid, u, v in gog.graph.edges:
-        t = () if eid in gog.tree else ((stable_symbol(eid), 1),)
+        t = () if eid in gog.tree else ((("t", eid), 1),)
         for g in gog.edge_groups[eid].generators:
             a = group_word(u, gog.inj0[eid].image[g])
             b = group_word(v, gog.inj1[eid].image[g])
             edge_relators.append(_free_reduce(a + t + _invert_word(b) + _invert_word(t)))
-    return Presentation(tuple(kinds), kinds, tuple(filter(None, edge_relators)))
+    return Presentation(tuple(symbols), tuple(filter(None, edge_relators)))
 
 
 def b1(gog: GraphOfGroups) -> int:
@@ -285,7 +317,7 @@ def b1(gog: GraphOfGroups) -> int:
     blocks = [rows]
     for vid, basis in gog.fox_bases.items():
         grp = gog.vertex_groups[vid]
-        cols = [index[vertex_symbol(vid, gi)] for gi in range(len(grp.generators))]
+        cols = [index[("v", vid, gi)] for gi in range(len(grp.generators))]
         block = np.zeros((len(basis), len(index)), dtype=np.int64)
         block[:, cols] = basis.reshape(len(basis), len(cols), grp.order).sum(axis=2)
         blocks.append(block)

@@ -96,12 +96,11 @@ def gen_count_closed_form(gog):
     return len(gog.graph.edges) - rank_w
 
 
-def _symbol_element(pres, gog, witness, sym):
-    kind = pres.kinds[sym]
-    if kind[0] == "v":
-        _, vid, gi = kind
+def _symbol_element(gog, witness, sym):
+    if sym[0] == "v":
+        _, vid, gi = sym
         return witness.vertex_maps[vid].image[gog.vertex_groups[vid].generators[gi]]
-    return witness.stable_images[kind[1]]
+    return witness.stable_images[sym[1]]
 
 
 def table_relators(gog, vid):
@@ -111,10 +110,10 @@ def table_relators(gog, vid):
     grp = gog.vertex_groups[vid]
 
     def word(x):
-        return tuple((gogmod.vertex_symbol(vid, gi), 1) for gi in grp.words[x])
+        return tuple((("v", vid, gi), 1) for gi in grp.words[x])
 
     words = (
-        gogmod._free_reduce(((gogmod.vertex_symbol(vid, gi), 1),) + word(x) + gogmod._invert_word(word(sx)))
+        gogmod._free_reduce(((("v", vid, gi), 1),) + word(x) + gogmod._invert_word(word(sx)))
         for gi, s in enumerate(grp.generators)
         for x, sx in enumerate(grp.rows()[s])
     )
@@ -149,7 +148,7 @@ def vertex_basis_reference(gog, vid):
     """The RREF basis of the Fox rows of ``table_relators(gog, vid)``
     over F_p[G_v], column gi * |G_v| + z for (generator gi, z)."""
     grp = gog.vertex_groups[vid]
-    symbols = [gogmod.vertex_symbol(vid, gi) for gi in range(len(grp.generators))]
+    symbols = [("v", vid, gi) for gi in range(len(grp.generators))]
     reduced, pivots = rref(_fox_rows(table_relators(gog, vid), dict(zip(symbols, grp.generators)), grp, symbols))
     return reduced.data[: len(pivots)]
 
@@ -158,7 +157,7 @@ def fox_matrix_reference(pres, gog, witness):
     """The Fox matrix over all of P of every vertex's table relators and
     the edge relators of ``pres``."""
     relators = sum((table_relators(gog, vid) for vid in gog.graph.vertices), ()) + pres.edge_relators
-    element = {sym: _symbol_element(pres, gog, witness, sym) for sym in pres.symbols}
+    element = {sym: _symbol_element(gog, witness, sym) for sym in pres.symbols}
     return _fox_rows(relators, element, witness.quotient, pres.symbols)
 
 
@@ -173,7 +172,7 @@ def h1_via_fox_reference(pres, gog, witness):
     coboundary = np.zeros((len(pres.symbols) * n, n), dtype=np.uint8)
     for i, sym in enumerate(pres.symbols):
         off = i * n
-        coboundary[off + P.mult[_symbol_element(pres, gog, witness, sym)], z] = 1
+        coboundary[off + P.mult[_symbol_element(gog, witness, sym)], z] = 1
         coboundary[off + z, z] = (coboundary[off + z, z] + p - 1) % p
     return z1_dim - rank(FpMatrix(coboundary, p))
 

@@ -394,6 +394,11 @@ def _c2_loop(**edge):
     return {"prime": 2, "vertices": [{"id": "a", "group": C2}], "edges": [dict(loop, **edge)]}
 
 
+def _c2_loops(*ids):
+    """``_c2_loop`` with one loop for each id."""
+    return dict(_c2_loop(), edges=[_c2_loop(id=eid)["edges"][0] for eid in ids])
+
+
 def _one_vertex(group, prime=2, vid="a"):
     return {"prime": prime, "vertices": [{"id": vid, "group": group}], "edges": []}
 
@@ -418,10 +423,16 @@ def _c4_loop_over_generator_listed_twice(inj0):
     pytest.param(_one_vertex({"table": [[0, 1], [1, 0]], "generators": "1"}),
                  "vertices[0].group.generators", id="generators_string"),
     pytest.param(_c4_loop_over_generator_listed_twice([1, 3]), "edges[0].inj0", id="repeated_generator_two_images"),
+    # a witness document keys its maps by str(id), so 1 and "1" would share a key
+    pytest.param(_c2_loops(1, "1"), "edges[1].id: '1' and the earlier id 1 are equal as strings",
+                 id="edge_ids_equal_as_strings"),
+    pytest.param(dict(_c2_loop(**{"from": 1, "to": "1"}), vertices=[{"id": 1, "group": C2}, {"id": "1", "group": C2}]),
+                 "vertices[1].id: '1' and the earlier id 1 are equal as strings", id="vertex_ids_equal_as_strings"),
 ])
 def test_main_mistyped_values_exit_2(tmp_path, capsys, doc, where):
     assert gog_from_json(_c2_loop()).graph.edges  # the unmutated loop document is valid
     assert gog_from_json(_c4_loop_over_generator_listed_twice([1, 1])).graph.edges
+    assert len(gog_from_json(_c2_loops(1, "2")).graph.edges) == 2
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["ends", str(path)]) == 2
@@ -569,9 +580,11 @@ def test_analyze_and_ends_write_identical_files(tmp_path, name):
 
 
 def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
-    # the presentation and each vertex group's Fox basis belong to the
-    # graph of groups: four levels, one presentation, one rref per vertex
-    # (gog imports rref from fplinalg when it builds the bases)
+    # the presentation, each vertex group's Fox basis, gen_count, b1 and
+    # M(X) belong to the graph of groups: four levels, one presentation,
+    # one rref per vertex, one b1, one rank of the |E| x |V| matrix W and
+    # one matching (gog imports rref and rank from fplinalg when it calls
+    # them)
     calls = []
 
     def counted(name, real):
@@ -580,12 +593,19 @@ def test_analyze_builds_the_graph_level_data_once(tmp_path, monkeypatch):
             return real(*args)
         return wrapper
 
-    for module, name in ((cli.gogmod, "presentation"), (fplinalg, "rref")):
+    def rank(m, real=fplinalg.rank):
+        if (m.rows, m.cols) == (1, 2):  # W: one edge, two vertices
+            calls.append("rank W")
+        return real(m)
+
+    for module, name in ((cli.gogmod, "presentation"), (fplinalg, "rref"), (cli.gogmod, "b1"),
+                         (cli.gogmod, "maximum_matching")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(fplinalg, "rank", rank)
     path = _write(tmp_path, fixture_json("c4_c4_over_c2"))
     assert cli.main(["analyze", path, "--levels", "8,16,32,64", "--out", str(tmp_path / "out.json")]) == 0
     assert len(json.loads((tmp_path / "out.json").read_text())) == 4
-    assert sorted(calls) == ["presentation", "rref", "rref"]
+    assert sorted(calls) == ["b1", "maximum_matching", "presentation", "rank W", "rref", "rref"]
 
 
 def test_analyze_exits_1_on_a_kernel_dim_the_fox_oracle_rejects(tmp_path, monkeypatch, capsys):
@@ -664,13 +684,31 @@ def _paths(doc, path=()):
         yield from _paths(value, path + (key,))
 
 
+def _ids_equal_as_strings(doc, key, i, j, n):
+    """Give entries i and j of ``doc[key]`` the ids n and str(n), an edge's
+    ``from`` and ``to`` following its renamed vertices."""
+    entries = doc[key]
+    renamed = {entries[i]["id"]: n, entries[j]["id"]: str(n)}
+    entries[i]["id"], entries[j]["id"] = n, str(n)
+    if key == "vertices":
+        for edge in doc["edges"]:
+            for end in ("from", "to"):
+                edge[end] = renamed.get(edge[end], edge[end])
+
+
 @st.composite
 def mutated_fixture(draw):
-    """A fixture document with up to three paths replaced or removed.
-    Almost every mutation makes it an input error, so the unmutated
-    documents are the ones that reach the search and the reports."""
+    """A fixture document whose ids may be made equal as strings in pairs,
+    and then with up to three paths replaced or removed.  Almost every
+    mutation makes it an input error, so the unmutated documents are the
+    ones that reach the search and the reports."""
     doc = fixture_json(draw(st.sampled_from(fixture_names())))
     prime = doc["prime"]
+    pairs = [key for key in ("vertices", "edges") if len(doc[key]) >= 2]
+    if pairs and draw(st.booleans()):
+        key = draw(st.sampled_from(pairs))
+        i, j = draw(st.permutations(range(len(doc[key]))))[:2]
+        _ids_equal_as_strings(doc, key, i, j, draw(st.integers(0, 9)))
     for _ in range(draw(st.integers(0, 3))):
         paths = list(_paths(doc))
         if not paths:
@@ -751,3 +789,4 @@ def test_main_fuzzed_argv_and_documents_exit_0_1_or_2(case):
                 code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "oracle mismatch" not in err.getvalue(), (argv, doc)

@@ -24,6 +24,8 @@ CROSSINGS = {
     ("fpcore", "right_cosets", "numpy"),
     ("gog", "GraphOfGroups.fox_bases", "cohomology"),
     ("gog", "GraphOfGroups.fox_bases", "fplinalg"),
+    ("gog", "GraphOfGroups.gen_count", "numpy"),
+    ("gog", "GraphOfGroups.gen_count", "fplinalg"),
     ("gog", "b1", "numpy"),
     ("gog", "b1", "fplinalg"),
     ("cli", "run_verify_lemmas", "cohomology"),
@@ -155,9 +157,13 @@ def test_graph_subcommands_and_the_witness_search_run_without_numpy(package_env,
 
 # (module, name) of the imports that no code of their module uses: the
 # benchmark reaches them there (its tracer imports every probed module,
-# and its self-test finds ``cohomology.rank_profile`` to wrap); ROADMAP
-# item 3 empties this set
-KEPT_FOR_BENCHMARK = {("cohomology", "gmodules"), ("cohomology", "rank_profile")}
+# and its self-test finds ``cohomology.rank_profile`` and ``ends.gog_b1``
+# to wrap); ROADMAP item 3 empties this set
+KEPT_FOR_BENCHMARK = {
+    ("cohomology", "gmodules"),
+    ("cohomology", "rank_profile"),
+    ("ends", "gog_b1"),
+}
 
 
 def test_every_import_is_used():
