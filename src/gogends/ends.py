@@ -37,7 +37,7 @@ every coset, and only the edge relators get rows over P.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,9 @@ from .graphs import _component_roots
 
 class WellDefinednessViolation(RuntimeError):
     """An image vector escaped the edge-invariant subspace, or the image of
-    the boundary map is not a right submodule (wrong witness or wrong twist)."""
+    the boundary map is not a right submodule: neither comes from a witness
+    that ``ProperWitness.verify`` accepts, only from coset labels that are
+    not right cosets."""
 
 
 def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:
@@ -205,7 +207,7 @@ class EndsLevelReport:
     ends_signature: tuple
 
     def to_json(self) -> dict:
-        return dict(asdict(self), ends_signature=list(self.ends_signature))
+        return dict(vars(self), ends_signature=list(self.ends_signature))
 
 
 def ends_level(gog: GraphOfGroups, witness: ProperWitness) -> EndsLevelReport:

@@ -486,6 +486,20 @@ def is_injective(hom: GroupHom) -> bool:
     return len(set(hom.image)) == hom.source.order
 
 
+def is_embedding(hom: GroupHom, source: FiniteGroup, target: FiniteGroup) -> bool:
+    """Whether ``hom`` is an injective homomorphism from ``source`` to
+    ``target``: image[x*s] == image[x]*image[s] for every element x and
+    generator s gives the whole table, as in ``hom_from_images``."""
+    image = hom.image
+    if hom.source != source or hom.target != target or len(image) != source.order or image[0] != 0:
+        return False
+    if not all(0 <= y < target.order for y in image):
+        return False
+    rows, gens = target.rows(), source.generators
+    homomorphic = all(image[r[s]] == rows[image[x]][image[s]] for x, r in enumerate(source.rows()) for s in gens)
+    return homomorphic and is_injective(hom)
+
+
 def right_cosets(P, subgroup_elements) -> tuple:
     """Right cosets K\\P of the subgroup, as two arrays: the least element
     of each coset, ascending, and the coset label of every element of P."""

@@ -1,6 +1,6 @@
 """Graphs of finite p-groups.
 
-Covers structural validation (connected, injective edge maps), the
+Covers structural validation (connected, embeddings as edge maps), the
 reducedness test and the collapse of isomorphism edges, the
 fundamental-group presentation, the mod-p first Betti number
 b1 = dim Hom(G, F_p), and the search for a finite p-group quotient in
@@ -60,6 +60,7 @@ from .fpcore import (
     Subgroup,
     catalog_groups,
     hom_from_images,
+    is_embedding,
     is_injective,
     subgroup_as_group,
     subgroup_generated,
@@ -111,13 +112,9 @@ class GraphOfGroups:
             if grp.prime != self.prime:
                 raise GogError("all groups must share the prime")
         for eid, u, v in self.graph.edges:
-            for inj, target in ((self.inj0[eid], u), (self.inj1[eid], v)):
-                if inj.source != self.edge_groups[eid]:
-                    raise GogError(f"edge {eid!r}: map source is not the edge group")
-                if inj.target != self.vertex_groups[target]:
-                    raise GogError(f"edge {eid!r}: map target is not the endpoint group")
-                if not is_injective(inj):
-                    raise GogError(f"edge {eid!r}: edge map is not injective")
+            for name, inj, target in (("inj0", self.inj0[eid], u), ("inj1", self.inj1[eid], v)):
+                if not is_embedding(inj, self.edge_groups[eid], self.vertex_groups[target]):
+                    raise GogError(f"edge {eid!r}: {name} is not an embedding of the edge group in vertex {target!r}")
 
     @functools.cached_property
     def serre(self) -> "Presentation":
@@ -145,16 +142,14 @@ class GraphOfGroups:
     def gen_count(self) -> int:
         """|E| - rank_p(W), the Nakayama count at every level (module
         docstring), found on first use."""
-        import numpy as np
-
         from .fplinalg import FpMatrix, rank
 
         column = {vid: i for i, vid in enumerate(self.graph.vertices)}
-        weights = np.zeros((len(self.graph.edges), len(column)), dtype=np.int64)
-        for row, (eid, u, v) in enumerate(self.graph.edges):
-            weights[row, column[u]] += self.vertex_groups[u].order // self.edge_groups[eid].order
-            weights[row, column[v]] -= self.vertex_groups[v].order // self.edge_groups[eid].order
-        return len(weights) - rank(FpMatrix(weights, self.prime))
+        weights = [[0] * len(column) for _ in self.graph.edges]
+        for row, (eid, u, v) in zip(weights, self.graph.edges):
+            row[column[u]] += self.vertex_groups[u].order // self.edge_groups[eid].order
+            row[column[v]] -= self.vertex_groups[v].order // self.edge_groups[eid].order
+        return len(weights) - rank(FpMatrix.from_rows(weights, self.prime, cols=len(column)))
 
     @functools.cached_property
     def betti(self) -> int:
@@ -183,8 +178,7 @@ def _iso_edge(gog: GraphOfGroups):
 
 
 def _inverse_hom(hom: GroupHom) -> GroupHom:
-    if len(set(hom.image)) != hom.target.order or hom.source.order != hom.target.order:
-        raise GogError("homomorphism is not bijective")
+    """The inverse of an edge map, an embedding, onto a group of its order."""
     inverse = [0] * hom.target.order
     for x, y in enumerate(hom.image):
         inverse[y] = x
@@ -304,29 +298,25 @@ def b1(gog: GraphOfGroups) -> int:
     """dim_{F_p} Hom(fundamental group, F_p): generator count minus the
     mod-p rank of the abelianised relator matrix, as the module docstring
     describes."""
-    import numpy as np
-
     from .fplinalg import FpMatrix, rank
 
     pres = gog.serre
     index = {sym: i for i, sym in enumerate(pres.symbols)}
-    rows = np.zeros((len(pres.edge_relators), len(index)), dtype=np.int64)
-    for ri, word in enumerate(pres.edge_relators):
+    rows = [[0] * len(index) for _ in pres.edge_relators]
+    for row, word in zip(rows, pres.edge_relators):
         for sym, exp in word:
-            rows[ri, index[sym]] += exp
-    blocks = [rows]
+            row[index[sym]] += exp
     for vid, basis in gog.fox_bases.items():
-        grp = gog.vertex_groups[vid]
-        cols = [index[("v", vid, gi)] for gi in range(len(grp.generators))]
-        block = np.zeros((len(basis), len(index)), dtype=np.int64)
-        block[:, cols] = basis.reshape(len(basis), len(cols), grp.order).sum(axis=2)
-        blocks.append(block)
-    return len(index) - rank(FpMatrix(np.concatenate(blocks), gog.prime))
+        # the generator symbols of a vertex are consecutive, from gi = 0
+        first, order = index[("v", vid, 0)], gog.vertex_groups[vid].order
+        for sums in basis.reshape(len(basis), -1, order).sum(axis=2).tolist():
+            rows.append([0] * first + sums + [0] * (len(index) - first - len(sums)))
+    return len(index) - rank(FpMatrix.from_rows(rows, gog.prime, cols=len(index)))
 
 
 @dataclass
 class ProperWitness:
-    """Finite quotient level: injective vertex maps + stable letter images."""
+    """Finite quotient level: vertex maps that are embeddings + stable letter images."""
 
     quotient: FiniteGroup
     vertex_maps: dict
@@ -335,11 +325,8 @@ class ProperWitness:
     def verify(self, gog: GraphOfGroups):
         P = self.quotient
         for vid in gog.graph.vertices:
-            hom = self.vertex_maps[vid]
-            if hom.source != gog.vertex_groups[vid] or hom.target != P:
-                raise GogError(f"vertex {vid!r}: witness map endpoints wrong")
-            if not is_injective(hom):
-                raise GogError(f"vertex {vid!r}: witness map not injective")
+            if not is_embedding(self.vertex_maps[vid], gog.vertex_groups[vid], P):
+                raise GogError(f"vertex {vid!r}: witness map is not an embedding of the vertex group in the quotient")
         rows = P.rows()
         for eid, u, v in gog.graph.edges:
             t = self.stable_images[eid]

@@ -74,7 +74,8 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Oriented multigraph: vertex ids plus (edge id, d0, d1) triples."""
+    """Oriented multigraph: vertex ids plus (edge id, d0, d1) triples, with no
+    two vertex ids, nor two edge ids, equal as strings, however it is built."""
 
     vertices: tuple
     edges: tuple
@@ -84,14 +85,14 @@ class Graph:
         object.__setattr__(self, "edges", tuple((e, u, v) for e, u, v in self.edges))
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphError("duplicate vertex ids")
+        for kind, ids in (("vertices", self.vertices), ("edges", [e for e, _, _ in self.edges])):
+            seen: dict = {}
+            for i, x in enumerate(ids):
+                if str(x) in seen:
+                    raise GraphError(f"{kind}[{i}].id: {x!r} and the earlier id {seen[str(x)]!r} are equal as strings")
+                seen[str(x)] = x
         vset = set(self.vertices)
-        seen = set()
         for e, u, v in self.edges:
-            if e in seen:
-                raise GraphError(f"duplicate edge id {e!r}")
-            seen.add(e)
             if u not in vset or v not in vset:
                 raise GraphError(f"edge {e!r} references a missing vertex")
 

@@ -2,17 +2,19 @@
 
 A document has ``prime`` (an int in ``fpcore.PRIMES``), ``vertices``
 (``id``, ``group``) and ``edges`` (``id``, ``from``, ``to``, ``group``,
-``inj0``, ``inj1``).  Ids are strings or ints, and no two vertex ids,
-nor two edge ids, are equal as strings (``1`` and ``"1"`` would share a
-key in a witness document); ``inj0``/``inj1`` list the images of the
-edge group's generators in the endpoint groups.  A group is a catalog
+``inj0``, ``inj1``).  Ids are strings or ints; that no two vertex ids,
+nor two edge ids, are equal as strings is ``graphs.Graph``'s rule, for
+every graph however it is built.  ``inj0``/``inj1`` list the images of
+the edge group's generators in the endpoint groups.  A group is a catalog
 spec ``{"type", "params"}`` or an explicit ``{"table",
 "generators"}``, at any depth of a ``direct_product`` and always over the
 file's prime.
 
 Every raw value is type-checked here, in the pass that builds the groups,
 before it reaches ``fpcore``, ``graphs`` or ``gog``; every failure is an
-``InputError`` naming its location (``edges[2].inj0``).
+``InputError`` naming its location (``edges[2].inj0``).  ``graphs.Graph``
+and ``gog.GraphOfGroups`` check the rest (distinct ids, connectedness,
+embeddings) once the groups are built; their errors become ``InputError``s.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ def _ints(value, where: str) -> list[int]:
 def _id(value, where: str):
     if not (isinstance(value, str) or _is_int(value)):
         raise InputError(f"{where}: must be a string or an int")
-    return value
-
-
-def _new_id(value, where: str, seen: dict):
-    """An id, distinct as a string from the ids in ``seen``, which gains it."""
-    value = _id(value, where)
-    if str(value) in seen:
-        raise InputError(f"{where}: {value!r} and the earlier id {seen[str(value)]!r} are equal as strings")
-    seen[str(value)] = value
     return value
 
 
@@ -123,18 +116,18 @@ def gog_from_json(data) -> GraphOfGroups:
     for key in ("vertices", "edges"):
         if not isinstance(data[key], list) or not all(isinstance(x, dict) for x in data[key]):
             raise InputError(f"{key!r} must be a list of objects")
-    vertex_ids, vertex_groups, seen_vertices, seen_edges = [], {}, {}, {}
+    vertex_ids, vertex_groups = [], {}
     for i, entry in enumerate(data["vertices"]):
         where = f"vertices[{i}]"
         _require(entry, ("id", "group"), where)
-        vid = _new_id(entry["id"], f"{where}.id", seen_vertices)
+        vid = _id(entry["id"], f"{where}.id")
         vertex_ids.append(vid)
         vertex_groups[vid] = group_from_json(entry["group"], prime, f"{where}.group")
     edges, edge_groups, inj0, inj1 = [], {}, {}, {}
     for i, entry in enumerate(data["edges"]):
         where = f"edges[{i}]"
         _require(entry, ("id", "from", "to", "group", "inj0", "inj1"), where)
-        eid = _new_id(entry["id"], f"{where}.id", seen_edges)
+        eid = _id(entry["id"], f"{where}.id")
         u, v = _id(entry["from"], f"{where}.from"), _id(entry["to"], f"{where}.to")
         if u not in vertex_groups or v not in vertex_groups:
             raise InputError(f"{where}: endpoint references unknown vertex (edge {eid!r})")

@@ -297,26 +297,25 @@ def test_collapse_invariance_at_common_witness():
     assert g.gen_count == gen_count_closed_form(g) == len(g.graph.edges) - 1
 
 
-def test_ids_equal_as_strings_are_distinct_symbols():
-    # 1 and "1" are two ids: each gets its own presentation symbol, as the
-    # tuples ("t", 1) and ("t", "1") or ("v", 1, 0) and ("v", "1", 0)
-    t, c2, c4 = trivial(2), cyclic(2, 1), cyclic(2, 2)
-    loops = mk(("v",), ((1, "v", "v"), ("1", "v", "v")), {"v": t}, {1: t, "1": t},
-               {1: triv_hom(t), "1": triv_hom(t)}, {1: triv_hom(t), "1": triv_hom(t)})
-    pair = mk((1, "1"), (("e", 1, "1"),), {1: c2, "1": c4}, {"e": t}, {"e": triv_hom(c2)}, {"e": triv_hom(c4)})
-    for g in (loops, pair):
-        assert len(set(g.serre.symbols)) == 2
-        assert gogmod.b1(g) == 2
-        rep = ends_level(g, proper_quotient_search(g, 4))
-        assert rep.b1 == 2 and rep.h1_dim == rep.fox_h1_dim
-
-
 def test_wrong_witness_is_rejected_before_mv():
     g = bouquet(1)
     c2 = cyclic(2, 1)
     bad = ProperWitness(c2, {"v": hom_from_images(cyclic(2, 1), c2, [1])}, {"e0": 0})
     with pytest.raises(GogError):
         mv_h0_map(g, bad)  # witness source group mismatches the vertex group
+
+
+def test_witness_map_that_is_not_a_homomorphism_is_rejected_before_mv():
+    # (0, 2, 1, 3) is a bijection of C4 that sends its generator to its
+    # involution, so it is no automorphism: the witness is refused before
+    # the level graph is built, where it would read as the identity's
+    c4, t = cyclic(2, 2), trivial(2)
+    g = mk(("v",), (("e", "v", "v"),), {"v": c4}, {"e": t}, {"e": triv_hom(c4)}, {"e": triv_hom(c4)})
+    bad = ProperWitness(c4, {"v": GroupHom(c4, c4, (0, 2, 1, 3))}, {"e": 1})
+    with pytest.raises(GogError, match="vertex 'v': witness map is not an embedding"):
+        ends_level(g, bad)
+    good = ProperWitness(c4, {"v": identity_hom(c4)}, {"e": 1})
+    assert ends_level(g, good).ends_signature == (1, 4)
 
 
 def test_broken_conjugation_is_not_edge_invariant(monkeypatch):

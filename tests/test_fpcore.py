@@ -6,12 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hom_reference import all_subgroups_reference, associative, hom_from_images_reference
+from hom_reference import all_subgroups_reference, associative, hom_from_images_reference, injective_homs_reference
 
 from gogends import fpcore
 from gogends.fpcore import (
     FiniteGroup,
     GroupError,
+    GroupHom,
     ImagesInconsistent,
     Subgroup,
     all_subgroups,
@@ -22,6 +23,7 @@ from gogends.fpcore import (
     elementary_abelian,
     heisenberg,
     hom_from_images,
+    is_embedding,
     is_injective,
     quaternion8,
     subgroup_as_group,
@@ -140,6 +142,37 @@ def test_injectivity_agrees_with_kernel():
         except ImagesInconsistent:
             continue
         assert is_injective(h) == (h.image.count(0) == 1)
+
+
+@pytest.mark.parametrize("src, dst", [
+    (trivial(2), cyclic(2, 1)),
+    (cyclic(2, 1), cyclic(2, 2)),
+    (cyclic(2, 2), cyclic(2, 2)),
+    (elementary_abelian(2, 2), dihedral8()),
+    (cyclic(3, 1), heisenberg(3)),
+], ids=lambda g: g.name)
+def test_is_embedding_is_the_whole_table_check(src, dst):
+    # every map of the elements, against the homomorphism law on all pairs
+    rows, dst_rows = src.rows(), dst.rows()
+    found = 0
+    for image in itertools.product(dst.elements(), repeat=src.order):
+        law = all(image[rows[x][y]] == dst_rows[image[x]][image[y]] for x in src.elements() for y in src.elements())
+        expected = law and len(set(image)) == src.order
+        assert is_embedding(GroupHom(src, dst, image), src, dst) == expected, image
+        found += expected
+    assert found == len(list(injective_homs_reference(src, dst)))
+
+
+def test_is_embedding_rejects_wrong_endpoints_and_images():
+    c2, c4 = cyclic(2, 1), cyclic(2, 2)
+    inc = hom_from_images(c2, c4, [2])
+    assert is_embedding(inc, c2, c4)
+    assert not is_embedding(inc, c4, c4)  # wrong source
+    assert not is_embedding(inc, c2, dihedral8())  # wrong target
+    for image in ((0,), (0, 2, 0), (0, 4), (0, -1)):
+        assert not is_embedding(GroupHom(c2, c4, image), c2, c4), image
+    # injective, but the involution goes to an element of order 4
+    assert not is_embedding(GroupHom(c2, c4, (0, 1)), c2, c4)
 
 
 def test_all_subgroups_counts():

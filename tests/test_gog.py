@@ -12,6 +12,7 @@ from gogends import corpus
 from gogends import gog as gogmod
 from gogends.fpcore import (
     FiniteGroup,
+    GroupHom,
     catalog_groups,
     cyclic,
     dihedral8,
@@ -20,6 +21,7 @@ from gogends.fpcore import (
     quaternion8,
     trivial,
 )
+from gogends.graphs import GraphError
 from gogends.gog import (
     GogError,
     _iso_edge,
@@ -80,6 +82,47 @@ def test_structural_rejects_noninjective_edge_map():
     with pytest.raises(GogError):
         mk(("u", "w"), (("e", "u", "w"),), {"u": c2, "w": c2}, {"e": c4},
            {"e": collapse}, {"e": collapse})
+
+
+def test_structural_rejects_edge_map_that_is_not_a_homomorphism():
+    # injective, but the involution of C2 goes to a generator of C4, of
+    # order 4; unchecked, the search finds C4 and the level graph fails
+    c2, c4 = cyclic(2, 1), cyclic(2, 2)
+    bad = GroupHom(c2, c4, (0, 1))
+    assert is_injective(bad)
+    with pytest.raises(GogError, match="edge 'e': inj0 is not an embedding of the edge group in vertex 'v'"):
+        mk(("v",), (("e", "v", "v"),), {"v": c4}, {"e": c2}, {"e": bad}, {"e": bad})
+
+
+def test_ids_equal_as_strings_are_rejected_when_built():
+    # a witness document keys its maps by str(id), where 1 and "1" would
+    # share a key: the graph refuses them, however it is built
+    t, c2, c4 = trivial(2), cyclic(2, 1), cyclic(2, 2)
+
+    def loops(a, b):
+        return mk(("v",), ((a, "v", "v"), (b, "v", "v")), {"v": t}, {a: t, b: t},
+                  {a: triv_hom(t), b: triv_hom(t)}, {a: triv_hom(t), b: triv_hom(t)})
+
+    def pair(a, b):
+        return mk((a, b), (("e", a, b),), {a: c2, b: c4}, {"e": t}, {"e": triv_hom(c2)}, {"e": triv_hom(c4)})
+
+    with pytest.raises(GraphError, match=r"^edges\[1\]\.id: '1' and the earlier id 1 are equal as strings$"):
+        loops(1, "1")
+    with pytest.raises(GraphError, match=r"^vertices\[1\]\.id: '1' and the earlier id 1 are equal as strings$"):
+        pair(1, "1")
+    for g in (loops(1, "2"), pair(1, "2")):
+        assert len(set(g.serre.symbols)) == 2 and b1(g) == 2
+        w = proper_quotient_search(g, 4)
+        assert set(w.to_json(g)["vertex_maps"]) == set(map(str, g.graph.vertices))
+        assert set(w.to_json(g)["stable_images"]) == {str(e) for e, _, _ in g.graph.edges}
+
+
+def test_corpus_witness_documents_have_an_entry_per_vertex_and_edge():
+    for name in corpus.fixture_names():
+        g = corpus.load_fixture(name)
+        doc = proper_quotient_search(g, corpus.witness_bound(name)).to_json(g)
+        assert len(doc["vertex_maps"]) == len(g.graph.vertices), name
+        assert len(doc["stable_images"]) == len(g.graph.edges), name
 
 
 def test_collapse_identity_edge():

@@ -93,12 +93,20 @@ def test_stats_disconnected():
 
 
 def test_graph_validation():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="at least one vertex"):
         Graph((), ())
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="edge 0 references a missing vertex"):
         Graph((0,), ((0, 0, 1),))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^vertices\[1\]\.id: 0 and the earlier id 0 are equal as strings$"):
         Graph((0, 0), ())
+    with pytest.raises(GraphError, match=r"^vertices\[2\]\.id: '0' and the earlier id 0 are equal as strings$"):
+        Graph((0, 1, "0"), ())
+    with pytest.raises(GraphError, match=r"^edges\[2\]\.id: 'e' and the earlier id 'e' are equal as strings$"):
+        Graph((0, 1), (("e", 0, 1), ("f", 1, 1), ("e", 1, 0)))
+    with pytest.raises(GraphError, match=r"^edges\[1\]\.id: 7 and the earlier id '7' are equal as strings$"):
+        Graph((0,), (("7", 0, 0), (7, 0, 0)))
+    # vertex and edge ids are compared apart: an edge may share a vertex's id
+    assert Graph((0, 1), ((0, 0, 1), (1, 1, 1))).edges == ((0, 0, 1), (1, 1, 1))
 
 
 def test_matching_path4():

@@ -24,9 +24,7 @@ CROSSINGS = {
     ("fpcore", "right_cosets", "numpy"),
     ("gog", "GraphOfGroups.fox_bases", "cohomology"),
     ("gog", "GraphOfGroups.fox_bases", "fplinalg"),
-    ("gog", "GraphOfGroups.gen_count", "numpy"),
     ("gog", "GraphOfGroups.gen_count", "fplinalg"),
-    ("gog", "b1", "numpy"),
     ("gog", "b1", "fplinalg"),
     ("cli", "run_verify_lemmas", "cohomology"),
     ("cli", "run_analyze", "ends"),
