@@ -108,18 +108,6 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
     )
 
 
-def _symbol_elements(gog: GraphOfGroups, witness: ProperWitness) -> dict:
-    """The element of P that each presentation symbol maps to."""
-    out = {}
-    for sym in gog.serre.symbols:
-        if sym[0] == "v":
-            _, vid, gi = sym
-            out[sym] = witness.vertex_maps[vid].image[gog.vertex_groups[vid].generators[gi]]
-        else:
-            out[sym] = witness.stable_images[sym[1]]
-    return out
-
-
 def _vertex_rows(gog: GraphOfGroups, vid, witness: ProperWitness, col: dict, width: int) -> np.ndarray:
     """The stored basis of the cocycle equations of vertex ``vid`` over
     F_p[G_v], translated to every right coset of its image H_v in P.
@@ -179,13 +167,13 @@ def h1_via_fox(gog: GraphOfGroups, witness: ProperWitness) -> tuple[int, int]:
     P = witness.quotient
     n = P.order
     pres = gog.serre
-    elements = _symbol_elements(gog, witness)
+    images = witness.symbol_images(gog)
     col = {sym: i * n for i, sym in enumerate(pres.symbols)}
     width = len(col) * n
     blocks = [_vertex_rows(gog, vid, witness, col, width) for vid in gog.fox_bases]
-    blocks.append(_fox_rows(pres.edge_relators, col, elements, P, width))
+    blocks.append(_fox_rows(pres.edge_relators, col, dict(zip(pres.symbols, images)), P, width))
     z1_dim = width - rank(FpMatrix(np.concatenate(blocks), P.prime))
-    h0_dim = h0(_left_translations(P, [elements[sym] for sym in pres.symbols]), P.prime)
+    h0_dim = h0(_left_translations(P, images), P.prime)
     return h0_dim, z1_dim - (n - h0_dim)
 
 

@@ -4,9 +4,11 @@ Groups live entirely as multiplication tables on dense element indices
 0..order-1 with index 0 the identity, held as rows of Python ints; every
 element carries a BFS normal form word in the distinguished generators.
 The closed-form catalog (cyclic, elementary abelian, dihedral/quaternion
-of order 8, Heisenberg, direct products) covers every group the workbench
-needs; orders are capped at 256.  ``PRIMES`` are the primes that
-``fplinalg`` has a row reduction for.
+of order 8, Heisenberg, direct products) is complete only up to order 8
+at p = 2 and 9 at p = 3: it has 7 of the 14 groups of order 16, 11 of 51
+at 32 and 4 of 5 at 27, so a search that finds no witness in it does
+not show that there is none.  Orders are capped at 256.  ``PRIMES`` are
+the primes that ``fplinalg`` has a row reduction for.
 
 This module loads without numpy, so that the subcommands that never
 eliminate start without it.  Only the views that the linear-algebra
@@ -402,9 +404,10 @@ def catalog_groups(prime: int, max_order: int) -> list[FiniteGroup]:
 
     Abelian groups are every product of cyclic factors; the nonabelian
     stock is D8/Q8 (p=2) and the Heisenberg group (odd p), each crossed
-    with the abelian groups that fit under the cap.  Each (prime, capped
-    bound) catalog is built once per process; every call returns a fresh
-    list of the same group objects.
+    with the abelian groups that fit under the cap: every group only up to
+    order 8 at p = 2 and 9 at p = 3.  Each (prime, capped bound) catalog is
+    built once per process; every call returns a fresh list of the same
+    group objects.
     """
     return list(_catalog(prime, min(max_order, MAX_ORDER)))
 

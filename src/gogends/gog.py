@@ -73,7 +73,7 @@ class GogError(ValueError):
 
 
 class NotFoundWithinBound(GogError):
-    """No proper quotient witness exists within the order bound."""
+    """No catalog group within the order bound is a witness; one missing from the catalog may be."""
 
 
 class OracleMismatch(RuntimeError):
@@ -82,6 +82,17 @@ class OracleMismatch(RuntimeError):
 
 class NonIntegral(GogError):
     """Euler-characteristic rank formula failed to produce an integer."""
+
+
+def _require_cover(name: str, given: dict, kind: str, ids) -> None:
+    """Raise a GogError naming the first of the vertex or edge ``ids`` that
+    ``given`` has no key for, or a key of ``given`` that is no id."""
+    for x in ids:
+        if x not in given:
+            raise GogError(f"{kind} {x!r}: no {name}")
+    if len(given) != len(ids):
+        extra = next(x for x in given if x not in ids)
+        raise GogError(f"{name} for {extra!r}, which is no {kind}")
 
 
 @dataclass
@@ -98,16 +109,13 @@ class GraphOfGroups:
     tree: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vset = set(self.graph.vertices)
-        if set(self.vertex_groups) != vset:
-            raise GogError("vertex groups must cover exactly the vertex set")
+        _require_cover("vertex group", self.vertex_groups, "vertex", self.graph.vertices)
         self.bfs_order, self.tree = _bfs_tree(self.graph)
-        if len(self.bfs_order) != len(vset):
+        if len(self.bfs_order) != len(self.graph.vertices):
             raise GogError("graph is not connected")
-        eset = {e for e, _, _ in self.graph.edges}
-        for name, mapping in (("edge_groups", self.edge_groups), ("inj0", self.inj0), ("inj1", self.inj1)):
-            if set(mapping) != eset:
-                raise GogError(f"{name} must cover exactly the edge set")
+        eids = [e for e, _, _ in self.graph.edges]
+        for name, mapping in (("edge group", self.edge_groups), ("inj0", self.inj0), ("inj1", self.inj1)):
+            _require_cover(name, mapping, "edge", eids)
         for grp in list(self.vertex_groups.values()) + list(self.edge_groups.values()):
             if grp.prime != self.prime:
                 raise GogError("all groups must share the prime")
@@ -314,6 +322,17 @@ def b1(gog: GraphOfGroups) -> int:
     return len(index) - rank(FpMatrix.from_rows(rows, gog.prime, cols=len(index)))
 
 
+def _edge_pairs(gog: GraphOfGroups, maps: dict, eid, u, v) -> list:
+    """(psi_u(inj0 g), psi_v(inj1 g)) over the generators g of G_e, e = eid from u to v."""
+    i0, i1, pu, pv = gog.inj0[eid].image, gog.inj1[eid].image, maps[u].image, maps[v].image
+    return [(pu[i0[g]], pv[i1[g]]) for g in gog.edge_groups[eid].generators]
+
+
+def _relator_holds(rows, pairs, t) -> bool:
+    """Whether the letter t satisfies the edge's relator: a * t == t * b for each of its pairs."""
+    return all(rows[a][t] == rows[t][b] for a, b in pairs)
+
+
 @dataclass
 class ProperWitness:
     """Finite quotient level: vertex maps that are embeddings + stable letter images."""
@@ -323,30 +342,40 @@ class ProperWitness:
     stable_images: dict
 
     def verify(self, gog: GraphOfGroups):
+        """Raise a GogError naming the vertex or edge at fault unless each vertex, and no
+        other key, has a map embedding its group in a quotient of the graph of groups' prime,
+        and each edge, and no other key, a letter in it, the identity on a tree edge, that
+        passes ``_relator_holds``: both sides of the relator are homomorphisms of G_e, so
+        checking the generators checks G_e."""
         P = self.quotient
+        _require_cover("witness map", self.vertex_maps, "vertex", gog.graph.vertices)
+        _require_cover("witness letter", self.stable_images, "edge", [e for e, _, _ in gog.graph.edges])
+        if P.prime != gog.prime:
+            raise GogError(f"witness quotient is a {P.prime}-group, not a {gog.prime}-group")
         for vid in gog.graph.vertices:
             if not is_embedding(self.vertex_maps[vid], gog.vertex_groups[vid], P):
                 raise GogError(f"vertex {vid!r}: witness map is not an embedding of the vertex group in the quotient")
         rows = P.rows()
         for eid, u, v in gog.graph.edges:
             t = self.stable_images[eid]
+            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < P.order:
+                raise GogError(f"edge {eid!r}: letter {t!r} is not an element of the quotient")
             if eid in gog.tree and t != 0:
                 raise GogError(f"tree edge {eid!r} must carry the identity")
-            ge = gog.edge_groups[eid]
-            pu, pv = self.vertex_maps[u], self.vertex_maps[v]
-            for g in ge.elements():
-                lhs = pu.image[gog.inj0[eid].image[g]]
-                rhs = rows[rows[t][pv.image[gog.inj1[eid].image[g]]]][P.inv(t)]
-                if lhs != rhs:
-                    raise GogError(f"edge {eid!r}: conjugation relator fails at {g}")
+            if not _relator_holds(rows, _edge_pairs(gog, self.vertex_maps, eid, u, v), t):
+                raise GogError(f"edge {eid!r}: conjugation relator fails on a generator of the edge group")
+
+    def symbol_images(self, gog: GraphOfGroups) -> list:
+        """The element of the quotient for each of ``gog.serre.symbols``, in order."""
+        maps, groups = self.vertex_maps, gog.vertex_groups
+        return [
+            maps[s[1]].image[groups[s[1]].generators[s[2]]] if s[0] == "v" else self.stable_images[s[1]]
+            for s in gog.serre.symbols
+        ]
 
     def image(self, gog: GraphOfGroups) -> Subgroup:
-        """The subgroup of the quotient that the vertex images and the
-        stable letters generate."""
-        gens: set = set(self.stable_images.values())
-        for vid in gog.graph.vertices:
-            gens.update(self.vertex_maps[vid].image)
-        return subgroup_generated(self.quotient, sorted(gens))
+        """The subgroup of the quotient that the symbols' images generate."""
+        return subgroup_generated(self.quotient, self.symbol_images(gog))
 
     def is_surjective(self, gog: GraphOfGroups) -> bool:
         return self.image(gog).order == self.quotient.order
@@ -450,11 +479,8 @@ def proper_quotient_search(gog: GraphOfGroups, order_bound: int, exact_order: in
         for hom in injective_homs(gog.vertex_groups[vid], w.quotient, constraints):
             maps[vid] = hom
             for eid, u, v in settled_at[vid]:
-                pairs = [
-                    (maps[u].image[gog.inj0[eid].image[g]], maps[v].image[gog.inj1[eid].image[g]])
-                    for g in gog.edge_groups[eid].generators
-                ]
-                t = next((t for t in w.quotient.elements() if all(rows[a][t] == rows[t][b] for a, b in pairs)), None)
+                pairs = _edge_pairs(gog, maps, eid, u, v)
+                t = next((t for t in w.quotient.elements() if _relator_holds(rows, pairs, t)), None)
                 if t is None:
                     break
                 w.stable_images[eid] = t
@@ -472,7 +498,7 @@ def proper_quotient_search(gog: GraphOfGroups, order_bound: int, exact_order: in
             witness = _shrink_to_image(gog, witness)
             witness.verify(gog)
             return witness
-    raise NotFoundWithinBound(f"no witness with order <= {order_bound}")
+    raise NotFoundWithinBound(f"no witness in the catalog with order <= {order_bound}")
 
 
 def _shrink_to_image(gog: GraphOfGroups, witness: ProperWitness) -> ProperWitness:

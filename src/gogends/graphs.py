@@ -72,10 +72,16 @@ class GraphError(ValueError):
     """Malformed graph data or violated precondition."""
 
 
+def _is_id(x) -> bool:
+    """Whether x may be a vertex or edge id: a str or an int, not a bool."""
+    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Oriented multigraph: vertex ids plus (edge id, d0, d1) triples, with no
-    two vertex ids, nor two edge ids, equal as strings, however it is built."""
+    """Oriented multigraph: vertex ids plus (edge id, d0, d1) triples, every
+    id a str or an int, with no two vertex ids, nor two edge ids, equal as
+    strings, however it is built."""
 
     vertices: tuple
     edges: tuple
@@ -88,11 +94,16 @@ class Graph:
         for kind, ids in (("vertices", self.vertices), ("edges", [e for e, _, _ in self.edges])):
             seen: dict = {}
             for i, x in enumerate(ids):
+                if not _is_id(x):
+                    raise GraphError(f"{kind}[{i}].id: {x!r} is not a str or an int")
                 if str(x) in seen:
                     raise GraphError(f"{kind}[{i}].id: {x!r} and the earlier id {seen[str(x)]!r} are equal as strings")
                 seen[str(x)] = x
         vset = set(self.vertices)
-        for e, u, v in self.edges:
+        for i, (e, u, v) in enumerate(self.edges):
+            for end, x in (("d0", u), ("d1", v)):
+                if not _is_id(x):
+                    raise GraphError(f"edges[{i}].{end}: {x!r} is not a str or an int")
             if u not in vset or v not in vset:
                 raise GraphError(f"edge {e!r} references a missing vertex")
 

@@ -8,9 +8,11 @@ tries every tuple of generator images whose orders divide the
 generators' orders, and checks injectivity and the constraints on the
 finished hom.  ``witness_search_reference`` tries every tuple of vertex
 maps and stable letters on every catalog quotient.
-``fpcore.hom_from_images`` checks generator columns only, and
-``gog.injective_homs`` and ``gog.proper_quotient_search`` prune as they
-go; tests compare them against these.  ``associative`` is the one-array
+``_relator_holds`` checks an edge's relator on every element of its
+edge group.  ``fpcore.hom_from_images`` checks generator columns only,
+``gog._relator_holds`` checks a relator on the edge group's generators,
+and ``gog.injective_homs`` and ``gog.proper_quotient_search`` prune as
+they go; tests compare them against these.  ``associative`` is the one-array
 check of every triple that Light's test in the ``FiniteGroup``
 constructor is compared against, and ``identity_hom`` builds the
 identity map of a group.

@@ -454,6 +454,21 @@ def test_main_ends_finds_the_d8_witness_of_a_klein_loop(tmp_path):
     assert report["level"] == 8 and report["h1_dim"] == report["fox_h1_dim"] == 3
 
 
+def test_main_ends_without_a_witness_in_the_catalog_exits_1(tmp_path, capsys):
+    # a C4 loop that inverts its vertex group: no group of order 4 has a
+    # letter for it, and D8 has one
+    c4 = {"type": "cyclic", "params": [2, 2]}
+    doc = _one_vertex(c4)
+    doc["edges"] = [{"id": "e", "from": "a", "to": "a", "group": c4, "inj0": [1], "inj1": [3]}]
+    path = _write(tmp_path, doc)
+    assert cli.main(["ends", path, "--order-bound", "4"]) == 1
+    assert capsys.readouterr().err == "error: no witness in the catalog with order <= 4\n"
+    out = tmp_path / "report.json"
+    assert cli.main(["ends", path, "--order-bound", "8", "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["level"] == 8
+
+
 def test_ends_bound_holds_on_corpus(tmp_path):
     # the ends subcommand at each fixture's witness bound
     for name in fixture_names():

@@ -48,6 +48,7 @@ from gogends.gog import (
 )
 
 from gog_builders import bouquet, mk, triv_hom
+from hom_reference import _relator_holds as relator_on_every_element
 from hom_reference import cyclic_hom_count, identity_hom, witness_search_reference
 from mv_reference import (
     boundary_map,
@@ -316,6 +317,72 @@ def test_witness_map_that_is_not_a_homomorphism_is_rejected_before_mv():
         ends_level(g, bad)
     good = ProperWitness(c4, {"v": identity_hom(c4)}, {"e": 1})
     assert ends_level(g, good).ends_signature == (1, 4)
+
+
+def _c4_letter(t):
+    """A C4 witness of ``bouquet(1)`` whose letter is t."""
+    c4 = cyclic(2, 2)
+    return ProperWitness(c4, {"v": triv_hom(c4)}, {"e0": t})
+
+
+@pytest.mark.parametrize("witness, message", [
+    pytest.param(ProperWitness(cyclic(2, 1), {}, {}), "vertex 'v': no witness map", id="no_maps"),
+    pytest.param(ProperWitness(cyclic(2, 2), {"v": triv_hom(cyclic(2, 2))}, {}),
+                 "edge 'e0': no witness letter", id="no_letter"),
+    pytest.param(ProperWitness(cyclic(2, 2), {"v": triv_hom(cyclic(2, 2)), "u": triv_hom(cyclic(2, 2))}, {"e0": 1}),
+                 "witness map for 'u', which is no vertex", id="extra_map"),
+    pytest.param(ProperWitness(cyclic(2, 2), {"v": triv_hom(cyclic(2, 2))}, {"e0": 1, 0: 1}),
+                 "witness letter for 0, which is no edge", id="extra_letter"),
+    # letters are indices into P's table: -1 would read as element 3, and 4 is past the table
+    pytest.param(_c4_letter(-1), "edge 'e0': letter -1 is not an element of the quotient", id="negative_letter"),
+    pytest.param(_c4_letter(4), "edge 'e0': letter 4 is not an element of the quotient", id="letter_past_the_order"),
+    pytest.param(_c4_letter(True), "edge 'e0': letter True is not an element of the quotient", id="bool_letter"),
+    # a quotient of another prime is no level of a graph of groups at p = 2
+    pytest.param(ProperWitness(cyclic(3, 1), {"v": triv_hom(cyclic(3, 1))}, {"e0": 1}),
+                 "witness quotient is a 3-group, not a 2-group", id="c3_at_p2"),
+])
+def test_witness_of_the_wrong_shape_is_refused(witness, message):
+    g = bouquet(1)
+    with pytest.raises(GogError) as raised:
+        witness.verify(g)
+    assert str(raised.value) == message
+    with pytest.raises(GogError) as raised:
+        ends_level(g, witness)
+    assert str(raised.value) == message
+
+
+def test_a_c4_letter_in_range_is_accepted():
+    assert ends_level(bouquet(1), _c4_letter(3)).level == 4
+
+
+def test_the_relator_check_on_generators_agrees_with_the_whole_edge_group():
+    # the search and verify test each edge's relator on the generators of
+    # its edge group, the reference on every element: on every fixture,
+    # every catalog quotient up to its witness bound, the first tuples of
+    # the first injective vertex maps, and every letter of the quotient.
+    # Every fixture's edge group is cyclic, so a loop on C2^3 whose C2^2
+    # edge group shifts the coordinates adds letters that satisfy the
+    # relator on the first generator and not on the second
+    e4, e8 = elementary_abelian(2, 2), elementary_abelian(2, 3)
+    shift = mk(("v",), (("e", "v", "v"),), {"v": e8}, {"e": e4},
+               {"e": hom_from_images(e4, e8, [1, 2])}, {"e": hom_from_images(e4, e8, [2, 4])})
+    held = failed = first_only = 0
+    # (name, graph of groups, order bound, maps per vertex, map tuples); None takes all
+    cases = [(name, load_fixture(name), witness_bound(name), 8, 16) for name in fixture_names()]
+    for name, g, bound, per_vertex, tuples in cases + [("shift", shift, 16, None, None)]:
+        for P in catalog_groups(g.prime, bound):
+            homs = [list(itertools.islice(injective_homs(g.vertex_groups[vid], P), per_vertex)) for vid in g.graph.vertices]
+            for maps in itertools.islice(itertools.product(*homs), tuples):
+                maps = dict(zip(g.graph.vertices, maps))
+                for eid, u, v in g.graph.edges:
+                    pairs = gogmod._edge_pairs(g, maps, eid, u, v)
+                    for t in P.elements():
+                        holds = gogmod._relator_holds(P.rows(), pairs, t)
+                        assert holds == relator_on_every_element(g, P, maps, t, eid, u, v), (name, P.name, eid, t)
+                        held += holds
+                        failed += not holds
+                        first_only += not holds and gogmod._relator_holds(P.rows(), pairs[:1], t)
+    assert held > 1000 and failed > 500 and first_only > 0, (held, failed, first_only)
 
 
 def test_broken_conjugation_is_not_edge_invariant(monkeypatch):

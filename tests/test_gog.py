@@ -325,6 +325,9 @@ def test_free_kernel_rank_requires_surjective_witness():
         P, {"u": hom_from_images(c2, P, [4]), "w": hom_from_images(c2, P, [4])}, {"e": 0}
     )
     w.verify(cc)
+    # one image per symbol of Serre's presentation; the tree edge has none
+    assert cc.serre.symbols == (("v", "u", 0), ("v", "w", 0)) and w.symbol_images(cc) == [4, 4]
+    assert w.image(cc).elements == (0, 4)
     with pytest.raises(GogError):
         free_kernel_rank(cc, w)
 

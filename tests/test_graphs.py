@@ -105,6 +105,15 @@ def test_graph_validation():
         Graph((0, 1), (("e", 0, 1), ("f", 1, 1), ("e", 1, 0)))
     with pytest.raises(GraphError, match=r"^edges\[1\]\.id: 7 and the earlier id '7' are equal as strings$"):
         Graph((0,), (("7", 0, 0), (7, 0, 0)))
+    # an id is a str or an int, never a bool, which would equal 0 or 1
+    with pytest.raises(GraphError, match=r"^vertices\[1\]\.id: True is not a str or an int$"):
+        Graph((1, True), ())
+    with pytest.raises(GraphError, match=r"^edges\[0\]\.id: \(0, 1\) is not a str or an int$"):
+        Graph((0, 1), (((0, 1), 0, 1),))
+    with pytest.raises(GraphError, match=r"^edges\[1\]\.d1: True is not a str or an int$"):
+        Graph((0, 1), ((0, 0, 1), (1, 1, True)))
+    with pytest.raises(GraphError, match=r"^edges\[0\]\.d0: \[0\] is not a str or an int$"):
+        Graph((0,), ((0, [0], 0),))
     # vertex and edge ids are compared apart: an edge may share a vertex's id
     assert Graph((0, 1), ((0, 0, 1), (1, 1, 1))).edges == ((0, 0, 1), (1, 1, 1))
 

@@ -242,3 +242,22 @@ def test_every_definition_is_reached_from_the_program(monkeypatch):
             unreached.append(f"{path.stem}.{node.name}")
     assert not unreached, f"named only by tests: {unreached}"
     assert UNCALLED <= defined
+
+
+def test_every_benchmark_probe_names_a_function_of_the_package(monkeypatch):
+    # the benchmark wraps these by name, and only its own suite runs it
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    for probe in importlib.import_module("spans").PROBES:
+        found = importlib.import_module(f"gogends.{probe.module}")
+        for part in probe.attr.split("."):
+            found = getattr(found, part, None)
+        assert callable(found), f"{probe.module}.{probe.attr}"
+    # the benchmark's self-test finds these imports by name and expects the
+    # functions of the modules they come from
+    from gogends import cohomology, corpus, ends, fpcore, fplinalg, gog, schema
+
+    assert ends.rank is fplinalg.rank
+    assert ends.gog_b1 is gog.b1
+    assert cohomology.rank_profile is fplinalg.rank_profile
+    assert gog.catalog_groups is fpcore.catalog_groups
+    assert corpus.gog_from_json is schema.gog_from_json
