@@ -18,8 +18,9 @@ h1_dim = n - s + c.  Nakayama's count gen_count = dim M / M.I_P is the
 same at every level, as are b1 and M(X): the graph of groups keeps all
 three (``gog``), and a level report only reads them.
 
-Each side of each edge must be edge-invariant and each coset labelling
-stable under the right action, or ``WellDefinednessViolation`` is raised.
+Both sides of each edge are edge-invariant on a witness ``verify`` accepts:
+the d0 side as the edge image lies in H_u, the d1 side as verify's
+a t = t b on the edge group's generators gives t^-1 a t in H_v.
 Fox calculus on Serre's presentation is an independent elimination
 oracle for h1_dim and kernel_dim; a disagreement raises rather than
 reports.  dim H^0 is cohomology's ``h0`` of the left translations by
@@ -49,20 +50,6 @@ from .gog import b1 as gog_b1  # noqa: F401  (the benchmark's self-test wraps it
 from .graphs import _component_roots
 
 
-class WellDefinednessViolation(RuntimeError):
-    """An image vector escaped the edge-invariant subspace, or the image of
-    the boundary map is not a right submodule: neither comes from a witness
-    that ``ProperWitness.verify`` accepts, only from coset labels that are
-    not right cosets."""
-
-
-def _right_stable(labels: np.ndarray, right: np.ndarray) -> bool:
-    """labels[x] = labels[y] implies labels[xg] = labels[yg]; ``right[:, i]`` is P.mult[:, g_i]."""
-    _, first, classes = np.unique(labels, return_index=True, return_inverse=True)
-    moved = labels[right]
-    return bool((moved == moved[first[classes]]).all())
-
-
 @dataclass
 class MvLevelData:
     source_dim: int
@@ -76,8 +63,6 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
     """Read the level-P Mayer-Vietoris invariants off the level graph X_P."""
     witness.verify(gog)
     P = witness.quotient
-    mult = P.mult.astype(np.intp)
-    right = mult[:, P.generators]
 
     vertex_labels, col_off, src = {}, {}, 0
     for vid in gog.graph.vertices:
@@ -87,15 +72,10 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
     joins, tgt = [], 0
     for eid, u, v in gog.graph.edges:
         image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
-        reps, labels = right_cosets(P, image)
+        reps, _ = right_cosets(P, image)
         # the source coset of every x in F_p[P]: of x at d0, of t^-1 x at d1
         lab0 = vertex_labels[u]
-        lab1 = vertex_labels[v][mult[P.inv(witness.stable_images[eid])]]
-        for side, lab in (("d0", lab0), ("d1", lab1)):
-            if not (lab[mult[image]] == lab).all():
-                raise WellDefinednessViolation(f"edge {eid!r}, {side} block: image vectors are not edge-invariant")
-        if not all(_right_stable(lab, right) for lab in (labels, lab0, lab1)):
-            raise WellDefinednessViolation(f"edge {eid!r}: the image of the boundary map is not a right submodule")
+        lab1 = vertex_labels[v][P.mult[P.inv(witness.stable_images[eid])]]
         joins += zip((col_off[u] + lab0[reps]).tolist(), (col_off[v] + lab1[reps]).tolist())
         tgt += len(reps)
     components = len(set(_component_roots(range(src), joins).values()))

@@ -519,6 +519,7 @@ def _shrink_to_image(gog: GraphOfGroups, witness: ProperWitness) -> ProperWitnes
 def free_kernel_rank(gog: GraphOfGroups, witness: ProperWitness) -> int:
     """Rank of the free kernel of the witness quotient map, via the Euler
     characteristic of the graph of groups."""
+    witness.verify(gog)
     if not witness.is_surjective(gog):
         raise GogError("witness image must generate the whole quotient")
     chi = Fraction(0)

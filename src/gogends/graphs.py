@@ -88,7 +88,11 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((e, u, v) for e, u, v in self.edges))
+        edges = tuple(self.edges)
+        for i, edge in enumerate(edges):
+            if not isinstance(edge, (tuple, list)) or len(edge) != 3:
+                raise GraphError(f"edges[{i}]: {edge!r} is not a 3-item tuple or list")
+        object.__setattr__(self, "edges", tuple(map(tuple, edges)))
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
         for kind, ids in (("vertices", self.vertices), ("edges", [e for e, _, _ in self.edges])):

@@ -16,7 +16,8 @@ relators, built from words alone, and ``h1_via_fox_reference`` reads
 dim H^1 off it and the coboundary matrix; ``ends.h1_via_fox`` never
 builds it, and tests compare the two.
 ``lifted_witness`` gives the second level the tests check next to the
-minimal witness.
+minimal witness.  ``edge_invariant_letters`` tests the edge invariance
+at the coset level that ``ends.mv_h0_map`` relies on and does not check.
 """
 
 import itertools
@@ -55,6 +56,21 @@ def boundary_map(gog, witness):
         fmap[rows, d1_cols] = (fmap[rows, d1_cols] + p - 1) % p
         right_perms[:, rows] = perms
     return FpMatrix(fmap, p), right_perms
+
+
+def edge_invariant_letters(g, P, maps, eid, u, v):
+    """Whether the edge image A = psi_u(inj0 G_e) fixes the source coset
+    of every x in P on each side of edge ``eid``, as two boolean arrays
+    over the letters t of P: at d0 label_u(a x) == label_u(x), at d1
+    label_v(t^-1 a x) == label_v(t^-1 x), for all a in A, the labels
+    those of ``fpcore.right_cosets`` of the vertex images."""
+    mult = P.mult.astype(np.intp)
+    image = np.asarray(maps[u].image)[list(g.inj0[eid].image)]
+    lab0 = fpcore.right_cosets(P, maps[u].image)[1]
+    lab1 = fpcore.right_cosets(P, maps[v].image)[1][mult[P.inverses]]  # [t, x] is label_v(t^-1 x)
+    d0 = (lab0[mult[image]] == lab0).all()
+    d1 = (lab1[:, mult[image]] == lab1[:, None, :]).all(axis=(1, 2))
+    return np.full(P.order, d0), d1
 
 
 def cokernel_reference(P, fmap, right_perms):

@@ -16,7 +16,7 @@ from gogends.fplinalg import rank
 from graph_reference import matching_bruteforce
 from hom_reference import identity_hom
 from module_reference import min_generators_bruteforce, nakayama_modules
-from mv_reference import boundary_map, cokernel_reference, gen_count_closed_form, lifted_witness
+from mv_reference import boundary_map, cokernel_reference, edge_invariant_letters, gen_count_closed_form, lifted_witness
 
 
 def _report(num, ok, detail):
@@ -133,11 +133,12 @@ def test_criterion_6_structural_mv_facts():
         for tag, witness in (("minimal", w), ("lifted", lifted)):
             if not witness.is_surjective(g):
                 bad.append(f"{name}/{tag}: witness not surjective")
-            try:
-                mv = ends.mv_h0_map(g, witness)  # edge-invariance asserted inside
-            except ends.WellDefinednessViolation as exc:
-                bad.append(f"{name}/{tag}: {exc}")
-                continue
+            for eid, u, v in g.graph.edges:
+                fixed = edge_invariant_letters(g, witness.quotient, witness.vertex_maps, eid, u, v)
+                for side, at_letter in zip(("d0", "d1"), fixed):
+                    if not at_letter[witness.stable_images[eid]]:
+                        bad.append(f"{name}/{tag}: edge {eid!r}, {side} side not edge-invariant")
+            mv = ends.mv_h0_map(g, witness)
             if mv.kernel_dim != 1:
                 bad.append(f"{name}/{tag}: kernel dim {mv.kernel_dim}")
     _report(6, not bad, f"kernel dim 1 + edge invariance at two levels per fixture; issues: {bad or 'none'}")

@@ -15,7 +15,6 @@ from gogends.cli import canonical_json
 from gogends.corpus import fixture_names, load_fixture, witness_bound
 from gogends.ends import (
     OracleMismatch,
-    WellDefinednessViolation,
     ends_level,
     h1_via_fox,
     mv_h0_map,
@@ -53,6 +52,7 @@ from hom_reference import cyclic_hom_count, identity_hom, witness_search_referen
 from mv_reference import (
     boundary_map,
     cokernel_reference,
+    edge_invariant_letters,
     fox_matrix_reference,
     gen_count_closed_form,
     h1_via_fox_reference,
@@ -304,6 +304,14 @@ def test_wrong_witness_is_rejected_before_mv():
     bad = ProperWitness(c2, {"v": hom_from_images(cyclic(2, 1), c2, [1])}, {"e0": 0})
     with pytest.raises(GogError):
         mv_h0_map(g, bad)  # witness source group mismatches the vertex group
+    # a C2 loop mapped identically at both ends: t must centralise the
+    # vertex image, and a rotation of D8 does not centralise a reflection
+    iso = identity_hom(c2)
+    loop = mk(("v",), (("e", "v", "v"),), {"v": c2}, {"e": c2}, {"e": iso}, {"e": iso})
+    P = dihedral8()
+    r, s = P.generators
+    with pytest.raises(GogError, match="conjugation"):
+        mv_h0_map(loop, ProperWitness(P, {"v": hom_from_images(c2, P, [s])}, {"e": r}))
 
 
 def test_witness_map_that_is_not_a_homomorphism_is_rejected_before_mv():
@@ -343,12 +351,10 @@ def _c4_letter(t):
 ])
 def test_witness_of_the_wrong_shape_is_refused(witness, message):
     g = bouquet(1)
-    with pytest.raises(GogError) as raised:
-        witness.verify(g)
-    assert str(raised.value) == message
-    with pytest.raises(GogError) as raised:
-        ends_level(g, witness)
-    assert str(raised.value) == message
+    for call in (lambda g, w: w.verify(g), ends_level, free_kernel_rank):
+        with pytest.raises(GogError) as raised:
+            call(g, witness)
+        assert str(raised.value) == message
 
 
 def test_a_c4_letter_in_range_is_accepted():
@@ -362,64 +368,38 @@ def test_the_relator_check_on_generators_agrees_with_the_whole_edge_group():
     # the first injective vertex maps, and every letter of the quotient.
     # Every fixture's edge group is cyclic, so a loop on C2^3 whose C2^2
     # edge group shifts the coordinates adds letters that satisfy the
-    # relator on the first generator and not on the second
+    # relator on the first generator and not on the second.  Where the
+    # relator holds, both sides of the edge are edge-invariant at the coset
+    # level, which mv_h0_map relies on.  No letter of those cases moves a
+    # side, so a C2 loop mapped identically at both ends adds letters of D8
+    # that fail the relator and move a reflection's d1 side
     e4, e8 = elementary_abelian(2, 2), elementary_abelian(2, 3)
     shift = mk(("v",), (("e", "v", "v"),), {"v": e8}, {"e": e4},
                {"e": hom_from_images(e4, e8, [1, 2])}, {"e": hom_from_images(e4, e8, [2, 4])})
-    held = failed = first_only = 0
+    c2 = cyclic(2, 1)
+    iso = identity_hom(c2)
+    c2_loop = mk(("v",), (("e", "v", "v"),), {"v": c2}, {"e": c2}, {"e": iso}, {"e": iso})
+    held = failed = first_only = d1_moved = 0
     # (name, graph of groups, order bound, maps per vertex, map tuples); None takes all
     cases = [(name, load_fixture(name), witness_bound(name), 8, 16) for name in fixture_names()]
-    for name, g, bound, per_vertex, tuples in cases + [("shift", shift, 16, None, None)]:
+    extra = [("shift", shift, 16, None, None), ("c2_loop", c2_loop, 8, None, None)]
+    for name, g, bound, per_vertex, tuples in cases + extra:
         for P in catalog_groups(g.prime, bound):
             homs = [list(itertools.islice(injective_homs(g.vertex_groups[vid], P), per_vertex)) for vid in g.graph.vertices]
             for maps in itertools.islice(itertools.product(*homs), tuples):
                 maps = dict(zip(g.graph.vertices, maps))
                 for eid, u, v in g.graph.edges:
                     pairs = gogmod._edge_pairs(g, maps, eid, u, v)
+                    d0_fixed, d1_fixed = edge_invariant_letters(g, P, maps, eid, u, v)
                     for t in P.elements():
                         holds = gogmod._relator_holds(P.rows(), pairs, t)
                         assert holds == relator_on_every_element(g, P, maps, t, eid, u, v), (name, P.name, eid, t)
                         held += holds
                         failed += not holds
                         first_only += not holds and gogmod._relator_holds(P.rows(), pairs[:1], t)
-    assert held > 1000 and failed > 500 and first_only > 0, (held, failed, first_only)
-
-
-def test_broken_conjugation_is_not_edge_invariant(monkeypatch):
-    # a C2 loop mapped identically at both ends: t must centralise the
-    # vertex image, and a rotation of D8 does not centralise a reflection
-    c2 = cyclic(2, 1)
-    iso = identity_hom(c2)
-    g = mk(("v",), (("e", "v", "v"),), {"v": c2}, {"e": c2}, {"e": iso}, {"e": iso})
-    P = dihedral8()
-    r, s = P.generators
-    w = ProperWitness(P, {"v": hom_from_images(c2, P, [s])}, {"e": r})
-    with pytest.raises(GogError, match="conjugation"):
-        w.verify(g)
-    monkeypatch.setattr(ProperWitness, "verify", lambda self, gog: None)
-    with pytest.raises(WellDefinednessViolation, match="edge 'e', d1 block"):
-        mv_h0_map(g, w)
-
-
-def test_coset_labels_that_are_not_right_cosets_are_rejected(monkeypatch):
-    # C2 * C2 at the Klein level: the edge group is trivial, so edge
-    # invariance holds for any labelling and only right stability can object
-    c2 = cyclic(2, 1)
-    g = mk(("u", "w"), (("e", "u", "w"),), {"u": c2, "w": c2}, {"e": trivial(2)},
-           {"e": triv_hom(c2)}, {"e": triv_hom(c2)})
-    P = elementary_abelian(2, 2)
-    w = ProperWitness(
-        P, {"u": hom_from_images(c2, P, [1]), "w": hom_from_images(c2, P, [2])}, {"e": 0}
-    )
-    assert mv_h0_map(g, w).kernel_dim == 1
-    def one_and_the_rest(P, subgroup_elements):
-        if len(subgroup_elements) > 1:
-            return right_cosets(P, subgroup_elements)
-        return np.array([0, 1]), np.array([0, 1, 1, 1])
-
-    monkeypatch.setattr(ends, "right_cosets", one_and_the_rest)
-    with pytest.raises(WellDefinednessViolation, match="right submodule"):
-        mv_h0_map(g, w)
+                        assert not holds or d0_fixed[t] and d1_fixed[t], (name, P.name, eid, t)
+                        d1_moved += not holds and not d1_fixed[t]
+    assert held > 1000 and failed > 500 and first_only > 0 and d1_moved > 0, (held, failed, first_only, d1_moved)
 
 
 def test_ends_level_makes_four_eliminations_then_two(monkeypatch):

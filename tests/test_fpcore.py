@@ -26,6 +26,7 @@ from gogends.fpcore import (
     is_embedding,
     is_injective,
     quaternion8,
+    right_cosets,
     subgroup_as_group,
     subgroup_generated,
     trivial,
@@ -186,6 +187,27 @@ def test_all_subgroups_matches_element_join_closure():
     for p, bound in ((2, 32), (3, 27)):
         for G in catalog_groups(p, bound):
             assert all_subgroups(G) == all_subgroups_reference(G), G.name
+
+
+def test_right_cosets_are_the_right_cosets_of_every_subgroup():
+    # the level graph reads these labels as the vertices of X_P and never
+    # checks them: x and y share a label exactly when y x^-1 is in K, each
+    # coset is named by its least element, and the labelling is stable
+    # under the right action of every element of P
+    for p, bound in ((2, 16), (3, 27)):
+        for G in catalog_groups(p, bound):
+            n = G.order
+            mult = G.mult.astype(np.intp)
+            y_x_inv = mult[:, G.inverses].T  # [x, y] is y x^-1
+            for K in all_subgroups(G):
+                reps, labels = right_cosets(G, K.elements)
+                in_k = np.zeros(n, dtype=bool)
+                in_k[list(K.elements)] = True
+                assert (in_k[y_x_inv] == (labels[:, None] == labels[None, :])).all(), (G.name, K.elements)
+                assert (np.diff(reps) > 0).all() and len(reps) == n // K.order
+                assert all(reps[c] == np.flatnonzero(labels == c).min() for c in range(len(reps)))
+                moved = labels[mult]  # [x, g] is the label of x g
+                assert (moved == moved[reps[labels]]).all(), (G.name, K.elements)
 
 
 def test_subgroup_as_group_rejects_unclosed_set():

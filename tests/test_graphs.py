@@ -114,6 +114,11 @@ def test_graph_validation():
         Graph((0, 1), ((0, 0, 1), (1, 1, True)))
     with pytest.raises(GraphError, match=r"^edges\[0\]\.d0: \[0\] is not a str or an int$"):
         Graph((0,), ((0, [0], 0),))
+    # an edge is an (id, d0, d1) triple
+    with pytest.raises(GraphError, match=r"^edges\[0\]: \(0, 0\) is not a 3-item tuple or list$"):
+        Graph((0,), ((0, 0),))
+    with pytest.raises(GraphError, match=r"^edges\[1\]: \[1, 0, 0, 0\] is not a 3-item tuple or list$"):
+        Graph((0,), ((0, 0, 0), [1, 0, 0, 0]))
     # vertex and edge ids are compared apart: an edge may share a vertex's id
     assert Graph((0, 1), ((0, 0, 1), (1, 1, 1))).edges == ((0, 0, 1), (1, 1, 1))
 
