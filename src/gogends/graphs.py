@@ -15,14 +15,16 @@ slot array, the valences, the loop-free support and the looped vertices,
 from which connectivity, the leaves, the Euler characteristic and
 exceptionality are read.  An enumerated graph carries the walk its
 decoration gives, and any other graph gets it from one pass over its
-edges, ``index_walk``.  The segment bound and the chain suppression run
-on the same arrays, and a report is built only for a graph the check
-keeps.  M(X) depends on the vertex count, the loop-free support and the
-set of looped vertices alone: parallel edges collapse, since a matching
-uses at most one of them, and the loops at a vertex are pendant edges
-there, of which a matching uses at most one.  So a run of graphs with
-one support, as the enumeration yields the decorations of each simple
-graph, finds each matching size once per set of looped vertices.
+edges, ``index_walk``.  The smoothed graph's |E_Y| and T(Y) are read
+off the valences, the valence-2 chains are walked on the same arrays
+only when a segment can count, and a report is built only for a graph
+the check keeps.  M(X) depends on the vertex count, the loop-free
+support and the set of looped vertices alone: parallel edges collapse,
+since a matching uses at most one of them, and the loops at a vertex
+are pendant edges there, of which a matching uses at most one.  So a run
+of graphs with one support, as the enumeration yields the decorations of
+each simple graph, finds each matching size once per set of looped
+vertices.
 
 Isomorph-free enumeration rests on one canonical labelling: an
 individualisation-refinement search whose key is the least leaf.  Leaves
@@ -52,12 +54,11 @@ greatest invariant and passes.  A new edge that ties with another
 deletable edge passes too, so several children can reach one class; the
 first to reach a canonical state keeps it.  Up to 8 edges this leaves
 395 searches of the 1,350 children, for 359 classes.  The enumeration is
-capped at ``EXHAUSTIVE_MAX_EDGES`` edges.
+capped at ``EXHAUSTIVE_MAX_EDGES`` edges: 113,045 graphs at 10.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -65,7 +66,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 # the most edges enumerate_connected_multigraphs walks; the command line
 # samples beyond it
-EXHAUSTIVE_MAX_EDGES = 8
+EXHAUSTIVE_MAX_EDGES = 10
 
 
 class GraphError(ValueError):
@@ -112,13 +113,13 @@ class Graph:
                 raise GraphError(f"edge {e!r} references a missing vertex")
 
     @classmethod
-    def _trusted(cls, vertices: tuple, edges: tuple) -> "Graph":
+    def _trusted(cls, vertices: tuple, edges: tuple, **walk) -> "Graph":
         """Wrap a tuple of distinct vertex ids and a tuple of (edge id, d0,
         d1) triples with distinct ids on those vertices, built by this
-        module, without the checks of ``__post_init__``."""
+        module, without the checks of ``__post_init__``; ``walk=`` gives
+        the walk ``index_walk`` would find."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", edges)
+        g.__dict__.update(vertices=vertices, edges=edges, **walk)
         return g
 
     @cached_property
@@ -333,23 +334,12 @@ def counting_report(g: Graph, matching_size: int) -> CountingReport:
     return CountingReport(len(g.edges), matching_size, *_bound_terms(g.walk, matching_size), g)
 
 
-def valence_two_segment_bound(ends: list, valences: list) -> int:
-    """Sum of floor(|ES_i| / 2) over components S_i of the subgraph
-    spanned by valence-2 vertices (a lower bound for M(X) on the
-    non-exceptional family); ``ends`` and ``valences`` as in
-    ``index_walk``."""
-    if valences.count(2) < 2:  # an inner edge at a lone valence-2 vertex is a loop: floor(1/2) = 0
-        return 0
-    inner = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if valences[a] == 2 == valences[b]]
-    roots = _component_roots({x for pair in inner for x in pair}, inner)
-    comp_edges = Counter(roots[a] for a, _ in inner)
-    return sum(k // 2 for k in comp_edges.values())
-
-
-def suppressed_graph(ends: list, valences: list) -> list:
+def suppressed_graph(ends: list, valences: list) -> tuple:
     """Smooth every maximal valence-2 chain into a single edge: the edges
     of the result, on the vertices of valence != 2, as pairs a <= b of
-    vertex indices; ``ends`` and ``valences`` as in ``index_walk``.
+    vertex indices, and the segment sum, floor(inner / 2) summed over the
+    chains, where inner counts a chain's edges between two valence-2
+    vertices; ``ends`` and ``valences`` as in ``index_walk``.
 
     Requires at least one vertex of valence != 2; loops arising from
     chains that return to their start are retained.  Each chain is walked
@@ -369,22 +359,26 @@ def suppressed_graph(ends: list, valences: list) -> list:
                 other[s], other[first[x]] = first[x], s
     used = bytearray(len(ends))
     new_edges = []
+    segments = 0
     for start, a in enumerate(ends):
         if used[start] or not kept[a]:
             continue
         used[start] = 1
-        s = start ^ 1
+        s, run = start ^ 1, 0
         while not kept[ends[s]]:
             used[s] = 1
             s = other[s]
             used[s] = 1
             s ^= 1
+            run += 1
+        if run > 2:  # run valence-2 vertices, run - 1 inner edges
+            segments += (run - 1) >> 1
         used[s] = 1
         b = ends[s]
         new_edges.append((a, b) if a <= b else (b, a))
     if not all(used):
         raise GraphError("valence-2 cycle component detached from the rest")
-    return new_edges
+    return new_edges, segments
 
 
 # -- canonical labeling and isomorph-free enumeration ---------------------
@@ -392,10 +386,11 @@ def suppressed_graph(ends: list, valences: list) -> list:
 
 def _refine(nbrs, loops, colors):
     """Iterated neighborhood refinement; permutation-invariant colors.
-    ``nbrs[v]`` lists (w, multiplicity) over the neighbours w of v."""
+    ``nbrs[v]`` lists the neighbours w of v, each repeated by its
+    multiplicity."""
     while True:
         sigs = [
-            (colors[v], loops[v], tuple(sorted([(k, colors[w]) for w, k in near])))
+            (colors[v], loops[v], tuple(sorted(map(colors.__getitem__, near))))
             for v, near in enumerate(nbrs)
         ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
@@ -407,11 +402,10 @@ def _refine(nbrs, loops, colors):
 
 def _leaf_key(nbrs, loops, colors):
     """The graph relabelled by the discrete colors of a leaf, which
-    ``_refine`` ranks 0..n-1."""
+    ``_refine`` ranks 0..n-1: the vertex count, the loop counts and the
+    sorted pairs a < b, one per edge."""
     order = sorted(range(len(colors)), key=colors.__getitem__)
-    edges = sorted(
-        [(colors[u], colors[w], k) for u, near in enumerate(nbrs) for w, k in near if colors[u] < colors[w]]
-    )
+    edges = sorted([(colors[u], colors[w]) for u, near in enumerate(nbrs) for w in near if colors[u] < colors[w]])
     return (len(colors), tuple([loops[v] for v in order]), tuple(edges))
 
 
@@ -438,13 +432,13 @@ def _canon_search(n: int, adj, loops):
     """
     best = None  # (key, discrete colors) of the least leaf so far
     auts: list = []
-    nbrs = [[(w, k) for w, k in enumerate(row) if k] for row in adj]
+    nbrs = [[w for w, k in enumerate(row) for _ in range(k)] for row in adj]
 
     def search(colors, fixed):
         nonlocal best
         colors = _refine(nbrs, loops, colors)
-        counts = Counter(colors)
-        target = min((c for c, k in counts.items() if k > 1), default=None)
+        cells = sorted(colors)
+        target = next((c for c, d in zip(cells, cells[1:]) if c == d), None)  # least color of a non-singleton cell
         if target is None:
             key = _leaf_key(nbrs, loops, colors)
             if best is None or key < best[0]:
@@ -453,7 +447,7 @@ def _canon_search(n: int, adj, loops):
                 order = sorted(range(n), key=colors.__getitem__)
                 auts.append([order[c] for c in best[1]])
             return
-        fresh = max(colors) + 1
+        fresh = cells[-1] + 1
         searched: list = []
         stabiliser: list = []
         scanned = 0  # auts[:scanned] are sorted into the stabiliser
@@ -483,6 +477,9 @@ def _orbit_representatives(points, moves) -> Iterator:
     group generated by ``moves``, each a function from a point to its
     image, where every orbit lies in ``points``: each unseen point is
     yielded and its orbit, a BFS over the moves, marked seen."""
+    if not moves:
+        yield from points
+        return
     seen: set = set()
     for x in points:
         if x in seen:
@@ -571,7 +568,7 @@ def _connected_simple_graphs(max_edges: int, max_vertices: int) -> list:
                 for u, v in child:
                     adj[u][v] = adj[v][u] = 1
                 key, _, canon_auts = _canon_search(size, adj, (0,) * size)
-                nxt.setdefault((size, tuple((u, v) for u, v, _ in key[2])), canon_auts)
+                nxt.setdefault((size, key[2]), canon_auts)
         levels.append(nxt)
     return levels
 
@@ -651,9 +648,8 @@ def _build_decorated(vertices: tuple, edge_list: tuple, support: frozenset, dec:
         if c:
             ends += (v, v) * c
             looped |= 1 << v
-    g = Graph._trusted(vertices, tuple(zip(range(len(ends) >> 1), ends[::2], ends[1::2])))
-    object.__setattr__(g, "walk", IndexWalk(ends, valences, True, support, looped))
-    return g
+    edges = tuple(zip(range(len(ends) >> 1), ends[::2], ends[1::2]))
+    return Graph._trusted(vertices, edges, walk=IndexWalk(ends, valences, True, support, looped))
 
 
 def random_multigraph(rng, max_edges: int, max_vertices: int = 8) -> Graph:
@@ -724,26 +720,24 @@ def verify_counting_lemma(candidates: Iterable[Graph]) -> CountingVerification:
     Violations inside the exceptional family (odd cycles and friends) are
     findings, not failures; the proof intermediates M(X) >= sum
     floor(|ES_i|/2) and |EY| <= 3 T(Y) are asserted on the
-    non-exceptional graphs, which have at least one edge.  T(Y) is read
-    off the edges of the suppressed graph Y, whose vertices are those of
-    valence != 2.  Only the graphs the lists keep get a report.
+    non-exceptional graphs, which have an edge and a vertex of valence
+    != 2.  Smoothing a valence-2 vertex drops one vertex and one edge and
+    keeps every other valence, so |EY| = |EX| - V_2 and T(Y) = T(X) are
+    read off the valences.  A chain of k valence-2 vertices has k - 1
+    inner edges, so the chains are walked for the segment sum only when
+    V_2 >= 3.  Only the graphs the lists keep get a report.
     """
     out = CountingVerification()
     for g, m in matched_graphs(candidates):
         out.total += 1
         walk = g.walk
-        holds, exceptional = _bound_terms(walk, m)[4:]
+        t, _, holds, exceptional = _bound_terms(walk, m)[2:]
         kept = [] if holds else [out.exceptional_findings if exceptional else out.violations]
         if not exceptional:
-            if m < valence_two_segment_bound(walk.ends, walk.valences):
+            v2 = walk.valences.count(2)
+            if v2 > 2 and m < suppressed_graph(walk.ends, walk.valences)[1]:
                 kept.append(out.intermediate_failures)
-            y = suppressed_graph(walk.ends, walk.valences)
-            y_valences = [0] * len(walk.valences)
-            for a, b in y:
-                y_valences[a] += 1
-                y_valences[b] += 1
-            t_y = y_valences.count(1) - (len(walk.valences) - walk.valences.count(2) - len(y))
-            if len(y) > 3 * t_y:
+            if (len(walk.ends) >> 1) - v2 > 3 * t:
                 kept.append(out.intermediate_failures)
         if kept:
             rep = counting_report(g, m)

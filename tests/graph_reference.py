@@ -18,7 +18,14 @@ edge cap, so it can also count the 9-edge graphs.
 
 ``suppressed_graph_reference`` smooths valence-2 chains by walking
 (edge id, end) slots held in dicts and sets, the reference for the
-index-list walk of ``graphs.suppressed_graph``.
+index-list walk of ``graphs.suppressed_graph``; ``segment_bound_reference``
+finds the segments as the components of the subgraph the valence-2
+vertices span, by union-find, the reference for the segment sum of that
+walk.
+
+``refine_reference`` refines colours by signatures of (multiplicity,
+colour) pairs, the reference for ``graphs._refine``, which sorts a flat
+neighbour multiset.
 
 ``verify_counting_reference`` checks the counting bound and its proof
 intermediates graph by graph, with the statistics, the segment bound and
@@ -79,6 +86,22 @@ def matching_bruteforce(g):
 
     rec(0, set(), [])
     return tuple(sorted(best, key=str))
+
+
+def refine_reference(nbrs, loops, colors):
+    """``graphs._refine`` with ``nbrs[v]`` listing (w, multiplicity) over
+    the neighbours w of v, and each signature built of (multiplicity,
+    colour) pairs."""
+    while True:
+        sigs = [
+            (colors[v], loops[v], tuple(sorted([(k, colors[w]) for w, k in near])))
+            for v, near in enumerate(nbrs)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = tuple([rank[sig] for sig in sigs])
+        if new == colors:
+            return colors
+        colors = new
 
 
 def suppressed_graph_reference(g, valences):
@@ -196,7 +219,7 @@ def connected_simple_graphs_reference(max_edges, max_vertices):
                 for u, v in edges + (new,):
                     adj[u][v] = adj[v][u] = 1
                 key = _key(size, adj, (0,) * size)
-                nxt.add((size, tuple((u, v) for u, v, _ in key[2])))
+                nxt.add((size, key[2]))
         levels.append(nxt)
     return levels
 

@@ -287,6 +287,13 @@ def test_enumerate_report_is_pinned_at_8_edges(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "d4ced196e8a33366"
 
 
+def test_counting_at_the_exhaustive_cap(tmp_path):
+    # every one of the 113,045 connected multigraphs with at most 10 edges
+    code, report = _main_report(tmp_path, ["counting", "--max-edges", str(graphs.EXHAUSTIVE_MAX_EDGES)])
+    assert code == 0 and report["ok"] and report["mode"] == "exhaustive"
+    assert (graphs.EXHAUSTIVE_MAX_EDGES, report["graphs_checked"]) == (10, 113045)
+
+
 def test_exhaustive_counting_report_is_pinned(tmp_path):
     # the counting input of the benchmark: all 6,461 connected multigraphs
     # with at most 8 edges; an enumeration or check that alters it fails here
@@ -295,7 +302,7 @@ def test_exhaustive_counting_report_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "bdea7fff4420a5c3"
 
 
-@pytest.mark.parametrize("max_edges, seed, digest", [(9, 0, "b8ee390d9a5cc842"), (12, 1, "3279bd5417794c73")])
+@pytest.mark.parametrize("max_edges, seed, digest", [(11, 0, "2fd7f0a2e9340d2a"), (12, 1, "3279bd5417794c73")])
 def test_sampled_counting_reports_are_pinned(tmp_path, max_edges, seed, digest):
     # the sampled mode runs the loop of the exhaustive one, intermediates
     # included; every draw is connected, so all 2000 are checked
@@ -534,12 +541,12 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["enumerate", "--max-edges", "9"], "capped at 8 edges"),
+    (["enumerate", "--max-edges", "11"], "capped at 10 edges"),
     (["enumerate", "--max-vertices", "0"], "--max-vertices must be at least 1"),
     (["counting", "--max-edges", "-1"], "--max-edges must be at least 0"),
     (["counting", "--max-edges", "3", "--max-vertices", "0"], "--max-vertices must be at least 1"),
     (["counting", "--max-edges", "257"], "capped at 256 edges and 257 vertices"),
-    (["counting", "--max-edges", "9", "--max-vertices", "258"], "capped at 256 edges and 257 vertices"),
+    (["counting", "--max-edges", "11", "--max-vertices", "258"], "capped at 256 edges and 257 vertices"),
     (["verify-lemmas", "--max-order", "0"], "--max-order must be at least 1"),
     (["verify-lemmas", "--max-order", "512"], "--max-order must be at most 256"),
     (["ends", "FIXTURE", "--order-bound", "-3"], "--order-bound must be at least 1"),
@@ -547,7 +554,7 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     # the fixture's largest vertex group has order 4, as with --levels 2
     (["ends", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
     (["analyze", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
-], ids=["enumerate_9_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
+], ids=["enumerate_11_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
         "sampled_counting_257_edges", "sampled_counting_258_vertices",
         "lemmas_order_0", "lemmas_order_512", "ends_negative_bound", "analyze_zero_bound",
         "ends_bound_below_vertex_group", "analyze_bound_below_vertex_group"])

@@ -1,5 +1,6 @@
 """Multigraph statistics, matchings, enumeration, the counting bound."""
 
+import inspect
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from gogends.graphs import (
     GraphError,
     _canon_search,
     _connected_simple_graphs,
+    _refine,
     counting_report,
     enumerate_connected_multigraphs,
     index_walk,
@@ -23,7 +25,6 @@ from gogends.graphs import (
     maximum_matching,
     random_multigraph,
     suppressed_graph,
-    valence_two_segment_bound,
     verify_counting_lemma,
 )
 
@@ -32,7 +33,9 @@ from graph_reference import (
     canonical_form,
     enumerate_reference,
     matching_bruteforce,
+    refine_reference,
     segment_bound_reference,
+    stats_reference,
     suppressed_graph_reference,
     verify_counting_reference,
 )
@@ -55,16 +58,18 @@ def _valences(g):
 
 
 def _segment_bound(g):
+    """The segment sum of the chain walk of ``suppressed_graph``."""
     walk = index_walk(g)
-    return valence_two_segment_bound(walk.ends, walk.valences)
+    return suppressed_graph(walk.ends, walk.valences)[1]
 
 
 def _suppressed(g):
-    """``suppressed_graph`` of g as a Graph on the ids of its kept vertices."""
+    """``suppressed_graph`` of g as a Graph on the ids of its kept
+    vertices, with the segment sum of its chains."""
     walk = index_walk(g)
-    pairs = suppressed_graph(walk.ends, walk.valences)
+    pairs, segments = suppressed_graph(walk.ends, walk.valences)
     kept = tuple(v for v, k in zip(g.vertices, walk.valences) if k != 2)
-    return Graph(kept, tuple((f"y{i}", g.vertices[a], g.vertices[b]) for i, (a, b) in enumerate(pairs)))
+    return Graph(kept, tuple((f"y{i}", g.vertices[a], g.vertices[b]) for i, (a, b) in enumerate(pairs))), segments
 
 
 # leaves (valences.count(1)) and the Euler characteristic |V| - |E| are
@@ -221,16 +226,11 @@ def test_segment_bound_on_subdivided_star():
 
 
 def test_segment_bound_matches_reference():
-    # every graph with at most 8 edges, the cycles, and a path whose
-    # valence-2 vertices a loop splits into runs of 3 and 4
-    candidates = list(enumerate_connected_multigraphs(8, 9)) + [_cycle(n) for n in range(1, 9)]
-    candidates.append(Graph(tuple(range(10)), tuple((i, i, i + 1) for i in range(9)) + ((9, 4, 4), (10, 9, 9))))
-    nonzero = 0
-    for g in candidates:
-        bound = _segment_bound(g)
-        assert bound == segment_bound_reference(g, _valences(g)), g
-        nonzero += bound > 0
-    assert nonzero > 100
+    # a path whose valence-2 vertices a loop splits into runs of 3 and 4,
+    # with 2 and 3 inner edges; test_suppressed_graph_matches_slot_walk_reference
+    # compares the sums on every graph up to 8 edges and on sampled draws
+    g = Graph(tuple(range(10)), tuple((i, i, i + 1) for i in range(9)) + ((9, 4, 4), (10, 9, 9)))
+    assert _segment_bound(g) == segment_bound_reference(g, _valences(g)) == 2
 
 
 def test_suppressed_graph_of_subdivided_triangle():
@@ -239,7 +239,8 @@ def test_suppressed_graph_of_subdivided_triangle():
     with pytest.raises(GraphError):
         _suppressed(g)  # all vertices have valence 2
     g2 = Graph((0, 1, 2, 3), ((0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)))
-    y = _suppressed(g2)
+    y, segments = _suppressed(g2)
+    assert len(y.edges) == 2 and segments == 0  # the chain 0-1-2-0 has one inner edge
     ys = _report(y)
     gs = _report(g2)
     assert ys.leaves == gs.leaves
@@ -249,25 +250,10 @@ def test_suppressed_graph_of_subdivided_triangle():
 def test_suppressed_graph_preserves_t():
     # path of 5 vertices: ends are leaves, middle 3 smoothed to one edge
     g = _path(5)
-    y = _suppressed(g)
-    assert len(y.vertices) == 2 and len(y.edges) == 1
+    y, segments = _suppressed(g)
+    assert len(y.vertices) == 2 and len(y.edges) == 1 and segments == 1
     ys, gs = _report(y), _report(g)
     assert ys.leaves - ys.euler_char == gs.leaves - gs.euler_char
-
-
-def test_suppressed_graph_matches_slot_walk_reference():
-    # every non-exceptional graph with at most 8 edges: the kept vertices in
-    # order and the smoothed edges as a multiset of (d0, d1) pairs
-    checked = 0
-    for g in enumerate_connected_multigraphs(8, 9):
-        rep = _report(g)
-        if rep.exceptional or not g.edges:
-            continue
-        y, ref = _suppressed(g), suppressed_graph_reference(g, _valences(g))
-        assert y.vertices == ref.vertices, g
-        assert Counter((u, v) for _, u, v in y.edges) == Counter((u, v) for _, u, v in ref.edges), g
-        checked += 1
-    assert checked == 6452
 
 
 def test_suppressed_graph_rejects_detached_valence_two_cycle():
@@ -276,6 +262,55 @@ def test_suppressed_graph_rejects_detached_valence_two_cycle():
         _suppressed(g)
     with pytest.raises(GraphError, match="detached"):
         suppressed_graph_reference(g, _valences(g))
+
+
+def _smoothing_sources():
+    yield "8 edges", enumerate_connected_multigraphs(8, 9)
+    for max_edges in (12, 20, 50, 256):
+        rng = random.Random(max_edges)
+        yield f"{max_edges} edges", (random_multigraph(rng, max_edges, max_edges + 1) for _ in range(2000))
+
+
+def test_suppressed_graph_matches_slot_walk_reference():
+    # on every non-exceptional graph of each source: the kept vertices in
+    # order and the smoothed edges as a multiset of (d0, d1) pairs, |E| - V2
+    # of them with T(Y) = T(X), as verify_counting_lemma reads them off the
+    # valences, and the chain walk's segment sum, 0 when V2 < 3
+    for source, candidates in _smoothing_sources():
+        checked = nonzero = 0
+        for g in candidates:
+            valences, leaves, euler_char, _ = stats_reference(g)
+            v2 = list(valences.values()).count(2)
+            if not g.edges or v2 == len(valences):  # exceptional
+                continue
+            (y, segments), ref = _suppressed(g), suppressed_graph_reference(g, valences)
+            assert y.vertices == ref.vertices, (source, g)
+            assert Counter((u, v) for _, u, v in y.edges) == Counter((u, v) for _, u, v in ref.edges), (source, g)
+            assert len(y.edges) == len(g.edges) - v2, (source, g)
+            _, y_leaves, y_euler_char, _ = stats_reference(y)
+            assert y_leaves - y_euler_char == leaves - euler_char, (source, g)
+            assert segments == segment_bound_reference(g, valences), (source, g)
+            assert v2 > 2 or segments == 0, (source, g)
+            checked += 1
+            nonzero += segments > 0
+        assert (checked == 6452 if source == "8 edges" else checked > 1000) and nonzero > 100, source
+
+
+def test_refine_matches_the_pair_signature_reference():
+    # the flat neighbour multiset against (multiplicity, colour) pairs, from
+    # the unit colouring and from each vertex individualised
+    for level in _connected_simple_graphs(8, 9):
+        for n, edges in level:
+            flat, pairs = [[] for _ in range(n)], [[] for _ in range(n)]
+            for u, v in edges:
+                flat[u].append(v)
+                flat[v].append(u)
+                pairs[u].append((v, 1))
+                pairs[v].append((u, 1))
+            loops = (0,) * n
+            starts = [(0,) * n] + [tuple(int(u == v) for u in range(n)) for v in range(n)]
+            for colors in starts:
+                assert _refine(flat, loops, colors) == refine_reference(pairs, loops, colors), (n, edges, colors)
 
 
 def test_program_built_graphs_revalidate():
@@ -394,8 +429,9 @@ def _group_order(n, gens):
 def _canonical_matrices(key):
     n, loops, edges = key
     adj = [[0] * n for _ in range(n)]
-    for a, b, m in edges:
-        adj[a][b] = adj[b][a] = m
+    for a, b in edges:
+        adj[a][b] += 1
+        adj[b][a] += 1
     return n, adj, loops
 
 
@@ -425,7 +461,7 @@ def test_search_automorphisms_generate_the_automorphism_group():
             rng.shuffle(perm)
             shuffled = [[adj[perm[u]][perm[v]] for v in range(n)] for u in range(n)]
             key = _check_search_automorphisms(n, shuffled, (0,) * n, order)
-            assert tuple((u, v) for u, v, _ in key[2]) == edges
+            assert key[2] == edges
     spokes = tuple((i - 1, 0, i) for i in range(1, 6))
     looped_star = Graph(tuple(range(6)), spokes + tuple((5 + i, i, i) for i in range(6)))
     k4 = Graph(tuple(range(4)), tuple((i, u, v) for i, (u, v) in enumerate(combinations(range(4), 2))))
@@ -441,7 +477,7 @@ def test_simple_graph_levels_match_oeis_a002905():
     assert [len(level) for level in levels] == [1, 1, 1, 3, 5, 12, 30, 79, 227, 710]
 
 
-@pytest.mark.parametrize("max_edges", range(9))
+@pytest.mark.parametrize("max_edges", range(10))
 def test_enumeration_matches_generate_and_dedupe_reference(max_edges):
     got = list(enumerate_connected_multigraphs(max_edges, max_edges + 1))
     assert got == list(enumerate_reference(max_edges, max_edges + 1))
@@ -492,8 +528,8 @@ def test_canonical_form_on_ten_equivalent_vertices_is_prompt(package_env, edges)
 
 
 def test_enumeration_bound_guard():
-    with pytest.raises(GraphError):
-        list(enumerate_connected_multigraphs(9, 4))
+    with pytest.raises(GraphError, match=f"capped at {graphs.EXHAUSTIVE_MAX_EDGES} edges"):
+        list(enumerate_connected_multigraphs(graphs.EXHAUSTIVE_MAX_EDGES + 1, 4))
 
 
 def test_verify_counting_lemma_4_edges():
@@ -578,8 +614,35 @@ def test_counting_checks_fire_on_a_short_matching(monkeypatch):
     assert cycles_failing(verify_counting_lemma(enumerate_connected_multigraphs(6, 7))) == [1, 2, 3, 4, 5, 6]
 
 
-def test_counting_checks_fire_on_a_dropped_chain(monkeypatch):
+def _fires_on_intermediates_only(verify):
+    result = verify(enumerate_connected_multigraphs(6, 7))
+    return not result.ok and result.intermediate_failures and not result.violations
+
+
+def test_counting_checks_fire_on_a_segment_sum_two_too_high(monkeypatch):
+    # M(X) >= sum floor(|ES_i|/2): the check reads the sum off the chain
+    # walk.  Up to 9 edges M(X) exceeds the sum by at least 1 wherever
+    # V2 >= 3, so a sum one too high shows nowhere; two too high shows
+    assert not _fires_on_intermediates_only(verify_counting_lemma)
     suppress = graphs.suppressed_graph
-    monkeypatch.setattr(graphs, "suppressed_graph", lambda ends, valences: suppress(ends, valences)[1:])
-    result = verify_counting_lemma(enumerate_connected_multigraphs(6, 7))
-    assert not result.ok and result.intermediate_failures and not result.violations
+
+    def two_too_high(ends, valences):
+        edges, segments = suppress(ends, valences)
+        return edges, segments + 2
+
+    monkeypatch.setattr(graphs, "suppressed_graph", two_too_high)
+    assert _fires_on_intermediates_only(verify_counting_lemma)
+
+
+@pytest.mark.parametrize("original, mutant", [
+    ("v2 = walk.valences.count(2)", "v2 = walk.valences.count(2) - 1"),
+    ("(len(walk.ends) >> 1) - v2 > ", "(len(walk.ends) >> 1) - v2 + 1 > "),
+], ids=["v2_one_too_low", "smoothed_edges_one_too_high"])
+def test_counting_checks_fire_on_a_smoothed_edge_count_one_too_high(original, mutant):
+    # |EY| <= 3 T(Y): the check reads |EY| = |EX| - V2 off the valences, so
+    # a copy of it with one read off by one must report the intermediate
+    source = textwrap.dedent(inspect.getsource(verify_counting_lemma))
+    assert source.count(original) == 1
+    namespace = dict(vars(graphs))
+    exec(compile(source.replace(original, mutant), graphs.__file__, "exec"), namespace)
+    assert _fires_on_intermediates_only(namespace["verify_counting_lemma"])
