@@ -61,13 +61,18 @@ def _at_least(value: int | None, least: int, option: str) -> None:
         raise InputError(f"{option} must be at least {least}")
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
+def _parse_levels(text: str | None) -> tuple[int, ...]:
+    """The --levels entries, or () when the option is not given."""
+    if text is None:
+        return ()
     levels = []
     for entry in filter(None, text.split(",")):
         try:
             levels.append(int(entry))
         except ValueError:
             raise InputError(f"--levels entry {entry!r} is not an integer") from None
+    if not levels:
+        raise InputError("--levels needs at least one level")
     return tuple(levels)
 
 
@@ -213,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ends", "ends report at the minimal witness level", False),
     ):
         p = add(name, run_analyze, help)
-        p.set_defaults(levels="")  # before --levels, which takes it as its default
+        p.set_defaults(levels=None)  # before --levels, which takes it as its default
         p.add_argument("input")
         if with_levels:
             p.add_argument("--levels")

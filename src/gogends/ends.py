@@ -9,7 +9,10 @@ space is a label array over P, its cosets numbered by their least element.
 
 The level graph X_P, the Bass-Serre tree modulo the kernel of G -> P
 (Serre, *Trees* I.5), has the cosets K_v x as vertices and the cosets
-K_e x as edges, K_e x joining K_d0 x to K_d1 t_e^-1 x.  The tree boundary
+K_e x as edges, K_e x joining K_d0 x to K_d1 t_e^-1 x.  An edge image is
+injective, so e gives |P| / |G_e| edges, and no edge coset is built: as
+both sides are edge-invariant (below), the joins of e are the distinct
+pairs (K_d0 x, K_d1 t_e^-1 x) over every x in P.  The tree boundary
 map F into T = sum_e F_p[K_e\\P] is its signed incidence matrix, a loop a
 zero row.  The finite vertex groups have vanishing H^1 on F_p[P], so the
 module of ends at level P is M = T / im F, and if X_P has s vertices,
@@ -69,15 +72,12 @@ def mv_h0_map(gog: GraphOfGroups, witness: ProperWitness) -> MvLevelData:
         reps, vertex_labels[vid] = right_cosets(P, witness.vertex_maps[vid].image)
         col_off[vid], src = src, src + len(reps)
 
-    joins, tgt = [], 0
+    joins, tgt = set(), 0
     for eid, u, v in gog.graph.edges:
-        image = np.asarray(witness.vertex_maps[u].image)[list(gog.inj0[eid].image)]
-        reps, _ = right_cosets(P, image)
+        tgt += P.order // gog.edge_groups[eid].order
         # the source coset of every x in F_p[P]: of x at d0, of t^-1 x at d1
-        lab0 = vertex_labels[u]
         lab1 = vertex_labels[v][P.mult[P.inv(witness.stable_images[eid])]]
-        joins += zip((col_off[u] + lab0[reps]).tolist(), (col_off[v] + lab1[reps]).tolist())
-        tgt += len(reps)
+        joins.update(zip((col_off[u] + vertex_labels[u]).tolist(), (col_off[v] + lab1).tolist()))
     components = len(set(_component_roots(range(src), joins).values()))
     return MvLevelData(
         source_dim=src,

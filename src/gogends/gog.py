@@ -374,8 +374,12 @@ class ProperWitness:
         ]
 
     def image(self, gog: GraphOfGroups) -> Subgroup:
-        """The subgroup of the quotient that the symbols' images generate."""
-        return subgroup_generated(self.quotient, self.symbol_images(gog))
+        """The subgroup of the quotient that the vertex groups' generator
+        images and the letters generate: that of the symbols' images, as a
+        tree letter is the identity, with no presentation built."""
+        maps, groups = self.vertex_maps, gog.vertex_groups
+        gens = [maps[vid].image[g] for vid in gog.graph.vertices for g in groups[vid].generators]
+        return subgroup_generated(self.quotient, gens + list(self.stable_images.values()))
 
     def is_surjective(self, gog: GraphOfGroups) -> bool:
         return self.image(gog).order == self.quotient.order

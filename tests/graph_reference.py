@@ -16,25 +16,23 @@ graph.  The enumeration itself grows by orbit representatives and marks
 whole decoration orbits seen; tests compare it against this.  It has no
 edge cap, so it can also count the 9-edge graphs.
 
-``suppressed_graph_reference`` smooths valence-2 chains by walking
-(edge id, end) slots held in dicts and sets, the reference for the
-index-list walk of ``graphs.suppressed_graph``; ``segment_bound_reference``
-finds the segments as the components of the subgraph the valence-2
-vertices span, by union-find, the reference for the segment sum of that
-walk.
+``suppressed_graph_reference`` smooths valence-2 chains into the graph Y
+by walking (edge id, end) slots held in dicts and sets, and sums
+floor(inner / 2) along the chains it walks, inner counting a chain's
+edges between two valence-2 vertices: the reference for the segment sum
+that ``graphs.suppressed_graph`` counts over the components of those
+edges, and the only code that builds Y.
 
 ``refine_reference`` refines colours by signatures of (multiplicity,
 colour) pairs, the reference for ``graphs._refine``, which sorts a flat
 neighbour multiset.
 
 ``verify_counting_reference`` checks the counting bound and its proof
-intermediates graph by graph, with the statistics, the segment bound and
-the suppressed graph each computed from the ``Graph`` by a walk of its
-own and a matching found for every graph: the reference for
+intermediates graph by graph, with the statistics and the suppressed
+graph with its segment sum each computed from the ``Graph`` by a walk of
+its own and a matching found for every graph: the reference for
 ``graphs.verify_counting_lemma``, which reads each graph's walk.
 """
-
-from collections import Counter
 
 from gogends.graphs import (
     CountingReport,
@@ -105,7 +103,9 @@ def refine_reference(nbrs, loops, colors):
 
 
 def suppressed_graph_reference(g, valences):
-    """Smooth every maximal valence-2 chain into a single edge;
+    """Smooth every maximal valence-2 chain into a single edge: the graph
+    Y and the segment sum, floor(inner / 2) summed over the chains, where
+    inner counts a chain's edges between two valence-2 vertices;
     ``valences`` maps each vertex id to its valence, loops counting twice.
 
     Requires at least one vertex of valence != 2; loops arising from
@@ -125,7 +125,7 @@ def suppressed_graph_reference(g, valences):
     keep_set = set(keep)
     used = set()
     new_edges = []
-    counter = 0
+    segments = 0
     for v in keep:
         for slot in slots[v]:
             if slot in used:
@@ -134,7 +134,9 @@ def suppressed_graph_reference(g, valences):
             e, k = slot
             other = (e, 1 - k)
             w = endpoint[other]
+            run = 0  # the valence-2 vertices of the chain
             while w not in keep_set:
+                run += 1
                 used.add(other)
                 nxt = [s for s in slots[w] if s != other]
                 assert len(nxt) == 1, "valence-2 vertex must have exactly one other slot"
@@ -143,12 +145,12 @@ def suppressed_graph_reference(g, valences):
                 other = (e2, 1 - k2)
                 w = endpoint[other]
             used.add(other)
-            new_edges.append((f"y{counter}", v, w))
-            counter += 1
+            segments += max(run - 1, 0) // 2
+            new_edges.append((f"y{len(new_edges)}", v, w))
     for vid in g.vertices:
         if vid not in keep_set and any(s not in used for s in slots[vid]):
             raise GraphError("valence-2 cycle component detached from the rest")
-    return Graph(tuple(keep), tuple(new_edges))
+    return Graph(tuple(keep), tuple(new_edges)), segments
 
 
 def stats_reference(g):
@@ -161,16 +163,6 @@ def stats_reference(g):
     roots = _component_roots(g.vertices, ((u, v) for _, u, v in g.edges))
     leaves = list(valences.values()).count(1)
     return valences, leaves, len(g.vertices) - len(g.edges), len(set(roots.values())) == 1
-
-
-def segment_bound_reference(g, valences):
-    """Sum of floor(|ES_i| / 2) over components S_i of the subgraph
-    spanned by valence-2 vertices."""
-    two = {v for v in g.vertices if valences[v] == 2}
-    inner = [(u, v) for _, u, v in g.edges if u in two and v in two]
-    roots = _component_roots(two, inner)
-    comp_edges = Counter(roots[u] for u, _ in inner)
-    return sum(k // 2 for k in comp_edges.values())
 
 
 def verify_counting_reference(candidates):
@@ -192,9 +184,9 @@ def verify_counting_reference(candidates):
             else:
                 out.violations.append(rep)
         if not rep.exceptional and g.edges:
-            if rep.matching_size < segment_bound_reference(g, valences):
+            y, segments = suppressed_graph_reference(g, valences)
+            if rep.matching_size < segments:
                 out.intermediate_failures.append(rep)
-            y = suppressed_graph_reference(g, valences)
             _, y_leaves, y_euler_char, _ = stats_reference(y)
             if len(y.edges) > 3 * (y_leaves - y_euler_char):
                 out.intermediate_failures.append(rep)

@@ -554,10 +554,14 @@ def test_main_edgeless_graph_exits_2(tmp_path, capsys, group):
     # the fixture's largest vertex group has order 4, as with --levels 2
     (["ends", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
     (["analyze", "FIXTURE", "--order-bound", "2"], "level 2 is below the largest vertex-group order 4"),
+    # given but empty: no --order-bound run stands in for the levels asked
+    (["analyze", "FIXTURE", "--levels", ""], "--levels needs at least one level"),
+    (["analyze", "FIXTURE", "--levels", ","], "--levels needs at least one level"),
 ], ids=["enumerate_11_edges", "enumerate_0_vertices", "counting_negative_edges", "counting_0_vertices",
         "sampled_counting_257_edges", "sampled_counting_258_vertices",
         "lemmas_order_0", "lemmas_order_512", "ends_negative_bound", "analyze_zero_bound",
-        "ends_bound_below_vertex_group", "analyze_bound_below_vertex_group"])
+        "ends_bound_below_vertex_group", "analyze_bound_below_vertex_group",
+        "analyze_empty_levels", "analyze_comma_levels"])
 def test_main_graph_and_order_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # checked before any graph is built or any enumeration or search starts,
     # with no default swapped in

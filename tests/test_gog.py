@@ -19,6 +19,7 @@ from gogends.fpcore import (
     hom_from_images,
     is_injective,
     quaternion8,
+    subgroup_generated,
     trivial,
 )
 from gogends.graphs import GraphError
@@ -260,6 +261,17 @@ def test_witness_search_exact_order():
     w = proper_quotient_search(g, 16, exact_order=8)
     assert w.quotient.order in (4, 8)  # may shrink to the generated image
     w.verify(g)
+
+
+def test_witness_search_builds_no_presentation():
+    # the image comes from the generator images and the letters; Serre's
+    # presentation is the Fox oracle's, and its symbols' images generate the
+    # same subgroup, as a tree letter is the identity
+    for name in corpus.fixture_names():
+        g = corpus.load_fixture(name)
+        w = proper_quotient_search(g, corpus.witness_bound(name))
+        assert w.is_surjective(g) and "serre" not in vars(g), name
+        assert w.image(g) == subgroup_generated(w.quotient, w.symbol_images(g)), name
 
 
 def test_witness_search_loop_trivial():
